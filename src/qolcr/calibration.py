@@ -32,6 +32,14 @@ STOPBAND_DB = 40.0           # required attenuation one octave below center
 
 _KAISER_BETA = 8.96          # ~90 dB design
 
+# phase samples below this fraction of the median carrier amplitude are
+# masked; more than MAX_BAD_FRACTION of masked filter-valid samples fails
+AMPLITUDE_FLOOR_RATIO = 0.2
+MAX_BAD_FRACTION = 0.10
+
+# share of the filter-valid scan that must carry usable phase
+MIN_VALID_FRACTION = 0.9
+
 
 @dataclass(frozen=True)
 class BandpassSpec:
@@ -122,23 +130,13 @@ class FilteredCarrier:
     spacing: float
     spec: BandpassSpec
 
-    @property
-    def valid_slice(self) -> slice:
-        idx = np.nonzero(self.valid)[0]
-        return slice(int(idx[0]), int(idx[-1]) + 1)
 
-
-def extract_tpi(trace: ScanTrace, spec: BandpassSpec | None = None,
-                pump: PumpReference | None = None) -> FilteredCarrier:
+def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     """Isolate the pair-interference carrier from the coincidence channel.
 
     The channel mean is removed before filtering to keep the edge ramp of
     the convolution small; the pedestal carries no carrier information.
     """
-    if spec is None:
-        if pump is None:
-            raise ConfigError("extract_tpi needs a BandpassSpec or a PumpReference")
-        spec = BandpassSpec.for_pump(pump)
     taps = design_bandpass(spec, trace.spacing)
     x = trace.coincidence - trace.coincidence.mean()
     filtered = zero_phase_apply(taps, x)
@@ -168,16 +166,14 @@ class PhaseTrace:
     spacing: float
 
 
-def extract_phase(carrier: FilteredCarrier, method: str = "analytic",
-                  amplitude_floor_ratio: float = 0.2,
-                  max_bad_fraction: float = 0.10) -> PhaseTrace:
+def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTrace:
     """Per-sample carrier phase, unwrapped so adjacent steps stay in (-pi, pi].
 
     method 'analytic' builds the quadrature by one-sided spectral selection
     (analytic signal); 'crossings' localizes carrier zero crossings and
     interpolates phase between them, as an independent cross-check.
-    Samples with amplitude below amplitude_floor_ratio times the median are
-    masked; more than max_bad_fraction of masked valid samples is an error.
+    Samples with amplitude below AMPLITUDE_FLOOR_RATIO times the median are
+    masked; more than MAX_BAD_FRACTION of masked valid samples is an error.
     """
     if method == "analytic":
         analytic = hilbert(carrier.values)
@@ -190,13 +186,13 @@ def extract_phase(carrier: FilteredCarrier, method: str = "analytic",
 
     mask = carrier.valid.copy()
     inside = amplitude[carrier.valid]
-    floor = amplitude_floor_ratio * float(np.median(inside))
+    floor = AMPLITUDE_FLOOR_RATIO * float(np.median(inside))
     mask &= amplitude >= floor
     bad = 1.0 - mask[carrier.valid].mean()
-    if bad > max_bad_fraction:
+    if bad > MAX_BAD_FRACTION:
         raise CalibrationQualityError(
             f"carrier amplitude below floor over {bad:.1%} of the scan "
-            f"(allowed {max_bad_fraction:.0%}); weak pair-interference signal"
+            f"(allowed {MAX_BAD_FRACTION:.0%}); weak pair-interference signal"
         )
     return PhaseTrace(
         unwrapped_phase=phase, amplitude=amplitude, quality_mask=mask,
@@ -249,7 +245,6 @@ class CalibrationMap:
 
     reported: np.ndarray
     calibrated: np.ndarray
-    interpolation: str = "linear"
     edge_fit: int = 2000
     quality: dict = field(default_factory=dict)
 
@@ -300,8 +295,7 @@ class CalibrationMap:
         return self.calibrated - self.reported
 
 
-def build_calibration(phase: PhaseTrace, pump: PumpReference,
-                      min_valid_fraction: float = 0.9) -> CalibrationMap:
+def build_calibration(phase: PhaseTrace, pump: PumpReference) -> CalibrationMap:
     """Scale the unwrapped phase to positions and anchor at the scan midpoint.
 
     One full carrier period corresponds to lambda_p / 2 of travel, so
@@ -313,10 +307,10 @@ def build_calibration(phase: PhaseTrace, pump: PumpReference,
     if len(idx) < 16:
         raise CalibrationQualityError("too few valid phase samples to calibrate")
     coverage = len(idx) / max(int(phase.filter_valid.sum()), 1)
-    if coverage < min_valid_fraction:
+    if coverage < MIN_VALID_FRACTION:
         raise CalibrationQualityError(
             f"only {coverage:.1%} of the filter-valid scan has usable phase, "
-            f"need {min_valid_fraction:.0%}"
+            f"need {MIN_VALID_FRACTION:.0%}"
         )
     scale = pump.wavelength / (4.0 * math.pi)
     phi = phase.unwrapped_phase[idx]

@@ -31,7 +31,6 @@ from qolcr.experiments import (
     linearity_experiment,
     measure_record,
     repeatability_experiment,
-    summarize,
     synthesize,
 )
 
@@ -75,10 +74,6 @@ def _apply_overrides(config: RunConfig, *, seed=None, grid_step_nm=None,
     return parse_config(raw)
 
 
-def _print(line: str) -> None:
-    print(line)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -89,10 +84,10 @@ def cmd_simulate(args) -> int:
     tracefile.write_trace(trace, args.output, config=config)
     start, stop = config.scan_range
     stage_seed, noise_seed = config.seeds_for_run(0)
-    _print(f"wrote {args.output}: {trace.n_samples} samples over "
-           f"[{start * 1e6:g} um, {stop * 1e6:g} um)")
-    _print(f"stage seed {stage_seed}, noise seed {noise_seed}, "
-           f"poisson {trace.metadata.get('poisson')}")
+    print(f"wrote {args.output}: {trace.n_samples} samples over "
+          f"[{start * 1e6:g} um, {stop * 1e6:g} um)")
+    print(f"stage seed {stage_seed}, noise seed {noise_seed}, "
+          f"poisson {trace.metadata.get('poisson')}")
     return 0
 
 
@@ -106,12 +101,12 @@ def cmd_calibrate(args) -> int:
     tracefile.write_calibration_table(calibration, table_path, config=config)
     tracefile.write_calibrated_record(record, record_path, config=config)
     quality = calibration.quality
-    _print(f"wrote {table_path}: {len(calibration.reported)} knots")
-    _print(f"wrote {record_path}: {len(record.positions)} samples at "
-           f"{record.grid_step * 1e9:g} nm")
-    _print(f"rms correction {quality.get('rms_correction', 0.0) * 1e9:.3f} nm, "
-           f"max {quality.get('max_abs_correction', 0.0) * 1e9:.3f} nm, "
-           f"valid fraction {quality.get('valid_fraction', 0.0):.4f}")
+    print(f"wrote {table_path}: {len(calibration.reported)} knots")
+    print(f"wrote {record_path}: {len(record.positions)} samples at "
+          f"{record.grid_step * 1e9:g} nm")
+    print(f"rms correction {quality.get('rms_correction', 0.0) * 1e9:.3f} nm, "
+          f"max {quality.get('max_abs_correction', 0.0) * 1e9:.3f} nm, "
+          f"valid fraction {quality.get('valid_fraction', 0.0):.4f}")
     return 0
 
 
@@ -121,24 +116,21 @@ def cmd_measure(args) -> int:
     record = tracefile.read_calibrated_record(args.record)
     report = measure_record(config, record)
     tracefile.write_json_document(report.to_dict(), args.output)
-    _print(f"wrote {args.output}: {len(report.peaks)} separation(s)")
+    print(f"wrote {args.output}: {len(report.peaks)} separation(s)")
     for peak in report.peaks:
         flag = "  [ambiguous]" if peak.outlier_flag else ""
-        _print(f"separation {peak.separation * 1e6:.6f} um "
-               f"+/- {peak.uncertainty * 1e9:.3f} nm{flag}")
+        print(f"separation {peak.separation * 1e6:.6f} um "
+              f"+/- {peak.uncertainty * 1e9:.3f} nm{flag}")
     return 0
 
 
 def cmd_repeat(args) -> int:
     config = _apply_overrides(_load_base_config(args), seed=args.seed)
-    result = repeatability_experiment(config, n_runs=args.runs)
-    doc = result.to_dict()
-    if result.estimates:
-        doc["summary"] = summarize(result.estimates,
-                                   outlier_count=result.outlier_count)
+    result = repeatability_experiment(config, n_runs=args.runs,
+                                      force_ambiguity_runs=args.force_ambiguity)
     results_path = f"{args.output}.results.json"
     plot_path = f"{args.output}.separations.txt"
-    tracefile.write_json_document(doc, results_path)
+    tracefile.write_json_document(result.to_dict(), results_path)
     measured = [(entry["run"], entry["separation_m"] * 1e6)
                 for entry in result.seed_ledger
                 if entry.get("separation_m") is not None]
@@ -146,14 +138,14 @@ def cmd_repeat(args) -> int:
     seps = [sep for _, sep in measured]
     tracefile.write_plot_data(plot_path, ["run", "separation_um"],
                               [runs, seps], comment="repeatability runs")
-    _print(f"wrote {results_path} and {plot_path}")
-    _print(f"{result.n_runs} runs: {result.included_count} included, "
-           f"{result.outlier_count} ambiguity outliers, "
-           f"{len(result.failures)} failures")
+    print(f"wrote {results_path} and {plot_path}")
+    print(f"{result.n_runs} runs: {result.included_count} included, "
+          f"{result.outlier_count} ambiguity outliers, "
+          f"{len(result.failures)} failures")
     if result.estimates:
-        _print(f"std_dev {result.std_dev * 1e9:.3f} nm over included runs")
+        print(f"std_dev {result.std_dev * 1e9:.3f} nm over included runs")
         return 0
-    _print("batch failure: no usable runs")
+    print("batch failure: no usable runs")
     return 2
 
 
@@ -176,10 +168,10 @@ def cmd_linearity(args) -> int:
         [commanded_um, [d * 1e9 for d in result.deviations]],
         comment="linearity sweep: deviation from the unit-slope line "
                 "through the first point")
-    _print(f"wrote {results_path}, {measured_path}, {deviations_path}")
-    _print(f"{len(result.measured_separations)} steps of {args.step_size:g} nm: "
-           f"max |deviation| {result.max_abs_deviation * 1e9:.3f} nm, "
-           f"{len(result.failures)} failures")
+    print(f"wrote {results_path}, {measured_path}, {deviations_path}")
+    print(f"{len(result.measured_separations)} steps of {args.step_size:g} nm: "
+          f"max |deviation| {result.max_abs_deviation * 1e9:.3f} nm, "
+          f"{len(result.failures)} failures")
     return 0
 
 
@@ -222,6 +214,9 @@ def build_parser() -> _Parser:
                      help="prefix for .results.json and .separations.txt")
     rep.add_argument("--runs", type=int, default=70, help="number of runs")
     rep.add_argument("--seed", type=int, help="override the master seed")
+    rep.add_argument("--force-ambiguity", type=int, nargs="*", default=[],
+                     metavar="RUN",
+                     help="run indexes forced onto the wrong fringe")
     rep.set_defaults(func=cmd_repeat)
 
     lin = sub.add_parser("linearity",

@@ -45,7 +45,7 @@ def calibrate_trace(config: RunConfig, trace: ScanTrace) -> tuple[CalibrationMap
         relative_bandwidth=config.pipeline.filter_relative_bandwidth,
         num_taps=config.pipeline.filter_num_taps,
     )
-    carrier = extract_tpi(trace, spec=spec)
+    carrier = extract_tpi(trace, spec)
     phase = extract_phase(carrier, method=config.pipeline.phase_method)
     calibration = build_calibration(phase, config.pump)
     record = resample_intensity(trace, calibration, grid_step=config.pipeline.grid_step)
@@ -87,7 +87,8 @@ class RepeatabilityResult:
         return len(self.estimates)
 
     def to_dict(self) -> dict:
-        return {
+        """Results document; a "summary" block is added when any run is included."""
+        doc = {
             "n_runs": self.n_runs,
             "included_count": self.included_count,
             "outlier_count": self.outlier_count,
@@ -99,6 +100,18 @@ class RepeatabilityResult:
             "failures": list(self.failures),
             "std_convention": "sample (n-1)",
         }
+        if self.estimates:
+            n = self.included_count
+            doc["summary"] = {
+                "n": n,
+                "mean_m": doc["mean_m"],
+                "std_dev_m": float(np.std(self.estimates, ddof=1)) if n >= 2 else 0.0,
+                "min_m": min(self.estimates),
+                "max_m": max(self.estimates),
+                "outliers_excluded": self.outlier_count,
+                "std_convention": "sample (n-1)",
+            }
+        return doc
 
 
 def repeatability_experiment(config: RunConfig, n_runs: int,
@@ -232,19 +245,3 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
         max_abs_deviation=max_abs, failures=failures,
     )
 
-
-def summarize(values, outlier_count: int = 0) -> dict:
-    """Deterministic summary statistics with the sample (n-1) convention."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ConfigError("summarize needs at least one value")
-    std = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
-    return {
-        "n": len(vals),
-        "mean_m": float(np.mean(vals)),
-        "std_dev_m": std,
-        "min_m": min(vals),
-        "max_m": max(vals),
-        "outliers_excluded": int(outlier_count),
-        "std_convention": "sample (n-1)",
-    }

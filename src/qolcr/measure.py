@@ -40,6 +40,10 @@ MIN_OVERLAP = 256
 # about r_i r_j / sum(r^2), well above this for usable reflectivities
 MIN_CLUSTER_HEIGHT = 1e-3
 
+# clusters must also clear this multiple of the median envelope beyond the
+# zero-lag guard
+NOISE_FLOOR_FACTOR = 6.0
+
 
 @dataclass
 class Autocorrelogram:
@@ -48,7 +52,6 @@ class Autocorrelogram:
     lags: np.ndarray          # symmetric uniform grid, meters
     values: np.ndarray
     grid_step: float
-    dc_removed: bool = True
     metadata: dict = field(default_factory=dict)
     quality: dict = field(default_factory=dict)
 
@@ -71,7 +74,7 @@ class Autocorrelogram:
         return slice(lo, hi)
 
 
-def autocorrelate(record: CalibratedRecord, max_lag: float | None = None) -> Autocorrelogram:
+def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     """Autocorrelation of the mean-subtracted record via the spectral method.
 
     Zero-padded FFT gives the linear (non-circular) lag sums, normalized
@@ -84,15 +87,6 @@ def autocorrelate(record: CalibratedRecord, max_lag: float | None = None) -> Aut
     if n < 2 * MIN_OVERLAP:
         raise ConfigError(f"record of {n} samples too short to autocorrelate")
     k_cap = n - MIN_OVERLAP
-    if max_lag is not None:
-        k_req = int(math.floor(max_lag / record.grid_step))
-        if k_req < 1:
-            raise ConfigError("max_lag smaller than one grid step")
-        if k_req > n - 1:
-            raise ConfigError(
-                f"requested max lag {max_lag:.3e} m exceeds the record span"
-            )
-        k_cap = min(k_cap, k_req)
 
     nfft = next_fast_len(2 * n - 1)
     spec = rfft(x, nfft)
@@ -105,7 +99,7 @@ def autocorrelate(record: CalibratedRecord, max_lag: float | None = None) -> Aut
     values = np.concatenate([one_sided[:0:-1], one_sided])
     lags = np.concatenate([-np.arange(k_cap, 0, -1), np.arange(k_cap + 1)]) * record.grid_step
     return Autocorrelogram(
-        lags=lags, values=values, grid_step=record.grid_step, dc_removed=True,
+        lags=lags, values=values, grid_step=record.grid_step,
         metadata=dict(record.metadata), quality=dict(record.quality),
     )
 
@@ -197,25 +191,13 @@ class MeasurementReport:
                     "carrier_refined_m": p.carrier_refined,
                     "uncertainty_m": p.uncertainty,
                     "outlier": bool(p.outlier_flag),
-                    "diagnostics": {k: _jsonable(v) for k, v in p.diagnostics.items()},
+                    "diagnostics": dict(p.diagnostics),
                 }
                 for p in self.peaks
             ],
-            "quality": {k: _jsonable(v) for k, v in self.quality.items()},
-            "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
+            "quality": dict(self.quality),
+            "metadata": dict(self.metadata),
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
 
 
 def _cluster_parameters(acorr: Autocorrelogram):
@@ -243,8 +225,7 @@ def _cluster_parameters(acorr: Autocorrelogram):
 
 
 def estimate_separations(acorr: Autocorrelogram, expected_count: int,
-                         refinement_offset: float = 0.0,
-                         noise_floor_factor: float = 6.0) -> MeasurementReport:
+                         refinement_offset: float = 0.0) -> MeasurementReport:
     """Locate the `expected_count` strongest clusters and refine each one.
 
     refinement_offset shifts the carrier-fringe seed away from the
@@ -269,7 +250,7 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
         raise PeakCountError("autocorrelogram holds no lags beyond the zero-lag guard")
     search[:guard_idx] = 0.0
     floor = max(
-        noise_floor_factor * float(np.median(env[n0 + guard_idx:])),
+        NOISE_FLOOR_FACTOR * float(np.median(env[n0 + guard_idx:])),
         MIN_CLUSTER_HEIGHT,
     )
     distance = max(int(round(params["min_separation"] / acorr.grid_step)), 1)

@@ -233,7 +233,13 @@ def coincidence_rate(sample: Sample, spectrum: Spectrum, pump: PumpReference,
                      terms: CoincidenceTerms, d,
                      noise: NoiseModel | None = None):
     """Coincidence interferogram M(d); see coincidence_components for parts."""
-    parts = coincidence_components(sample, spectrum, pump, terms, d)
+    return _coincidence_total(
+        coincidence_components(sample, spectrum, pump, terms, d), terms, noise)
+
+
+def _coincidence_total(parts: dict, terms: CoincidenceTerms,
+                       noise: NoiseModel | None):
+    """Baseline plus the evaluated parts, scaled to counts when noise is given."""
     rate = terms.baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
     if noise is None:
         return rate
@@ -248,8 +254,6 @@ class ScanTruth:
     intensity_rate: np.ndarray       # expected counts per bin
     coincidence_rate: np.ndarray     # expected counts per bin
     pair_carrier: np.ndarray         # pair-interference part, model units
-    coincidence_parts: dict = field(default_factory=dict)  # model units
-    terms: CoincidenceTerms | None = None
 
 
 @dataclass
@@ -282,9 +286,7 @@ def scan_sample_count(stage: StageModel, scan_range: tuple[float, float]) -> int
 
 def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
                   stage: StageModel, noise: NoiseModel | None,
-                  scan_range: tuple[float, float],
-                  terms: CoincidenceTerms | None = None,
-                  keep_truth: bool = True) -> ScanTrace:
+                  scan_range: tuple[float, float]) -> ScanTrace:
     """Synthesize one scan over [start, stop) of the reported axis.
 
     Expected per-bin counts are evaluated at the true mirror positions and,
@@ -311,14 +313,13 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
             f"{MIN_GAP_COHERENCE_LENGTHS:g} coherence lengths"
         )
 
-    if terms is None:
-        terms = CoincidenceTerms.from_sample(sample, spectrum)
-
+    terms = CoincidenceTerms.from_sample(sample, spectrum)
     reported = stage.reported_grid(n, start)
     true_d = true_positions(stage, n, start)
 
     expected_i = intensity_rate(sample, spectrum, true_d, noise)
-    expected_m = coincidence_rate(sample, spectrum, pump, terms, true_d, noise)
+    parts = coincidence_components(sample, spectrum, pump, terms, true_d)
+    expected_m = _coincidence_total(parts, terms, noise)
     if expected_i.min() < 0.0 or expected_m.min() < 0.0:
         raise SynthesisError("expected counts went negative; baseline headroom violated")
 
@@ -329,18 +330,6 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
     else:
         intensity = expected_i.copy()
         coincidence = expected_m.copy()
-
-    truth = None
-    if keep_truth:
-        parts = coincidence_components(sample, spectrum, pump, terms, true_d)
-        truth = ScanTruth(
-            true_d=true_d,
-            intensity_rate=expected_i,
-            coincidence_rate=expected_m,
-            pair_carrier=parts["pair_carrier"],
-            coincidence_parts=parts,
-            terms=terms,
-        )
 
     metadata = {
         "n_samples": n,
@@ -359,5 +348,10 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
         coincidence=coincidence,
         spacing=stage.spacing,
         metadata=metadata,
-        truth=truth,
+        truth=ScanTruth(
+            true_d=true_d,
+            intensity_rate=expected_i,
+            coincidence_rate=expected_m,
+            pair_carrier=parts["pair_carrier"],
+        ),
     )

@@ -163,11 +163,8 @@ def _parse_header_json(path, line_no: int, key: str, raw: str) -> dict:
 
 
 def _read_table(path, expected_format: str) -> _Table:
-    try:
-        with open(path, "r") as handle:
-            lines = handle.read().splitlines()
-    except OSError:
-        raise
+    with open(path, "r") as handle:
+        lines = handle.read().splitlines()
     if not lines:
         raise TraceParseError("empty file", path=path, line=1)
 
@@ -325,17 +322,14 @@ def read_embedded_config(path):
     """Return the RunConfig embedded in any table file, or None."""
     from .config import parse_config
 
-    try:
-        with open(path, "r") as handle:
-            for line in handle:
-                if not line.startswith("#"):
-                    return None
-                parts = line[1:].strip().split(None, 1)
-                if len(parts) == 2 and parts[0] == "config":
-                    raw = _parse_header_json(path, 0, "config", parts[1])
-                    return parse_config(raw)
-    except OSError:
-        raise
+    with open(path, "r") as handle:
+        for line in handle:
+            if not line.startswith("#"):
+                return None
+            parts = line[1:].strip().split(None, 1)
+            if len(parts) == 2 and parts[0] == "config":
+                raw = _parse_header_json(path, 0, "config", parts[1])
+                return parse_config(raw)
     return None
 
 
@@ -379,19 +373,18 @@ def read_calibrated_record(path) -> CalibratedRecord:
 def write_calibration_table(calibration: CalibrationMap, path, config=None) -> None:
     reported = calibration.reported
     calibrated = calibration.calibrated
-    correction = calibrated - reported
     for name, values in (("reported_d_um", reported),
                          ("calibrated_d_um", calibrated)):
         _check_finite(name, values)
     header = {
-        "interpolation": calibration.interpolation,
+        "interpolation": "linear",
         "edge_fit": str(int(calibration.edge_fit)),
         "quality": json.dumps(_jsonable(calibration.quality), sort_keys=True),
     }
     config_json = config.to_json() if config is not None else None
     atomic_write_text(path, _render_table(
         CALIBRATION_FORMAT, header, CALIBRATION_COLUMNS,
-        [reported, calibrated, correction], config_json))
+        [reported, calibrated, calibration.correction()], config_json))
 
 
 def read_calibration_table(path) -> CalibrationMap:
@@ -399,13 +392,12 @@ def read_calibration_table(path) -> CalibrationMap:
     for name in ("reported_d_um", "calibrated_d_um"):
         if name not in table.data:
             raise TraceParseError(f"missing column {name}", path=path)
-    if "interpolation" not in table.header:
-        raise TraceParseError("missing '# interpolation' header", path=path)
+    if table.header.get("interpolation") != "linear":
+        raise TraceParseError("expected '# interpolation linear' header", path=path)
     edge_fit = int(_header_float(table, "edge_fit"))
     return CalibrationMap(
         reported=table.data["reported_d_um"],
         calibrated=table.data["calibrated_d_um"],
-        interpolation=table.header["interpolation"],
         edge_fit=edge_fit,
         quality=table.json_fields.get("quality", {}),
     )
@@ -422,11 +414,8 @@ def write_json_document(document: dict, path) -> None:
 
 
 def read_json_document(path) -> dict:
-    try:
-        with open(path, "r") as handle:
-            text = handle.read()
-    except OSError:
-        raise
+    with open(path, "r") as handle:
+        text = handle.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -168,7 +168,7 @@ def test_07_tpi_frequency_matches_pump():
     t0 = time.perf_counter()
     config = default_config()
     trace = synthesize(config)
-    carrier = extract_tpi(trace, pump=config.pump)
+    carrier = extract_tpi(trace, BandpassSpec.for_pump(config.pump))
     phase = extract_phase(carrier)
     use = phase.filter_valid & phase.quality_mask
     slope = np.polyfit(trace.truth.true_d[use], phase.unwrapped_phase[use], 1)[0]

@@ -166,7 +166,7 @@ def test_filter_flat_over_carrier_neighborhood(rel, phi):
 
 def test_extract_tpi_passes_pure_carrier():
     trace = carrier_trace()
-    carrier = extract_tpi(trace, pump=PUMP)
+    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
     d = trace.reported_d
     truth = 500.0 * np.cos(2.0 * math.pi * CARRIER_FREQ * d + 0.3)
     sel = carrier.valid
@@ -176,7 +176,7 @@ def test_extract_tpi_passes_pure_carrier():
 
 
 def test_extract_tpi_from_full_coincidence_model(identity_trace):
-    carrier = extract_tpi(identity_trace, pump=PUMP)
+    carrier = extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP))
     truth = identity_trace.truth.pair_carrier
     sel = carrier.valid
     resid = carrier.values[sel] - truth[sel]
@@ -184,14 +184,9 @@ def test_extract_tpi_from_full_coincidence_model(identity_trace):
     assert rel < 0.02
 
 
-def test_extract_tpi_needs_spec_or_pump(identity_trace):
-    with pytest.raises(ConfigError):
-        extract_tpi(identity_trace)
-
-
 def test_extract_tpi_edge_exclusion_width():
     trace = carrier_trace(n=20000)
-    carrier = extract_tpi(trace, pump=PUMP)
+    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
     half = (carrier.spec.num_taps - 1) // 2
     assert not carrier.valid[:half].any()
     assert not carrier.valid[-half:].any()
@@ -202,7 +197,7 @@ def test_extract_tpi_rejects_too_short_trace():
     # shorter than twice the half-filter edge exclusion of 1000 samples
     trace = carrier_trace(n=1500)
     with pytest.raises(CalibrationQualityError):
-        extract_tpi(trace, pump=PUMP)
+        extract_tpi(trace, BandpassSpec.for_pump(PUMP))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +206,7 @@ def test_extract_tpi_rejects_too_short_trace():
 
 def test_phase_slope_matches_carrier_frequency():
     trace = carrier_trace()
-    phase = extract_phase(extract_tpi(trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
     sel = phase.quality_mask
     slope = float(np.polyfit(phase.reported_d[sel], phase.unwrapped_phase[sel], 1)[0])
     assert abs(slope / (2.0 * math.pi * CARRIER_FREQ) - 1.0) < 1e-4
@@ -219,7 +214,7 @@ def test_phase_slope_matches_carrier_frequency():
 
 def test_phase_unharmed_by_amplitude_modulation():
     trace = carrier_trace(am=(0.3, 50e-6))
-    phase = extract_phase(extract_tpi(trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
     sel = phase.quality_mask
     d = phase.reported_d[sel]
     expected = 2.0 * math.pi * CARRIER_FREQ * d
@@ -235,7 +230,7 @@ def test_phase_masks_low_amplitude_stretch():
     coincidence = 4000.0 + 500.0 * dip * np.cos(2.0 * math.pi * CARRIER_FREQ * d)
     trace = ScanTrace(reported_d=d, intensity=np.full(n, 1000.0),
                       coincidence=coincidence, spacing=SPACING)
-    phase = extract_phase(extract_tpi(trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
     center = int(round(150e-6 / SPACING))
     assert not phase.quality_mask[center]
     assert phase.quality_mask[center - 4000]
@@ -250,12 +245,12 @@ def test_phase_raises_when_carrier_mostly_weak():
     trace = ScanTrace(reported_d=d, intensity=np.full(n, 1000.0),
                       coincidence=coincidence, spacing=SPACING)
     with pytest.raises(CalibrationQualityError):
-        extract_phase(extract_tpi(trace, pump=PUMP))
+        extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
 
 
 def test_crossing_phase_agrees_with_analytic():
     trace = carrier_trace(am=(0.1, 70e-6))
-    carrier = extract_tpi(trace, pump=PUMP)
+    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
     analytic = extract_phase(carrier, method="analytic")
     crossings = extract_phase(carrier, method="crossings")
     sel = analytic.quality_mask & crossings.quality_mask
@@ -269,7 +264,7 @@ def test_crossing_phase_agrees_with_analytic():
 
 def test_phase_rejects_unknown_method():
     trace = carrier_trace(n=20000)
-    carrier = extract_tpi(trace, pump=PUMP)
+    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
     with pytest.raises(ConfigError):
         extract_phase(carrier, method="wavelet")
 
@@ -279,14 +274,14 @@ def test_phase_rejects_unknown_method():
 
 
 def test_identity_stage_correction_is_constant(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     corr = cal.correction()
     assert corr.max() - corr.min() < 0.5e-9
 
 
 def test_distorted_stage_round_trip_under_1nm(distorted_trace):
-    phase = extract_phase(extract_tpi(distorted_trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(distorted_trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     true_d = distorted_trace.truth.true_d
     # compare at the knots: reported knots are a subset of the scan grid
@@ -303,14 +298,14 @@ def test_distorted_stage_round_trip_under_1nm(distorted_trace):
 def test_scale_error_recovered_in_map_slope():
     stage = StageModel(velocity=500e-9, sample_rate=100.0, scale_error=1e-3)
     trace = simulate(stage=stage)
-    phase = extract_phase(extract_tpi(trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     slope = float(np.polyfit(cal.reported, cal.calibrated, 1)[0])
     assert abs(slope - 1.001) < 1e-5
 
 
 def test_map_anchor_pins_midpoint(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     anchor = cal.quality["anchor_reported_d"]
     k = int(np.argmin(np.abs(cal.reported - anchor)))
@@ -375,7 +370,7 @@ def test_build_calibration_rejects_phase_reversal():
 
 
 def test_resample_identity_is_near_noop(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     record = resample_intensity(identity_trace, cal)
     # identity calibration: the resampled grid lands on the original one
@@ -399,7 +394,7 @@ def test_resample_restores_fringe_frequency(distorted_trace):
                                  distorted_trace.reported_d, 9.886e-6, 3e-6)
     assert abs(raw / target - 1.0) > 5e-4      # distorted axis lies
 
-    phase = extract_phase(extract_tpi(distorted_trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(distorted_trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     record = resample_intensity(distorted_trace, cal)
     fixed = local_fringe_frequency(record.intensity, record.positions, 9.886e-6, 3e-6)
@@ -407,7 +402,7 @@ def test_resample_restores_fringe_frequency(distorted_trace):
 
 
 def test_resample_grid_step_override(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, pump=PUMP))
+    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
     cal = build_calibration(phase, PUMP)
     record = resample_intensity(identity_trace, cal, grid_step=2.5e-9)
     steps = np.diff(record.positions)

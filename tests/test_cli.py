@@ -193,6 +193,18 @@ def test_repeat_command_smoke(tmp_path, capsys):
     assert plot.shape == (2, 2)
     assert np.allclose(plot[:, 1], 60.0, atol=1e-3)
 
+    forced = tmp_path / "forced"
+    assert main(["repeat", "--config", str(cfg), "--runs", "3",
+                 "--force-ambiguity", "1", "--output", str(forced)]) == 0
+    doc = read_json_document(tmp_path / "forced.results.json")
+    assert doc["outlier_count"] == 1
+    assert [e["outlier"] for e in doc["seed_ledger"]] == [False, True, False]
+    assert [e["forced_ambiguity"] for e in doc["seed_ledger"]] == [False, True, False]
+    capsys.readouterr()
+    assert main(["repeat", "--config", str(cfg), "--runs", "3",
+                 "--force-ambiguity", "9", "--output", str(forced)]) == 1
+    assert "out of range" in capsys.readouterr().err
+
 
 def test_linearity_command_smoke(tmp_path, capsys):
     cfg = config_file(tmp_path)

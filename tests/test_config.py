@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,11 @@ def test_default_config_parses_to_si():
     assert cfg.pipeline.expected_peaks == 1
     assert cfg.pipeline.grid_step is None
     assert cfg.master_seed == DEFAULT_CONFIG["seeds"]["master"]
+
+
+def test_bundled_config_file_matches_package_default():
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert load_config(bundled).to_json() == default_config().to_json()
 
 
 def test_load_config_round_trips_effective_dict(tmp_path):

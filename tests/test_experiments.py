@@ -11,10 +11,10 @@ import pytest
 from qolcr.config import DEFAULT_CONFIG, parse_config
 from qolcr.errors import ConfigError
 from qolcr.experiments import (
+    RepeatabilityResult,
     linearity_experiment,
     repeatability_experiment,
     run_pipeline,
-    summarize,
 )
 
 TRUE_SEPARATION = 290.114e-6 - 9.886e-6
@@ -166,17 +166,23 @@ def test_linearity_to_dict_round_trip(clean_config):
     assert len(doc["deviations_m"]) == 2
 
 
+def summary_of(estimates, outlier_count=0):
+    result = RepeatabilityResult(
+        n_runs=len(estimates) + outlier_count, estimates=list(estimates),
+        std_dev=0.0, outlier_count=outlier_count, seed_ledger=[])
+    return result.to_dict().get("summary")
+
+
 def test_summarize_conventions():
-    single = summarize([1.0e-6])
+    single = summary_of([1.0e-6])
     assert single["std_dev_m"] == 0.0
     assert single["n"] == 1
-    two = summarize([100.0e-9, 102.0e-9])
+    two = summary_of([100.0e-9, 102.0e-9])
     assert two["std_dev_m"] == pytest.approx(np.sqrt(2.0) * 1e-9, rel=1e-12)
     assert two["mean_m"] == pytest.approx(101.0e-9)
     assert two["min_m"] == 100.0e-9
     assert two["max_m"] == 102.0e-9
     assert two["std_convention"] == "sample (n-1)"
-    stats = summarize([1.0, 2.0, 3.0], outlier_count=2)
+    stats = summary_of([1.0, 2.0, 3.0], outlier_count=2)
     assert stats["outliers_excluded"] == 2
-    with pytest.raises(ConfigError):
-        summarize([])
+    assert summary_of([], outlier_count=2) is None

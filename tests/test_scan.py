@@ -260,6 +260,24 @@ def test_poisson_sample_mean_matches_rate():
     assert abs(trace.intensity[sel].mean() - mean_rate) < tol
 
 
+def test_scan_truth_matches_separate_rate_evaluation():
+    # synthesis evaluates the coincidence parts once; the truth it keeps
+    # must equal a fresh evaluation of the public rate and components
+    sample = two_surface_sample()
+    spec = default_spectrum()
+    pump = PumpReference(LAMBDA_P)
+    noise = default_noise(seed=4)
+    trace = simulate_scan(sample, spec, pump,
+                          default_stage(drift_step=0.3e-9, seed=2), noise,
+                          (0.0, 300e-6))
+    terms = CoincidenceTerms.from_sample(sample, spec)
+    true_d = trace.truth.true_d
+    expected = coincidence_rate(sample, spec, pump, terms, true_d, noise)
+    parts = coincidence_components(sample, spec, pump, terms, true_d)
+    assert np.array_equal(trace.truth.coincidence_rate, expected)
+    assert np.array_equal(trace.truth.pair_carrier, parts["pair_carrier"])
+
+
 def test_scan_reproducible_with_seeds():
     kw = dict(
         sample=two_surface_sample(), spectrum=default_spectrum(),

@@ -197,7 +197,6 @@ def test_calibrated_record_round_trip(tmp_path, trace_and_config):
     table = read_calibration_table(table_path)
     assert np.array_equal(table.reported, calibration.reported)
     assert np.array_equal(table.calibrated, calibration.calibrated)
-    assert table.interpolation == calibration.interpolation
     assert table.edge_fit == calibration.edge_fit
 
 
@@ -210,6 +209,21 @@ def test_calibration_table_has_correction_column(tmp_path, trace_and_config):
     columns_line = next(l for l in lines if l.startswith("# columns"))
     assert columns_line.split()[2:] == [
         "index", "reported_d_um", "calibrated_d_um", "correction_um"]
+
+
+def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    calibration, _ = calibrate_trace(cfg, trace)
+    path = tmp_path / "calibration.txt"
+    write_calibration_table(calibration, path)
+    text = path.read_text()
+    assert "# interpolation linear\n" in text
+    path.write_text(text.replace("# interpolation linear", "# interpolation cubic"))
+    with pytest.raises(TraceParseError):
+        read_calibration_table(path)
+    path.write_text(text.replace("# interpolation linear\n", ""))
+    with pytest.raises(TraceParseError):
+        read_calibration_table(path)
 
 
 # ---------------------------------------------------------------------------
