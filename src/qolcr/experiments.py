@@ -119,7 +119,7 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
     """Repeat the full pipeline n_runs times with independent seeds.
 
     Runs listed in force_ambiguity_runs get their carrier-refinement seed
-    shifted by half a fringe, reproducing the one-wavelength
+    shifted by one fringe (lambda0 / 2 of lag), reproducing the one-wavelength
     misidentification; they come back flagged and are excluded from the
     spread. A pipeline failure is recorded for its run, not raised.
     """
@@ -129,7 +129,7 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
     bad = {i for i in forced if not 0 <= i < n_runs}
     if bad:
         raise ConfigError(f"forced-ambiguity run index {sorted(bad)[0]} out of range")
-    half_fringe = config.spectrum.center_wavelength / 2.0
+    one_fringe = config.spectrum.center_wavelength / 2.0
 
     estimates = []
     ledger = []
@@ -143,7 +143,7 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
             "noise_seed": noise_seed,
             "forced_ambiguity": i in forced,
         }
-        offset = half_fringe if i in forced else 0.0
+        offset = one_fringe if i in forced else 0.0
         try:
             report = run_pipeline(config, run_index=i, refinement_offset=offset)
         except QolcrError as exc:

@@ -4,9 +4,9 @@ Every pair of surfaces leaves a fringe cluster in the autocorrelation of
 the mean-subtracted intensity at a lag equal to their separation. The
 cluster envelope locates the peak to a fraction of the packet width, and
 the carrier phase inside the cluster refines it to a fraction of a fringe;
-when the envelope vertex is off by more than a quarter fringe spacing the
-refinement can lock onto the wrong fringe, which is what the outlier flag
-reports.
+when the envelope vertex is off by more than half a fringe spacing
+(lambda0 / 4 of lag) the refinement can lock onto the wrong fringe, which is
+what the outlier flag reports.
 
 The autocorrelation is the plain lag sum normalized once by its zero-lag
 value, A(k) = sum_i x_i x_{i+k} / sum_i x_i^2. For a record of isolated
@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import find_peaks, hilbert
+from scipy.fft import ifft, next_fast_len, rfft
+from scipy.signal import find_peaks
 
 from qolcr.calibration import CalibratedRecord
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError
@@ -47,22 +47,33 @@ NOISE_FLOOR_FACTOR = 6.0
 
 @dataclass
 class Autocorrelogram:
-    """Mean-subtracted autocorrelation normalized to A(0) = 1."""
+    """Mean-subtracted analytic autocorrelation normalized to A(0) = 1.
+
+    `analytic` is A(k) + i H[A](k): its real part is the autocorrelation,
+    its modulus the fringe envelope and its angle the carrier phase.
+    """
 
     lags: np.ndarray          # symmetric uniform grid, meters
-    values: np.ndarray
+    analytic: np.ndarray      # complex, analytic[-k] == conj(analytic[k])
     grid_step: float
     metadata: dict = field(default_factory=dict)
     quality: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.lags) != len(self.values):
+        if not np.iscomplexobj(self.analytic):
+            raise ConfigError("autocorrelogram must hold the complex analytic signal")
+        if len(self.lags) != len(self.analytic):
             raise ConfigError("autocorrelogram arrays must match in length")
         center = len(self.lags) // 2
-        if abs(self.values[center] - 1.0) > 1e-12:
+        if abs(self.analytic[center] - 1.0) > 1e-12:
             raise ConfigError("autocorrelogram must be normalized to A(0) = 1")
-        if np.max(np.abs(self.values)) > 1.0 + 1e-9:
+        if np.max(np.abs(self.analytic)) > 1.0 + 1e-9:
             raise ConfigError("autocorrelogram exceeds its zero-lag value")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The real autocorrelation A(k)."""
+        return self.analytic.real
 
     @property
     def zero_index(self) -> int:
@@ -75,12 +86,16 @@ class Autocorrelogram:
 
 
 def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
-    """Autocorrelation of the mean-subtracted record via the spectral method.
+    """Analytic autocorrelation of the mean-subtracted record.
 
-    Zero-padded FFT gives the linear (non-circular) lag sums, normalized
-    once by the zero-lag sum, so |A(k)| <= A(0) = 1 by Cauchy-Schwarz.
-    Lags run symmetric about zero; the maximum lag is capped so at least
-    MIN_OVERLAP samples contribute.
+    Zero-padded FFT gives the linear (non-circular) lag sums. Doubling the
+    positive-frequency bins of |X|^2 (DC and Nyquist kept) and zeroing the
+    negative ones makes the one inverse FFT return their analytic signal
+    (Marple, IEEE TSP 47(9), 1999) over the whole lag range, so no window
+    edge leaves artifacts. Normalized once by the zero-lag sum, and every
+    bin nonnegative, |A(k)| <= A(0) = 1. Negative lags are the exact
+    conjugate mirror of the positive ones; the maximum lag is capped so at
+    least MIN_OVERLAP samples contribute.
     """
     x = record.intensity - record.intensity.mean()
     n = len(x)
@@ -90,34 +105,21 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
 
     nfft = next_fast_len(2 * n - 1)
     spec = rfft(x, nfft)
-    raw = irfft(spec * np.conj(spec), nfft)[: k_cap + 1]
-    if raw[0] <= 0:
+    weighted = np.zeros(nfft, dtype=complex)
+    weighted[: len(spec)] = spec * np.conj(spec)
+    weighted[1: (nfft + 1) // 2] *= 2.0
+    raw = ifft(weighted)[: k_cap + 1]
+    if raw[0].real <= 0:
         raise ConfigError("record has zero variance")
-    one_sided = raw / raw[0]
-    one_sided[0] = 1.0
+    positive = raw / raw[0].real
+    positive[0] = 1.0
 
-    values = np.concatenate([one_sided[:0:-1], one_sided])
+    analytic = np.concatenate([np.conj(positive[:0:-1]), positive])
     lags = np.concatenate([-np.arange(k_cap, 0, -1), np.arange(k_cap + 1)]) * record.grid_step
     return Autocorrelogram(
-        lags=lags, values=values, grid_step=record.grid_step,
+        lags=lags, analytic=analytic, grid_step=record.grid_step,
         metadata=dict(record.metadata), quality=dict(record.quality),
     )
-
-
-def envelope(acorr: Autocorrelogram, center: float, halfwidth: float):
-    """Carrier envelope of A around `center` via the analytic signal.
-
-    The Hilbert transform runs on a window 50% wider than requested so its
-    edge artifacts stay outside the returned range. Returns (lags, env).
-    """
-    guard = acorr.window(center, 1.5 * halfwidth)
-    seg = acorr.values[guard]
-    if len(seg) < 32:
-        raise PeakFitError("envelope window too small or outside the autocorrelogram")
-    env = np.abs(hilbert(seg))
-    lags = acorr.lags[guard]
-    keep = (lags >= center - halfwidth) & (lags <= center + halfwidth)
-    return lags[keep], env[keep]
 
 
 def parabolic_peak_fit(positions, values):
@@ -164,7 +166,7 @@ class PeakEstimate:
     envelope_vertex: float
     carrier_refined: float
     uncertainty: float         # vertex standard error from the envelope fit
-    outlier_flag: bool         # refinement moved > quarter fringe from the vertex
+    outlier_flag: bool         # refinement moved > half a fringe from the vertex
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -207,9 +209,8 @@ def _cluster_parameters(acorr: Autocorrelogram):
     cluster, so its half-max half-width sets the natural length scale
     without needing the source spectrum.
     """
-    n0 = acorr.zero_index
-    env = np.abs(hilbert(acorr.values))
-    above = env[n0:] >= 0.5
+    env = np.abs(acorr.analytic[acorr.zero_index:])
+    above = env >= 0.5
     edge = np.argmin(above)  # first index below half max
     if edge == 0:
         raise PeakFitError("zero-lag cluster of the autocorrelogram is malformed")
@@ -220,7 +221,7 @@ def _cluster_parameters(acorr: Autocorrelogram):
         "min_separation": 3.0 * w_half,
         "envelope_halfwidth": 1.5 * w_half,
         "fit_halfwidth": 0.3 * w_half,
-        "full_envelope": env,
+        "envelope": env,
     }
 
 
@@ -242,15 +243,14 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
         return report
 
     params = _cluster_parameters(acorr)
-    env = params["full_envelope"]
-    n0 = acorr.zero_index
-    search = env[n0:].copy()
+    env = params["envelope"]
+    search = env.copy()
     guard_idx = int(round(params["zero_guard"] / acorr.grid_step))
     if guard_idx >= len(search):
         raise PeakCountError("autocorrelogram holds no lags beyond the zero-lag guard")
     search[:guard_idx] = 0.0
     floor = max(
-        NOISE_FLOOR_FACTOR * float(np.median(env[n0 + guard_idx:])),
+        NOISE_FLOOR_FACTOR * float(np.median(env[guard_idx:])),
         MIN_CLUSTER_HEIGHT,
     )
     distance = max(int(round(params["min_separation"] / acorr.grid_step)), 1)
@@ -283,18 +283,14 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
 
 def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
                     refinement_offset: float) -> PeakEstimate:
-    hw = params["envelope_halfwidth"]
-    guard = acorr.window(center, 1.5 * hw)
-    seg = acorr.values[guard]
-    lags = acorr.lags[guard]
-    if len(seg) < 64:
+    window = acorr.window(center, params["envelope_halfwidth"])
+    analytic = acorr.analytic[window]
+    lags = acorr.lags[window]
+    if len(analytic) < 64:
         raise PeakFitError("cluster too close to the edge of the autocorrelogram")
-    analytic = hilbert(seg)
     env = np.abs(analytic)
     phase = np.unwrap(np.angle(analytic))
-
-    inner = (lags >= center - hw) & (lags <= center + hw)
-    peak_lag = float(lags[inner][np.argmax(env[inner])])
+    peak_lag = float(lags[np.argmax(env)])
 
     fit_hw = params["fit_halfwidth"]
     fit_sel = (lags >= peak_lag - fit_hw) & (lags <= peak_lag + fit_hw)
@@ -327,6 +323,6 @@ def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
             "carrier_period": period,
             "fit_coefficients": coeffs,
             "fit_halfwidth": fit_hw,
-            "envelope_peak": float(env[inner].max()),
+            "envelope_peak": float(env.max()),
         },
     )

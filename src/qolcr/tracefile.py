@@ -323,12 +323,12 @@ def read_embedded_config(path):
     from .config import parse_config
 
     with open(path, "r") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if not line.startswith("#"):
                 return None
             parts = line[1:].strip().split(None, 1)
             if len(parts) == 2 and parts[0] == "config":
-                raw = _parse_header_json(path, 0, "config", parts[1])
+                raw = _parse_header_json(path, line_no, "config", parts[1])
                 return parse_config(raw)
     return None
 

@@ -79,14 +79,14 @@ def test_forced_ambiguity_runs_flagged_and_excluded(clean_config):
     assert len(res.estimates) == 2
     assert res.included_count == 2
     assert res.std_dev < 0.1e-9
-    half_fringe = 810e-9 / 2
+    one_fringe = 810e-9 / 2
     for entry in res.seed_ledger:
         forced = entry["run"] in (1, 3)
         assert entry["forced_ambiguity"] is forced
         assert entry["outlier"] is forced
         if forced:
             miss = abs(entry["separation_m"] - TRUE_SEPARATION)
-            assert abs(miss - half_fringe) < 5e-9
+            assert abs(miss - one_fringe) < 5e-9
 
 
 def test_repeatability_is_reproducible(clean_config):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import hilbert
 
 from qolcr.calibration import (
     BandpassSpec,
@@ -22,8 +23,9 @@ from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 from qolcr.measure import (
     MIN_OVERLAP,
     Autocorrelogram,
+    _cluster_parameters,
+    _refine_cluster,
     autocorrelate,
-    envelope,
     estimate_separations,
     parabolic_peak_fit,
 )
@@ -142,59 +144,88 @@ def test_autocorrelate_rejects_short_and_flat_records():
 
 def test_autocorrelogram_validates_normalization():
     lags = np.arange(-50, 51) * GRID
-    values = np.zeros(101)
-    values[50] = 0.5  # not normalized
+    analytic = np.zeros(101, dtype=complex)
+    analytic[50] = 0.5  # not normalized
     with pytest.raises(ConfigError):
-        Autocorrelogram(lags=lags, values=values, grid_step=GRID)
-    values[50] = 1.0
-    values[10] = 1.5  # exceeds the zero-lag value
+        Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
+    analytic[50] = 1.0
+    analytic[10] = 1.5j  # exceeds the zero-lag value in modulus
     with pytest.raises(ConfigError):
-        Autocorrelogram(lags=lags, values=values, grid_step=GRID)
+        Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
+    analytic[10] = 0.0
+    Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
+    with pytest.raises(ConfigError):  # the real part alone is not enough
+        Autocorrelogram(lags=lags, analytic=analytic.real, grid_step=GRID)
+
+
+def test_analytic_autocorrelation_matches_hilbert_oracle():
+    # a record longer than the default keeps the middle half of the lags
+    # well clear of the oracle's own edge effects
+    acorr = autocorrelate(synthetic_record(n=8192, seed=5))
+    analytic = acorr.analytic
+    k = np.arange(1, acorr.zero_index + 1)
+    assert np.array_equal(analytic[acorr.zero_index - k],
+                          np.conj(analytic[acorr.zero_index + k]))
+    oracle = hilbert(acorr.values).imag
+    m = len(analytic)
+    middle = slice(m // 4, 3 * m // 4)
+    peak = np.max(np.abs(analytic))
+    assert np.max(np.abs(analytic.imag[middle] - oracle[middle])) < 1e-6 * peak
 
 
 # ---------------------------------------------------------------------------
-# envelope
+# envelope = |analytic|
+
+
+def _record(intensity):
+    pos = np.arange(len(intensity)) * GRID
+    return CalibratedRecord(positions=pos, intensity=intensity, grid_step=GRID)
 
 
 def _packet_acorr(envelope_sigma=2.0e-6, n_half=4000):
-    lags = np.arange(-n_half, n_half + 1) * GRID
-    env = np.exp(-0.5 * (lags / envelope_sigma) ** 2)
-    values = env * np.cos(4.0 * math.pi * lags / LAMBDA_0)
-    values[n_half] = 1.0
-    return Autocorrelogram(lags=lags, values=values, grid_step=GRID), env
+    """Autocorrelogram of one Gaussian fringe packet, lags -n_half..n_half.
+
+    A packet of envelope width s / sqrt(2) correlates into a packet of
+    width s at zero lag.
+    """
+    n = n_half + MIN_OVERLAP
+    pos = (np.arange(n) - n // 2) * GRID
+    packet = np.exp(-0.5 * (pos / (envelope_sigma / math.sqrt(2.0))) ** 2)
+    acorr = autocorrelate(_record(100.0 + packet * np.cos(4.0 * math.pi * pos / LAMBDA_0)))
+    return acorr, np.exp(-0.5 * (acorr.lags / envelope_sigma) ** 2)
 
 
 def test_envelope_recovers_gaussian_packet():
     acorr, truth = _packet_acorr()
-    lags, env = envelope(acorr, 0.0, 6.0e-6)
-    expected = np.exp(-0.5 * (lags / 2.0e-6) ** 2)
-    rms = math.sqrt(float(np.mean((env - expected) ** 2)))
+    window = acorr.window(0.0, 6.0e-6)
+    env = np.abs(acorr.analytic[window])
+    rms = math.sqrt(float(np.mean((env - truth[window]) ** 2)))
     assert rms < 0.01
 
 
 def test_envelope_constant_cosine_is_flat_interior():
-    n_half = 2000
-    lags = np.arange(-n_half, n_half + 1) * GRID
-    values = np.cos(4.0 * math.pi * lags / LAMBDA_0)
-    values[n_half] = 1.0
-    acorr = Autocorrelogram(lags=lags, values=values, grid_step=GRID)
-    _, env = envelope(acorr, 0.0, 5.0e-6)
+    # the lag-sum taper 1 - |k|/n stays under 0.005 across the window
+    pos = np.arange(200_000) * GRID
+    acorr = autocorrelate(_record(np.cos(4.0 * math.pi * pos / LAMBDA_0)))
+    env = np.abs(acorr.analytic[acorr.window(0.0, 5.0e-6)])
     assert np.max(np.abs(env - 1.0)) < 0.01
 
 
 def test_envelope_zero_signal_is_zero():
-    lags = np.arange(-3000, 3001) * GRID
-    values = np.zeros(len(lags))
-    values[3000] = 1.0
-    acorr = Autocorrelogram(lags=lags, values=values, grid_step=GRID)
-    _, env = envelope(acorr, 10.0e-6, 2.0e-6)
+    # a lone spike correlates to nothing away from zero lag; only the
+    # 1/k tails of its Hilbert transform reach the window
+    intensity = np.zeros(20_000)
+    intensity[0] = 1.0
+    acorr = autocorrelate(_record(intensity))
+    env = np.abs(acorr.analytic[acorr.window(10.0e-6, 2.0e-6)])
     assert np.max(env) < 1e-3
 
 
 def test_envelope_rejects_window_outside_range():
     acorr, _ = _packet_acorr(n_half=1000)
-    with pytest.raises(PeakFitError):
-        envelope(acorr, 1.0e-3, 2.0e-6)
+    params = _cluster_parameters(acorr)
+    with pytest.raises(PeakFitError, match="edge"):
+        _refine_cluster(acorr, 1.0e-3, params, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,15 @@ def test_embedded_config_round_trip(tmp_path, trace_and_config):
     assert loaded.to_json() == cfg.to_json()
 
 
+def test_broken_embedded_config_names_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text('# qolcr-trace 1\n# spacing 5e-09\n# config {"sample": \n')
+    with pytest.raises(TraceParseError) as err:
+        read_embedded_config(path)
+    assert err.value.line == 3
+    assert "bad.txt: line 3: invalid JSON" in str(err.value)
+
+
 def test_write_is_deterministic(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     a = tmp_path / "a.txt"
