@@ -24,6 +24,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -42,38 +43,48 @@ RECORD_COLUMNS = ["index", "position_um", "intensity"]
 CALIBRATION_COLUMNS = ["index", "reported_d_um", "calibrated_d_um", "correction_um"]
 
 _FIELD_WIDTH = 24
+_UM_EXPONENT = 6     # decimal exponent shift from meters to micrometres
+_BLOCK_LINES = 4096  # data rows formatted or parsed per block
 
 
 # ---------------------------------------------------------------------------
 # position encoding
 
 
+class _ExponentShift(dict):
+    """Maps an exponent's digits to 'e' plus that exponent moved by `shift`."""
+
+    def __init__(self, shift: int):
+        super().__init__()
+        self.shift = shift
+
+    def __missing__(self, exponent: str) -> str:
+        shifted = self[exponent] = f"e{int(exponent) + self.shift:+03d}"
+        return shifted
+
+
+def _shift_exponents(tokens, shift: int) -> list:
+    """Move the decimal exponent of each numeric token by `shift`, as text.
+
+    A token without an exponent has exponent 0; 'E' reads as 'e'.  Each
+    distinct exponent is converted once per call.
+    """
+    table = _ExponentShift(shift)
+    return [mantissa + table[exponent] if marker else exponent + table["0"]
+            for mantissa, marker, exponent
+            in (token.replace("E", "e").rpartition("e") for token in tokens)]
+
+
 def encode_position_um(meters: float) -> str:
     """Render a meters float as its exact value in micrometres."""
     if not np.isfinite(meters):
         raise ValueError(f"cannot encode non-finite position {meters!r}")
-    mantissa, exponent = f"{float(meters):.16e}".split("e")
-    return f"{mantissa}e{int(exponent) + 6:+03d}"
+    return _shift_exponents([f"{float(meters):.16e}"], _UM_EXPONENT)[0]
 
 
 def decode_position_um(token: str) -> float:
     """Parse a micrometre token back to the meters float it came from."""
-    if "e" in token or "E" in token:
-        mantissa, _, exponent = token.replace("E", "e").rpartition("e")
-        return float(f"{mantissa}e{int(exponent) - 6}")
-    return float(token + "e-6")
-
-
-def _format_value(name: str, value: float) -> str:
-    if name.endswith("_um"):
-        return encode_position_um(value)
-    return f"{value:.16e}"
-
-
-def _parse_value(name: str, token: str) -> float:
-    if name.endswith("_um"):
-        return decode_position_um(token)
-    return float(token)
+    return float(_shift_exponents([token], -_UM_EXPONENT)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +125,32 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise ConfigError(f"column {name} contains non-finite values")
 
 
+def _render_rows(arrays: list, in_um: list, index_width: int | None = None) -> str:
+    """Render columns as text rows, each ending in a newline.
+
+    Each value is right-justified to the field width with 17 significant
+    digits; arrays flagged in `in_um` hold meters and print in micrometres.
+    With `index_width`, each row starts with its row index.  Each block of
+    rows is formatted by one template, so no per-row strings are built.
+    """
+    fields = [] if index_width is None else [f"%{index_width}d"]
+    fields += [f"%{_FIELD_WIDTH}s" if um else f"%{_FIELD_WIDTH}.16e" for um in in_um]
+    row_template = " ".join(fields) + "\n"
+    arrays = [np.asarray(values, dtype=float) for values in arrays]
+    n = len(arrays[0]) if arrays else 0
+    blocks = []
+    for start in range(0, n, _BLOCK_LINES):
+        stop = min(start + _BLOCK_LINES, n)
+        cells = [] if index_width is None else [range(start, stop)]
+        for values, um in zip(arrays, in_um):
+            values = values[start:stop].tolist()
+            cells.append(_shift_exponents(map("%.16e".__mod__, values), _UM_EXPONENT)
+                         if um else values)
+        blocks.append(row_template * (stop - start)
+                      % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(blocks)
+
+
 def _render_table(format_name: str, header: dict, columns: list,
                   arrays: list, config_json: str | None) -> str:
     n = len(arrays[0])
@@ -126,14 +163,9 @@ def _render_table(format_name: str, header: dict, columns: list,
         lines.append(f"# config {config_json}")
     lines.append("# columns " + " ".join(columns))
     lines.append(f"# rows {n}")
-    index_width = max(len(str(n - 1)), 5)
-    for i in range(n):
-        cells = [f"{i:>{index_width}d}"]
-        for name, values in zip(columns[1:], arrays):
-            cells.append(f"{_format_value(name, values[i]):>{_FIELD_WIDTH}}")
-        lines.append(" ".join(cells))
-    lines.append("")
-    return "\n".join(lines)
+    rows = _render_rows(arrays, [name.endswith("_um") for name in columns[1:]],
+                        index_width=max(len(str(n - 1)), 5))
+    return "\n".join(lines) + "\n" + rows
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +192,66 @@ def _parse_header_json(path, line_no: int, key: str, raw: str) -> dict:
         raise TraceParseError(f"header key '{key}' must hold a JSON object",
                               path=path, line=line_no)
     return value
+
+
+def _read_rows(path, lines: list, line_no: int, columns: list,
+               buffers: np.ndarray, count: int) -> int:
+    """Parse a block of data lines into `buffers` (one row per value column)
+    from data row `count` on.
+
+    `line_no` is the 1-based line number of lines[0]; returns the new row
+    count.  The checks run over the whole block at once.  If one fails, the
+    block is parsed again one line at a time, so the error names the first
+    bad line and reads as it would from a row-by-row parse.
+    """
+    try:
+        return _parse_block(path, lines, line_no, columns, buffers, count)
+    except TraceParseError:
+        if len(lines) == 1:
+            raise
+    for offset, line in enumerate(lines):
+        count = _parse_block(path, [line], line_no + offset, columns, buffers, count)
+    return count
+
+
+def _parse_block(path, lines: list, line_no: int, columns: list,
+                 buffers: np.ndarray, count: int) -> int:
+    rows = [line.split() for line in lines]
+    if not all(rows):
+        rows = [tokens for tokens in rows if tokens]  # blank lines hold no row
+        if not rows:
+            return count
+    if any(line.startswith("#") for line in lines):
+        raise TraceParseError("header line after data began", path=path, line=line_no)
+    width = len(columns)
+    wrong = [len(tokens) for tokens in rows if len(tokens) != width]
+    if wrong:
+        raise TraceParseError(f"expected {width} columns, found {wrong[0]}",
+                              path=path, line=line_no)
+    declared = buffers.shape[1]
+    end = count + len(rows)
+    if end > declared:
+        raise TraceParseError(f"more data rows than the declared {declared}",
+                              path=path, line=line_no)
+    tokens = list(chain.from_iterable(rows))
+    try:
+        indices = list(map(int, tokens[0::width]))
+        for j, (name, buf) in enumerate(zip(columns[1:], buffers), start=1):
+            column = tokens[j::width]
+            if name.endswith("_um"):
+                column = _shift_exponents(column, -_UM_EXPONENT)
+            buf[count:end] = list(map(float, column))
+    except ValueError as exc:
+        raise TraceParseError(f"unparseable value: {exc}",
+                              path=path, line=line_no) from exc
+    if indices != list(range(count, end)):
+        raise TraceParseError(f"row index {indices[0]} out of order (expected {count})",
+                              path=path, line=line_no)
+    for name, buf in zip(columns[1:], buffers):
+        if not np.all(np.isfinite(buf[count:end])):
+            raise TraceParseError(f"column {name} contains non-finite values",
+                                  path=path, line=line_no)
+    return end
 
 
 def _read_table(path, expected_format: str) -> _Table:
@@ -215,36 +307,13 @@ def _read_table(path, expected_format: str) -> _Table:
         raise TraceParseError("missing '# rows' declaration", path=path)
 
     value_names = columns[1:]
-    buffers = [np.empty(declared_rows) for _ in value_names]
+    buffers = np.empty((len(value_names), declared_rows))
     count = 0
     if data_start is not None:
-        for line_no, line in enumerate(lines[data_start - 1:], start=data_start):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                raise TraceParseError("header line after data began",
-                                      path=path, line=line_no)
-            tokens = line.split()
-            if len(tokens) != len(columns):
-                raise TraceParseError(
-                    f"expected {len(columns)} columns, found {len(tokens)}",
-                    path=path, line=line_no)
-            if count >= declared_rows:
-                raise TraceParseError(
-                    f"more data rows than the declared {declared_rows}",
-                    path=path, line=line_no)
-            try:
-                row_index = int(tokens[0])
-                for buf, name, token in zip(buffers, value_names, tokens[1:]):
-                    buf[count] = _parse_value(name, token)
-            except ValueError as exc:
-                raise TraceParseError(f"unparseable value: {exc}",
-                                      path=path, line=line_no) from exc
-            if row_index != count:
-                raise TraceParseError(
-                    f"row index {row_index} out of order (expected {count})",
-                    path=path, line=line_no)
-            count += 1
+        data_lines = lines[data_start - 1:]
+        for offset in range(0, len(data_lines), _BLOCK_LINES):
+            count = _read_rows(path, data_lines[offset:offset + _BLOCK_LINES],
+                               data_start + offset, columns, buffers, count)
     if count != declared_rows:
         raise TraceParseError(
             f"header declares {declared_rows} rows but file has {count}",
@@ -436,7 +505,5 @@ def write_plot_data(path, names: list, columns: list, comment: str = "") -> None
         for part in comment.splitlines():
             lines.append(f"# {part}")
     lines.append("# columns " + " ".join(names))
-    for i in range(n):
-        lines.append(" ".join(f"{a[i]:>{_FIELD_WIDTH}.16e}" for a in arrays))
-    lines.append("")
-    atomic_write_text(path, "\n".join(lines))
+    rows = _render_rows(arrays, [False] * len(arrays))
+    atomic_write_text(path, "\n".join(lines) + "\n" + rows)

@@ -146,6 +146,22 @@ def test_calibrate_truncated_trace_names_line(artifact_chain, tmp_path, capsys):
     assert "line" in err
 
 
+def test_measure_rejects_non_finite_record(artifact_chain, tmp_path, capsys):
+    lines = (artifact_chain / "cal.record.txt").read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    cells = lines[data_start + 100].split()
+    cells[2] = "nan"
+    lines[data_start + 100] = " ".join(cells)
+    broken = tmp_path / "nan.record.txt"
+    broken.write_text("\n".join(lines) + "\n")
+    code = main(["measure", str(broken), "--output", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert f"line {data_start + 101}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["calibrate", str(tmp_path / "absent.txt"),
                  "--output", str(tmp_path / "x")])

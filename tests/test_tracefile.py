@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qolcr.config import DEFAULT_CONFIG, parse_config
 from qolcr.errors import ConfigError, TraceParseError
 from qolcr.experiments import calibrate_trace, synthesize
+from qolcr.scan import ScanTrace, ScanTruth
 from qolcr.tracefile import (
     decode_position_um,
     encode_position_um,
@@ -64,6 +66,128 @@ def test_position_encoding_examples():
     assert decode_position_um(encode_position_um(-5e-9)) == -5e-9
     with pytest.raises(ValueError):
         encode_position_um(float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# per-value reference rendering: the writer must reproduce it byte for byte
+
+
+def reference_encode_um(meters):
+    mantissa, exponent = f"{float(meters):.16e}".split("e")
+    return f"{mantissa}e{int(exponent) + 6:+03d}"
+
+
+def reference_rows(columns, arrays):
+    n = len(arrays[0])
+    width = max(len(str(n - 1)), 5)
+    rows = []
+    for i in range(n):
+        cells = [f"{i:>{width}d}"]
+        for name, values in zip(columns[1:], arrays):
+            token = (reference_encode_um(values[i]) if name.endswith("_um")
+                     else f"{values[i]:.16e}")
+            cells.append(f"{token:>24}")
+        rows.append(" ".join(cells))
+    return rows
+
+
+def assert_rows_match_reference(path, columns, arrays):
+    lines = path.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    assert header[-2] == "# columns " + " ".join(columns)
+    expected = "\n".join(header + reference_rows(columns, arrays)) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+TRACE_WITH_TRUTH_COLUMNS = ["index", "reported_d_um", "intensity", "coincidence",
+                 "true_d_um", "intensity_rate", "coincidence_rate", "pair_carrier"]
+
+
+def trace_arrays(trace):
+    truth = trace.truth
+    return [trace.reported_d, trace.intensity, trace.coincidence, truth.true_d,
+            truth.intensity_rate, truth.coincidence_rate, truth.pair_carrier]
+
+
+def test_writer_matches_per_value_reference(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    assert_rows_match_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
+
+    calibration, record = calibrate_trace(cfg, trace)
+    table_path = tmp_path / "calibration.txt"
+    write_calibration_table(calibration, table_path, config=cfg)
+    assert_rows_match_reference(
+        table_path, ["index", "reported_d_um", "calibrated_d_um", "correction_um"],
+        [calibration.reported, calibration.calibrated, calibration.correction()])
+
+    record_path = tmp_path / "record.txt"
+    write_calibrated_record(record, record_path, config=cfg)
+    assert_rows_match_reference(record_path, ["index", "position_um", "intensity"],
+                                [record.positions, record.intensity])
+
+
+def test_awkward_values_include_a_decade_carry():
+    # 1e-14 is stored just below 10**-14; its 17-digit rounding carries
+    assert Decimal(1e-14) < Decimal("1e-14")
+    assert f"{1e-14:.16e}" == "1.0000000000000000e-14"
+
+
+AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-300, -5e-9, 1e-6, 1e-14, -1.7976931348623157e308]
+
+
+def awkward_trace(values):
+    """A trace whose truth columns hold `values` in both a micrometre column
+    (true_d_um) and a plain column (intensity_rate)."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    reported = np.arange(n) * 5e-9
+    return ScanTrace(reported_d=reported, intensity=np.ones(n),
+                     coincidence=np.ones(n), spacing=5e-9,
+                     truth=ScanTruth(true_d=values, intensity_rate=values,
+                                     coincidence_rate=-values, pair_carrier=reported))
+
+
+def assert_awkward_round_trip(path, values):
+    trace = awkward_trace(values)
+    write_trace(trace, path)
+    assert_rows_match_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
+    back = read_trace(path)
+    for got, want in zip(trace_arrays(back), trace_arrays(trace)):
+        assert got.tobytes() == want.tobytes()   # bit-exact, including -0.0
+
+
+@pytest.mark.parametrize("value", AWKWARD_VALUES)
+def test_awkward_values_through_the_columns(tmp_path, value):
+    assert encode_position_um(value) == reference_encode_um(value)
+    assert_awkward_round_trip(tmp_path / "awkward.txt", [value, value, 1.0])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_columns_match_reference_for_any_finite_values(tmp_path_factory, values):
+    assert_awkward_round_trip(tmp_path_factory.mktemp("cols") / "t.txt", values)
+
+
+def test_reader_accepts_plain_and_uppercase_micrometre_tokens(tmp_path):
+    trace = awkward_trace([1.0, 2.0, 3.0])
+    trace.truth = None
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    tokens = ["0", "5.0000000000000001E-03", "0.010000000000000000"]
+    for k, token in enumerate(tokens):
+        cells = lines[data_start + k].split()
+        cells[1] = token
+        lines[data_start + k] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    back = read_trace(path)
+    assert back.reported_d.tobytes() == trace.reported_d.tobytes()
+    assert list(back.reported_d) == [decode_position_um(t) for t in tokens]
+    assert decode_position_um("280.228") == decode_position_um("2.80228E+02")
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +309,91 @@ def test_non_monotone_read_rejected(tmp_path, trace_and_config):
     assert "increasing" in str(err.value)
 
 
+def _replace_cell(line, column, token):
+    cells = line.split()
+    cells[column] = token
+    return " ".join(cells)
+
+
+# (edit applied to one data line, words expected in the error message)
+ROW_DEFECTS = {
+    "extra column": (lambda line: line + " 99.0", "expected 8 columns, found 9"),
+    "index out of order": (lambda line: _replace_cell(line, 0, "7"), "out of order"),
+    "unparseable value": (lambda line: _replace_cell(line, 2, "4.9x3"), "unparseable"),
+    "unparseable exponent": (lambda line: _replace_cell(line, 4, "5.0e+x2"), "unparseable"),
+    "header after data": (lambda line: "# " + line, "header line after data"),
+    "nan value": (lambda line: _replace_cell(line, 3, "nan"), "non-finite"),
+    "infinite value": (lambda line: _replace_cell(line, 7, "-inf"), "non-finite"),
+    "overflowing value": (lambda line: _replace_cell(line, 5, "1e999"), "non-finite"),
+}
+
+
+@pytest.mark.parametrize("row", [1, 4100, 9998])
+@pytest.mark.parametrize("defect", sorted(ROW_DEFECTS))
+def test_bad_row_names_its_line_in_any_block(tmp_path, trace_and_config, defect, row):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    lines = path.read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    edit, words = ROW_DEFECTS[defect]
+    lines[data_start + row] = edit(lines[data_start + row])
+    # a bad row after it must not mask it
+    lines[-1] = lines[-1] + " 1.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert err.value.line == data_start + row + 1
+    assert words in str(err.value)
+
+
+def test_blank_data_lines_are_skipped(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    lines = path.read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    lines.insert(data_start + 5000, "   ")
+    lines.insert(data_start + 20, "")
+    path.write_text("\n".join(lines) + "\n")
+    back = read_trace(path)
+    assert np.array_equal(back.truth.pair_carrier, trace.truth.pair_carrier)
+    # line numbers still count the blank lines
+    lines[data_start + 6000] = _replace_cell(lines[data_start + 6000], 0, "1")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert err.value.line == data_start + 6001
+
+
+def test_rows_beyond_the_declared_count_are_rejected(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    text = path.read_text()
+    n = trace.n_samples
+    path.write_text(text.replace(f"# rows {n}\n", f"# rows {n - 1}\n"))
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert err.value.line == len(text.splitlines())
+    assert f"more data rows than the declared {n - 1}" in str(err.value)
+
+
+def test_non_finite_record_value_names_its_line(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    _, record = calibrate_trace(cfg, trace)
+    path = tmp_path / "record.txt"
+    write_calibrated_record(record, path, config=cfg)
+    lines = path.read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    lines[data_start + 4500] = _replace_cell(lines[data_start + 4500], 2, "nan")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as err:
+        read_calibrated_record(path)
+    assert err.value.line == data_start + 4501
+    assert "column intensity contains non-finite values" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # calibrated records and calibration tables
 
@@ -277,3 +486,13 @@ def test_plot_data_validates_shapes(tmp_path):
     with pytest.raises(ConfigError):
         write_plot_data(tmp_path / "p.txt", ["a", "b"],
                         [np.arange(3), np.arange(4)])
+
+
+def test_plot_data_matches_per_value_reference(tmp_path):
+    x = np.array([0.0, -0.0, 1e-300, 2.0e5])
+    y = np.array([np.nan, -np.inf, 1e-14, -5e-9])
+    path = tmp_path / "plot.txt"
+    write_plot_data(path, ["a_um", "b"], [x, y], comment="two\nlines")
+    rows = [" ".join(f"{a[i]:>24.16e}" for a in (x, y)) for i in range(x.size)]
+    expected = "\n".join(["# two", "# lines", "# columns a_um b"] + rows) + "\n"
+    assert path.read_bytes() == expected.encode()
