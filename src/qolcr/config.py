@@ -63,11 +63,11 @@ DEFAULT_CONFIG = {
 class PipelineParams:
     """Processing knobs carried alongside the physical configuration."""
 
-    filter_relative_bandwidth: float = 0.2
-    filter_num_taps: int = 2001
-    grid_step: float | None = None
-    expected_peaks: int = 1
-    phase_method: str = "analytic"
+    filter_relative_bandwidth: float
+    filter_num_taps: int
+    grid_step: float | None
+    expected_peaks: int
+    phase_method: str
 
 
 @dataclass

@@ -25,6 +25,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 # FWHM of a Gaussian = sqrt(8 ln 2) * sigma
 _FWHM_PER_SIGMA = math.sqrt(8.0 * math.log(2.0))
 
+# relative tolerance on omega_p = 2 omega0 for degenerate down-conversion
+DEGENERACY_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Surface:
@@ -158,10 +161,10 @@ class PumpReference:
     def angular_frequency(self) -> float:
         return 2.0 * math.pi * SPEED_OF_LIGHT / self.wavelength
 
-    def check_degenerate(self, spectrum: Spectrum, rel_tol: float = 1e-6) -> None:
-        """Require omega_p = 2 omega0 (degenerate down-conversion) within rel_tol."""
+    def check_degenerate(self, spectrum: Spectrum) -> None:
+        """Require omega_p = 2 omega0 within DEGENERACY_REL_TOL (degenerate SPDC)."""
         omega_p = self.angular_frequency
-        if abs(omega_p - 2.0 * spectrum.center_frequency) > rel_tol * omega_p:
+        if abs(omega_p - 2.0 * spectrum.center_frequency) > DEGENERACY_REL_TOL * omega_p:
             raise ValueError(
                 "pump frequency is not twice the signal center frequency: "
                 f"omega_p={omega_p:.6e}, 2*omega0={2 * spectrum.center_frequency:.6e}"

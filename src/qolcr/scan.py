@@ -33,6 +33,11 @@ from qolcr.model import (
 # baselines sit this factor above the worst-case interference swing
 BASELINE_HEADROOM = 1.2
 
+# relative amplitudes of the pairwise HOM envelopes and of the
+# single-photon packets in the coincidence rate
+HOM_AMPLITUDE = 1.0
+FRINGE_AMPLITUDE = 2.0
+
 # reject samples whose surfaces sit closer than this many packet widths
 MIN_GAP_COHERENCE_LENGTHS = 3.0
 
@@ -158,21 +163,17 @@ def tpi_constant(sample: Sample, spectrum: Spectrum) -> complex:
 
 @dataclass(frozen=True)
 class CoincidenceTerms:
-    """Amplitudes of the four coincidence-rate contributions.
+    """Sample-dependent constants of the coincidence rate.
 
     The pair-interference constant is fixed by the sample and spectrum;
-    the dip/packet visibilities are phenomenological knobs.
+    the dip/packet visibilities are HOM_AMPLITUDE and FRINGE_AMPLITUDE.
     """
 
     baseline: float           # M0 pedestal, model units
-    hom_amplitude: float      # relative amplitude of the pairwise HOM envelopes
-    fringe_amplitude: float   # relative amplitude of the single-photon packets
     pair_constant: complex    # S0 sum_j r_j^2 e^{-2i omega0 tau_j}
 
     @classmethod
-    def from_sample(cls, sample: Sample, spectrum: Spectrum,
-                    hom_amplitude: float = 1.0,
-                    fringe_amplitude: float = 2.0) -> "CoincidenceTerms":
+    def from_sample(cls, sample: Sample, spectrum: Spectrum) -> "CoincidenceTerms":
         refl = sample.reflectivities
         pair_constant = tpi_constant(sample, spectrum)
         env_peak = spectrum.total_power / (2.0 * math.pi)  # |s(0)|
@@ -181,14 +182,12 @@ class CoincidenceTerms:
             for i in range(len(refl)) for j in range(i + 1, len(refl))
         ))
         swing = (
-            2.0 * abs(hom_amplitude) * env_peak * cross
-            + 4.0 * abs(fringe_amplitude) * env_peak * float(np.sum(refl))
+            2.0 * HOM_AMPLITUDE * env_peak * cross
+            + 4.0 * FRINGE_AMPLITUDE * env_peak * float(np.sum(refl))
             + 2.0 * abs(pair_constant)
         )
         return cls(
             baseline=BASELINE_HEADROOM * swing,
-            hom_amplitude=hom_amplitude,
-            fringe_amplitude=fringe_amplitude,
             pair_constant=pair_constant,
         )
 
@@ -214,12 +213,12 @@ def coincidence_components(sample: Sample, spectrum: Spectrum,
         for j in range(i + 1, len(refl)):
             center = taus[i] + taus[j]
             hom += refl[i] * refl[j] * np.exp(-0.5 * (sig * (2.0 * tau - center)) ** 2)
-    hom = 2.0 * terms.hom_amplitude * env_scale * hom
+    hom = 2.0 * HOM_AMPLITUDE * env_scale * hom
 
     packet = np.zeros(tau.shape, dtype=complex)
     for r, tau_j in zip(refl, taus):
         packet += r * coherence_envelope(spectrum, tau - tau_j)
-    fringes = 4.0 * terms.fringe_amplitude * np.real(
+    fringes = 4.0 * FRINGE_AMPLITUDE * np.real(
         packet * np.exp(-1j * spectrum.center_frequency * tau)
     )
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -103,6 +103,11 @@ def _jsonable(value):
     return value
 
 
+def _header_json(value) -> str:
+    """One header value as a single-line JSON object with sorted keys."""
+    return json.dumps(_jsonable(value), sort_keys=True)
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file and rename in the same directory."""
     path = os.fspath(path)
@@ -118,11 +123,6 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"column {name} contains non-finite values")
 
 
 def _render_rows(arrays: list, in_um: list, index_width: int | None = None) -> str:
@@ -151,21 +151,27 @@ def _render_rows(arrays: list, in_um: list, index_width: int | None = None) -> s
     return "".join(blocks)
 
 
-def _render_table(format_name: str, header: dict, columns: list,
-                  arrays: list, config_json: str | None) -> str:
+def _write_table(path, format_name: str, header: dict, columns: list,
+                 arrays: list, config) -> None:
+    """Write one table file: format line, header, optional '# config' line,
+    column declaration, row count, then the rows.
+
+    Every value column must be finite; otherwise nothing is written.
+    """
+    for name, values in zip(columns[1:], arrays):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"column {name} contains non-finite values")
     n = len(arrays[0])
     lines = [f"# {format_name} {FORMAT_VERSION}"]
-    for key, value in header.items():
-        lines.append(f"# {key} {value}")
-    if config_json is not None:
-        if "\n" in config_json:
-            raise ConfigError("embedded config must be a single JSON line")
-        lines.append(f"# config {config_json}")
-    lines.append("# columns " + " ".join(columns))
-    lines.append(f"# rows {n}")
-    rows = _render_rows(arrays, [name.endswith("_um") for name in columns[1:]],
-                        index_width=max(len(str(n - 1)), 5))
-    return "\n".join(lines) + "\n" + rows
+    lines += [f"# {key} {value}" for key, value in header.items()]
+    if config is not None:
+        lines.append(f"# config {config.to_json()}")
+    lines += ["# columns " + " ".join(columns), f"# rows {n}"]
+    # no name holds the rows, so only the joined text is alive while it is written
+    text = "\n".join(lines) + "\n" + _render_rows(
+        arrays, [name.endswith("_um") for name in columns[1:]],
+        index_width=max(len(str(n - 1)), 5))
+    atomic_write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +180,45 @@ def _render_table(format_name: str, header: dict, columns: list,
 
 @dataclass
 class _Table:
-    header: dict
-    columns: list
-    data: dict
-    config_raw: dict | None = None
-    path: str = ""
-    json_fields: dict = field(default_factory=dict)
+    header: dict        # plain '# key value' text
+    json_fields: dict   # header values parsed as JSON objects
+    data: dict          # value column name -> array
+    path: str
 
 
-def _parse_header_json(path, line_no: int, key: str, raw: str) -> dict:
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"invalid JSON in header key '{key}': {exc}",
-                              path=path, line=line_no) from exc
-    if not isinstance(value, dict):
-        raise TraceParseError(f"header key '{key}' must hold a JSON object",
-                              path=path, line=line_no)
-    return value
+def _parse_header(path, numbered_lines):
+    """Parse the '# key value' lines that open a file, up to its first data
+    line; returns (header, json_fields, that line's number or None).
+
+    '# config', and any other value that opens with '{' except a column
+    list, is a JSON object; '# rows' must be a count in decimal digits.
+    """
+    header: dict = {}
+    json_fields: dict = {}
+    for line_no, line in numbered_lines:
+        if not line.startswith("#"):
+            return header, json_fields, line_no
+        parts = line[1:].strip().split(None, 1)
+        if not parts:
+            raise TraceParseError("empty header line", path=path, line=line_no)
+        key = parts[0]
+        rest = parts[1] if len(parts) > 1 else ""
+        if key == "rows" and not rest.isdecimal():
+            raise TraceParseError(f"invalid row count {rest!r}",
+                                  path=path, line=line_no)
+        is_json = key == "config" or (key != "columns" and rest.startswith("{"))
+        if not is_json:
+            header[key] = rest
+            continue
+        try:
+            json_fields[key] = json.loads(rest)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"invalid JSON in header key '{key}': {exc}",
+                                  path=path, line=line_no) from exc
+        if not isinstance(json_fields[key], dict):
+            raise TraceParseError(f"header key '{key}' must hold a JSON object",
+                                  path=path, line=line_no)
+    return header, json_fields, None
 
 
 def _read_rows(path, lines: list, line_no: int, columns: list,
@@ -254,7 +281,7 @@ def _parse_block(path, lines: list, line_no: int, columns: list,
     return end
 
 
-def _read_table(path, expected_format: str) -> _Table:
+def _read_table(path, expected_format: str, required_columns) -> _Table:
     with open(path, "r") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -269,60 +296,36 @@ def _read_table(path, expected_format: str) -> _Table:
         raise TraceParseError(f"unsupported {expected_format} version {first[2]}",
                               path=path, line=1)
 
-    header: dict = {}
-    json_fields: dict = {}
-    config_raw = None
-    columns: list = []
-    declared_rows = None
-    data_start = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.startswith("#"):
-            data_start = line_no
-            break
-        parts = line[1:].strip().split(None, 1)
-        if not parts:
-            raise TraceParseError("empty header line", path=path, line=line_no)
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if key == "columns":
-            columns = rest.split()
-        elif key == "rows":
-            try:
-                declared_rows = int(rest)
-            except ValueError:
-                raise TraceParseError(f"invalid row count {rest!r}",
-                                      path=path, line=line_no)
-        elif key == "config":
-            config_raw = _parse_header_json(path, line_no, key, rest)
-        elif rest.lstrip().startswith("{"):
-            json_fields[key] = _parse_header_json(path, line_no, key, rest)
-        else:
-            header[key] = rest
-
+    header, json_fields, data_start = _parse_header(path, enumerate(lines, start=1))
+    columns = header.get("columns", "").split()
     if not columns:
         raise TraceParseError("missing '# columns' declaration", path=path)
     if columns[0] != "index":
         raise TraceParseError("first column must be 'index'", path=path)
-    if declared_rows is None:
+    if "rows" not in header:
         raise TraceParseError("missing '# rows' declaration", path=path)
+    declared_rows = int(header["rows"])
 
     value_names = columns[1:]
-    buffers = np.empty((len(value_names), declared_rows))
+    data_lines = [] if data_start is None else lines[data_start - 1:]
+    # a count beyond the data lines ends in the mismatch error below, so
+    # no buffer is sized for it
+    buffers = np.empty((len(value_names), min(declared_rows, len(data_lines))))
     count = 0
-    if data_start is not None:
-        data_lines = lines[data_start - 1:]
-        for offset in range(0, len(data_lines), _BLOCK_LINES):
-            count = _read_rows(path, data_lines[offset:offset + _BLOCK_LINES],
-                               data_start + offset, columns, buffers, count)
+    for offset in range(0, len(data_lines), _BLOCK_LINES):
+        count = _read_rows(path, data_lines[offset:offset + _BLOCK_LINES],
+                           data_start + offset, columns, buffers, count)
     if count != declared_rows:
         raise TraceParseError(
             f"header declares {declared_rows} rows but file has {count}",
             path=path, line=len(lines))
 
     data = dict(zip(value_names, buffers))
-    return _Table(header=header, columns=columns, data=data,
-                  config_raw=config_raw, path=os.fspath(path),
-                  json_fields=json_fields)
+    for name in required_columns:
+        if name not in data:
+            raise TraceParseError(f"missing column {name}", path=path)
+    return _Table(header=header, json_fields=json_fields, data=data,
+                  path=os.fspath(path))
 
 
 def _header_float(table: _Table, key: str) -> float:
@@ -341,7 +344,7 @@ def _header_float(table: _Table, key: str) -> float:
 
 def write_trace(trace: ScanTrace, path, config=None) -> None:
     """Write a scan trace, with truth columns when the trace carries truth."""
-    if not np.all(np.diff(trace.reported_d) > 0):
+    if np.any(np.diff(trace.reported_d) <= 0):
         raise ConfigError("reported_d must be strictly increasing")
     columns = list(TRACE_COLUMNS)
     arrays = [trace.reported_d, trace.intensity, trace.coincidence]
@@ -349,23 +352,16 @@ def write_trace(trace: ScanTrace, path, config=None) -> None:
         columns += TRUTH_COLUMNS
         arrays += [trace.truth.true_d, trace.truth.intensity_rate,
                    trace.truth.coincidence_rate, trace.truth.pair_carrier]
-    for name, values in zip(columns[1:], arrays):
-        _check_finite(name, values)
     header = {
         "spacing": repr(float(trace.spacing)),
-        "metadata": json.dumps(_jsonable(trace.metadata), sort_keys=True),
+        "metadata": _header_json(trace.metadata),
     }
-    config_json = config.to_json() if config is not None else None
-    atomic_write_text(path, _render_table(TRACE_FORMAT, header, columns,
-                                          arrays, config_json))
+    _write_table(path, TRACE_FORMAT, header, columns, arrays, config)
 
 
 def read_trace(path) -> ScanTrace:
     """Read a scan trace; reconstructs truth channels when present."""
-    table = _read_table(path, TRACE_FORMAT)
-    for name in TRACE_COLUMNS[1:]:
-        if name not in table.data:
-            raise TraceParseError(f"missing column {name}", path=path)
+    table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS[1:])
     reported = table.data["reported_d_um"]
     if reported.size and not np.all(np.diff(reported) > 0):
         raise TraceParseError("reported_d must be strictly increasing", path=path)
@@ -388,18 +384,16 @@ def read_trace(path) -> ScanTrace:
 
 
 def read_embedded_config(path):
-    """Return the RunConfig embedded in any table file, or None."""
+    """Return the RunConfig embedded in any table file, or None.
+
+    Only the header lines are read.
+    """
     from .config import parse_config
 
     with open(path, "r") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.startswith("#"):
-                return None
-            parts = line[1:].strip().split(None, 1)
-            if len(parts) == 2 and parts[0] == "config":
-                raw = _parse_header_json(path, line_no, "config", parts[1])
-                return parse_config(raw)
-    return None
+        _, json_fields, _ = _parse_header(path, enumerate(handle, start=1))
+    raw = json_fields.get("config")
+    return None if raw is None else parse_config(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +401,17 @@ def read_embedded_config(path):
 
 
 def write_calibrated_record(record: CalibratedRecord, path, config=None) -> None:
-    for name, values in (("position_um", record.positions),
-                         ("intensity", record.intensity)):
-        _check_finite(name, values)
     header = {
         "grid_step": repr(float(record.grid_step)),
-        "metadata": json.dumps(_jsonable(record.metadata), sort_keys=True),
-        "quality": json.dumps(_jsonable(record.quality), sort_keys=True),
+        "metadata": _header_json(record.metadata),
+        "quality": _header_json(record.quality),
     }
-    config_json = config.to_json() if config is not None else None
-    atomic_write_text(path, _render_table(
-        RECORD_FORMAT, header, RECORD_COLUMNS,
-        [record.positions, record.intensity], config_json))
+    _write_table(path, RECORD_FORMAT, header, RECORD_COLUMNS,
+                 [record.positions, record.intensity], config)
 
 
 def read_calibrated_record(path) -> CalibratedRecord:
-    table = _read_table(path, RECORD_FORMAT)
-    for name in RECORD_COLUMNS[1:]:
-        if name not in table.data:
-            raise TraceParseError(f"missing column {name}", path=path)
+    table = _read_table(path, RECORD_FORMAT, RECORD_COLUMNS[1:])
     return CalibratedRecord(
         positions=table.data["position_um"],
         intensity=table.data["intensity"],
@@ -440,27 +426,18 @@ def read_calibrated_record(path) -> CalibratedRecord:
 
 
 def write_calibration_table(calibration: CalibrationMap, path, config=None) -> None:
-    reported = calibration.reported
-    calibrated = calibration.calibrated
-    for name, values in (("reported_d_um", reported),
-                         ("calibrated_d_um", calibrated)):
-        _check_finite(name, values)
     header = {
         "interpolation": "linear",
         "edge_fit": str(int(calibration.edge_fit)),
-        "quality": json.dumps(_jsonable(calibration.quality), sort_keys=True),
+        "quality": _header_json(calibration.quality),
     }
-    config_json = config.to_json() if config is not None else None
-    atomic_write_text(path, _render_table(
-        CALIBRATION_FORMAT, header, CALIBRATION_COLUMNS,
-        [reported, calibrated, calibration.correction()], config_json))
+    _write_table(path, CALIBRATION_FORMAT, header, CALIBRATION_COLUMNS,
+                 [calibration.reported, calibration.calibrated,
+                  calibration.correction()], config)
 
 
 def read_calibration_table(path) -> CalibrationMap:
-    table = _read_table(path, CALIBRATION_FORMAT)
-    for name in ("reported_d_um", "calibrated_d_um"):
-        if name not in table.data:
-            raise TraceParseError(f"missing column {name}", path=path)
+    table = _read_table(path, CALIBRATION_FORMAT, ("reported_d_um", "calibrated_d_um"))
     if table.header.get("interpolation") != "linear":
         raise TraceParseError("expected '# interpolation linear' header", path=path)
     edge_fit = int(_header_float(table, "edge_fit"))
@@ -500,10 +477,7 @@ def write_plot_data(path, names: list, columns: list, comment: str = "") -> None
     n = arrays[0].size if arrays else 0
     if any(a.size != n for a in arrays):
         raise ConfigError("plot columns must share one length")
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
+    lines = [f"# {part}" for part in comment.splitlines()]
     lines.append("# columns " + " ".join(names))
     rows = _render_rows(arrays, [False] * len(arrays))
     atomic_write_text(path, "\n".join(lines) + "\n" + rows)

@@ -162,6 +162,19 @@ def test_measure_rejects_non_finite_record(artifact_chain, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("count", ["-1", "1000000000000"])
+def test_calibrate_bad_row_count_is_parse_error(artifact_chain, tmp_path, capsys, count):
+    lines = (artifact_chain / "scan.txt").read_text().splitlines()
+    index = next(i for i, l in enumerate(lines) if l.startswith("# rows "))
+    lines[index] = f"# rows {count}"
+    broken = tmp_path / "scan.txt"
+    broken.write_text("\n".join(lines) + "\n")
+    code = main(["calibrate", str(broken), "--output", str(tmp_path / "x")])
+    assert code == 1
+    assert "parse error" in capsys.readouterr().err
+    assert not (tmp_path / "x.record.txt").exists()
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["calibrate", str(tmp_path / "absent.txt"),
                  "--output", str(tmp_path / "x")])

@@ -394,6 +394,41 @@ def test_non_finite_record_value_names_its_line(tmp_path, trace_and_config):
     assert "column intensity contains non-finite values" in str(err.value)
 
 
+def _with_row_count(path, count):
+    """Replace the '# rows' value; returns that line's 1-based number."""
+    lines = path.read_text().splitlines()
+    index = next(i for i, l in enumerate(lines) if l.startswith("# rows "))
+    lines[index] = f"# rows {count}"
+    path.write_text("\n".join(lines) + "\n")
+    return index + 1
+
+
+def test_negative_row_count_names_its_line(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    rows_line = _with_row_count(path, -1)
+    for reader in (read_trace, read_embedded_config):
+        with pytest.raises(TraceParseError) as err:
+            reader(path)
+        assert err.value.line == rows_line
+        assert "invalid row count '-1'" in str(err.value)
+
+
+def test_row_count_beyond_the_file_is_a_mismatch(tmp_path, trace_and_config):
+    # 10**12 rows of 7 value columns would need 56 TB if a buffer were sized
+    # from the header
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    _with_row_count(path, 10**12)
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert err.value.line == len(path.read_text().splitlines())
+    assert (f"header declares {10**12} rows but file has {trace.n_samples}"
+            in str(err.value))
+
+
 # ---------------------------------------------------------------------------
 # calibrated records and calibration tables
 
@@ -442,6 +477,66 @@ def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_confi
     path.write_text(text.replace("# interpolation linear\n", ""))
     with pytest.raises(TraceParseError):
         read_calibration_table(path)
+
+
+@pytest.fixture(scope="module")
+def written_objects(trace_and_config):
+    trace, cfg = trace_and_config
+    calibration, record = calibrate_trace(cfg, trace)
+    return {"trace": trace, "record": record, "calibration": calibration}
+
+
+WRITERS = {"trace": write_trace, "record": write_calibrated_record,
+           "calibration": write_calibration_table}
+
+# (object written, value column, attribute that holds it)
+VALUE_COLUMNS = [
+    ("trace", "reported_d_um", "reported_d"),
+    ("trace", "intensity", "intensity"),
+    ("trace", "coincidence", "coincidence"),
+    ("trace", "true_d_um", "truth.true_d"),
+    ("trace", "intensity_rate", "truth.intensity_rate"),
+    ("trace", "coincidence_rate", "truth.coincidence_rate"),
+    ("trace", "pair_carrier", "truth.pair_carrier"),
+    ("record", "position_um", "positions"),
+    ("record", "intensity", "intensity"),
+    ("calibration", "reported_d_um", "reported"),
+    ("calibration", "calibrated_d_um", "calibrated"),
+]
+
+
+def _with_last_value(obj, attribute, value):
+    """A shallow copy of obj whose array `attribute` (dotted for a nested
+    object) ends in `value`; the copy skips the objects' own validation."""
+    head, _, rest = attribute.partition(".")
+    out = copy.copy(obj)
+    if rest:
+        setattr(out, head, _with_last_value(getattr(obj, head), rest, value))
+    else:
+        values = np.array(getattr(obj, head), dtype=float)
+        values[-1] = value
+        setattr(out, head, values)
+    return out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("kind, column, attribute", VALUE_COLUMNS)
+def test_writers_reject_non_finite_values(tmp_path, written_objects, kind, column,
+                                          attribute, value):
+    spoiled = _with_last_value(written_objects[kind], attribute, value)
+    with pytest.raises(ConfigError, match=f"column {column} contains non-finite values"):
+        WRITERS[kind](spoiled, tmp_path / "out.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calibration_writer_checks_the_correction_column(tmp_path, written_objects):
+    # finite knots whose difference overflows to inf
+    table = _with_last_value(written_objects["calibration"], "reported", -1.5e308)
+    table = _with_last_value(table, "calibrated", 1.5e308)
+    with pytest.raises(ConfigError, match="column correction_um contains non-finite"), \
+            np.errstate(over="ignore"):
+        write_calibration_table(table, tmp_path / "out.txt")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
