@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import ifft, rfft
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve, firwin, freqz, hilbert
+from scipy.signal import fftconvolve, firwin, freqz
 
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.model import PumpReference
@@ -127,7 +128,6 @@ class FilteredCarrier:
     values: np.ndarray
     valid: np.ndarray            # False within half a filter length of the ends
     reported_d: np.ndarray
-    spacing: float
     spec: BandpassSpec
 
 
@@ -149,9 +149,20 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
         )
     valid[half:len(filtered) - half] = True
     return FilteredCarrier(
-        values=filtered, valid=valid, reported_d=trace.reported_d,
-        spacing=trace.spacing, spec=spec,
+        values=filtered, valid=valid, reported_d=trace.reported_d, spec=spec,
     )
+
+
+def analytic_from_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Analytic signal x + i H[x] of a length-n real x whose rfft is `half`.
+
+    Doubles the positive-frequency bins (DC and Nyquist kept) and zeroes the
+    negative ones before one inverse FFT (Marple, IEEE TSP 47(9), 1999).
+    """
+    weighted = np.zeros(n, dtype=complex)
+    weighted[: len(half)] = half
+    weighted[1: (n + 1) // 2] *= 2.0
+    return ifft(weighted)
 
 
 @dataclass
@@ -163,7 +174,6 @@ class PhaseTrace:
     quality_mask: np.ndarray     # True where the phase is trustworthy
     filter_valid: np.ndarray     # True outside the filter edge exclusion
     reported_d: np.ndarray
-    spacing: float
 
 
 def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTrace:
@@ -176,7 +186,7 @@ def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTr
     masked; more than MAX_BAD_FRACTION of masked valid samples is an error.
     """
     if method == "analytic":
-        analytic = hilbert(carrier.values)
+        analytic = analytic_from_spectrum(rfft(carrier.values), len(carrier.values))
         amplitude = np.abs(analytic)
         phase = np.unwrap(np.angle(analytic))
     elif method == "crossings":
@@ -196,8 +206,7 @@ def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTr
         )
     return PhaseTrace(
         unwrapped_phase=phase, amplitude=amplitude, quality_mask=mask,
-        filter_valid=carrier.valid.copy(),
-        reported_d=carrier.reported_d, spacing=carrier.spacing,
+        filter_valid=carrier.valid.copy(), reported_d=carrier.reported_d,
     )
 
 

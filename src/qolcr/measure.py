@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft, next_fast_len, rfft
+from scipy.fft import next_fast_len, rfft
 from scipy.signal import find_peaks
 
-from qolcr.calibration import CalibratedRecord
+from qolcr.calibration import CalibratedRecord, analytic_from_spectrum
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 
 # smallest sample overlap allowed between the shifted record copies; lags
@@ -49,12 +49,14 @@ NOISE_FLOOR_FACTOR = 6.0
 class Autocorrelogram:
     """Mean-subtracted analytic autocorrelation normalized to A(0) = 1.
 
-    `analytic` is A(k) + i H[A](k): its real part is the autocorrelation,
-    its modulus the fringe envelope and its angle the carrier phase.
+    `analytic` is A(k) + i H[A](k) for lags k = 0, 1, ... only, so array
+    index k is lag k * grid_step: its real part is the autocorrelation, its
+    modulus the fringe envelope and its angle the carrier phase. Negative
+    lags, the conjugate mirror, are not stored.
     """
 
-    lags: np.ndarray          # symmetric uniform grid, meters
-    analytic: np.ndarray      # complex, analytic[-k] == conj(analytic[k])
+    lags: np.ndarray          # k * grid_step for k = 0 .. len - 1, meters
+    analytic: np.ndarray      # complex, analytic[0] == 1
     grid_step: float
     metadata: dict = field(default_factory=dict)
     quality: dict = field(default_factory=dict)
@@ -64,8 +66,7 @@ class Autocorrelogram:
             raise ConfigError("autocorrelogram must hold the complex analytic signal")
         if len(self.lags) != len(self.analytic):
             raise ConfigError("autocorrelogram arrays must match in length")
-        center = len(self.lags) // 2
-        if abs(self.analytic[center] - 1.0) > 1e-12:
+        if abs(self.analytic[0] - 1.0) > 1e-12:
             raise ConfigError("autocorrelogram must be normalized to A(0) = 1")
         if np.max(np.abs(self.analytic)) > 1.0 + 1e-9:
             raise ConfigError("autocorrelogram exceeds its zero-lag value")
@@ -74,10 +75,6 @@ class Autocorrelogram:
     def values(self) -> np.ndarray:
         """The real autocorrelation A(k)."""
         return self.analytic.real
-
-    @property
-    def zero_index(self) -> int:
-        return len(self.lags) // 2
 
     def window(self, center: float, halfwidth: float) -> slice:
         lo = int(np.searchsorted(self.lags, center - halfwidth, side="left"))
@@ -88,14 +85,12 @@ class Autocorrelogram:
 def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     """Analytic autocorrelation of the mean-subtracted record.
 
-    Zero-padded FFT gives the linear (non-circular) lag sums. Doubling the
-    positive-frequency bins of |X|^2 (DC and Nyquist kept) and zeroing the
-    negative ones makes the one inverse FFT return their analytic signal
-    (Marple, IEEE TSP 47(9), 1999) over the whole lag range, so no window
-    edge leaves artifacts. Normalized once by the zero-lag sum, and every
-    bin nonnegative, |A(k)| <= A(0) = 1. Negative lags are the exact
-    conjugate mirror of the positive ones; the maximum lag is capped so at
-    least MIN_OVERLAP samples contribute.
+    Zero-padded FFT gives the linear (non-circular) lag sums, and the
+    analytic signal of the one-sided |X|^2 (analytic_from_spectrum) gives
+    their analytic signal over the whole lag range in one inverse FFT, so no
+    window edge leaves artifacts. Normalized once by the zero-lag sum, and
+    every bin nonnegative, |A(k)| <= A(0) = 1. Only lags 0 .. k_cap are
+    kept, with k_cap capped so at least MIN_OVERLAP samples contribute.
     """
     x = record.intensity - record.intensity.mean()
     n = len(x)
@@ -105,19 +100,14 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
 
     nfft = next_fast_len(2 * n - 1)
     spec = rfft(x, nfft)
-    weighted = np.zeros(nfft, dtype=complex)
-    weighted[: len(spec)] = spec * np.conj(spec)
-    weighted[1: (nfft + 1) // 2] *= 2.0
-    raw = ifft(weighted)[: k_cap + 1]
+    raw = analytic_from_spectrum(spec * np.conj(spec), nfft)[: k_cap + 1]
     if raw[0].real <= 0:
         raise ConfigError("record has zero variance")
-    positive = raw / raw[0].real
-    positive[0] = 1.0
-
-    analytic = np.concatenate([np.conj(positive[:0:-1]), positive])
-    lags = np.concatenate([-np.arange(k_cap, 0, -1), np.arange(k_cap + 1)]) * record.grid_step
+    analytic = raw / raw[0].real
+    analytic[0] = 1.0
     return Autocorrelogram(
-        lags=lags, analytic=analytic, grid_step=record.grid_step,
+        lags=np.arange(k_cap + 1) * record.grid_step, analytic=analytic,
+        grid_step=record.grid_step,
         metadata=dict(record.metadata), quality=dict(record.quality),
     )
 
@@ -209,7 +199,7 @@ def _cluster_parameters(acorr: Autocorrelogram):
     cluster, so its half-max half-width sets the natural length scale
     without needing the source spectrum.
     """
-    env = np.abs(acorr.analytic[acorr.zero_index:])
+    env = np.abs(acorr.analytic)
     above = env >= 0.5
     edge = np.argmin(above)  # first index below half max
     if edge == 0:

@@ -171,28 +171,6 @@ class PumpReference:
             )
 
 
-def surface_delay(position):
-    """Round-trip delay tau = 2 z / c for a reflector at depth z."""
-    return 2.0 * np.asarray(position, dtype=float) / SPEED_OF_LIGHT
-
-
-def transfer_function(sample: Sample, omega):
-    """Sample frequency response H(omega) = sum_j r_j exp(1j omega tau_j).
-
-    `omega` is the absolute optical angular frequency; accepts scalars or
-    arrays and is linear in the reflectivities.
-    """
-    omega = np.asarray(omega, dtype=float)
-    taus = sample.delays
-    refl = sample.reflectivities
-    out = np.zeros(omega.shape, dtype=complex)
-    for r, tau in zip(refl, taus):
-        out += r * np.exp(1j * omega * tau)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def spectrum_density(spectrum: Spectrum, detuning):
     """Spectral density S(Omega) at detuning Omega from the center frequency."""
     det = np.asarray(detuning, dtype=float)

@@ -21,6 +21,7 @@ file itself.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -45,6 +46,9 @@ CALIBRATION_COLUMNS = ["index", "reported_d_um", "calibrated_d_um", "correction_
 _FIELD_WIDTH = 24
 _UM_EXPONENT = 6     # decimal exponent shift from meters to micrometres
 _BLOCK_LINES = 4096  # data rows formatted or parsed per block
+
+# plain header values that must be finite and positive, integers in decimal digits
+_POSITIVE_HEADERS = {"spacing": "number", "grid_step": "number", "edge_fit": "integer"}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +195,8 @@ def _parse_header(path, numbered_lines):
     line; returns (header, json_fields, that line's number or None).
 
     '# config', and any other value that opens with '{' except a column
-    list, is a JSON object; '# rows' must be a count in decimal digits.
+    list, is a JSON object; '# rows' must be a count in decimal digits, and
+    the values of _POSITIVE_HEADERS keys must be positive.
     """
     header: dict = {}
     json_fields: dict = {}
@@ -206,6 +211,10 @@ def _parse_header(path, numbered_lines):
         if key == "rows" and not rest.isdecimal():
             raise TraceParseError(f"invalid row count {rest!r}",
                                   path=path, line=line_no)
+        kind = _POSITIVE_HEADERS.get(key)
+        if kind and not _is_positive(rest, kind):
+            raise TraceParseError(f"'# {key}' must be a finite positive {kind}, got {rest!r}",
+                                  path=path, line=line_no)
         is_json = key == "config" or (key != "columns" and rest.startswith("{"))
         if not is_json:
             header[key] = rest
@@ -219,6 +228,14 @@ def _parse_header(path, numbered_lines):
             raise TraceParseError(f"header key '{key}' must hold a JSON object",
                                   path=path, line=line_no)
     return header, json_fields, None
+
+
+def _is_positive(text: str, kind: str) -> bool:
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return 0 < value < math.inf and (kind != "integer" or text.isdecimal())
 
 
 def _read_rows(path, lines: list, line_no: int, columns: list,
@@ -331,11 +348,7 @@ def _read_table(path, expected_format: str, required_columns) -> _Table:
 def _header_float(table: _Table, key: str) -> float:
     if key not in table.header:
         raise TraceParseError(f"missing '# {key}' header", path=table.path)
-    try:
-        return float(table.header[key])
-    except ValueError as exc:
-        raise TraceParseError(f"invalid '# {key}' header: {exc}",
-                              path=table.path) from exc
+    return float(table.header[key])
 
 
 # ---------------------------------------------------------------------------

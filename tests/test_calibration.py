@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import rfft
 from scipy.signal import hilbert
 
 from qolcr.calibration import (
     BandpassSpec,
     CalibrationMap,
     PhaseTrace,
+    analytic_from_spectrum,
     build_calibration,
     design_bandpass,
     extract_phase,
@@ -21,7 +23,9 @@ from qolcr.calibration import (
     resample_intensity,
     zero_phase_apply,
 )
+from qolcr.config import default_config
 from qolcr.errors import CalibrationQualityError, ConfigError
+from qolcr.experiments import synthesize
 from qolcr.model import PumpReference, Sample, Spectrum
 from qolcr.scan import ScanTrace, StageModel, simulate_scan
 
@@ -204,6 +208,19 @@ def test_extract_tpi_rejects_too_short_trace():
 # phase extraction
 
 
+@pytest.mark.parametrize("n", [1000, 1001, 4096, 7919])
+def test_analytic_from_spectrum_matches_hilbert(n):
+    x = np.random.default_rng(n).normal(size=n)
+    assert np.array_equal(analytic_from_spectrum(rfft(x), n), hilbert(x))
+
+
+def test_analytic_from_spectrum_matches_hilbert_on_default_carrier():
+    config = default_config()
+    carrier = extract_tpi(synthesize(config), BandpassSpec.for_pump(config.pump))
+    x = carrier.values
+    assert np.array_equal(analytic_from_spectrum(rfft(x), len(x)), hilbert(x))
+
+
 def test_phase_slope_matches_carrier_frequency():
     trace = carrier_trace()
     phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
@@ -342,7 +359,6 @@ def test_build_calibration_rejects_poor_coverage():
         quality_mask=mask,
         filter_valid=np.ones(n, dtype=bool),
         reported_d=d,
-        spacing=SPACING,
     )
     with pytest.raises(CalibrationQualityError):
         build_calibration(phase, PUMP)
@@ -359,7 +375,6 @@ def test_build_calibration_rejects_phase_reversal():
         quality_mask=np.ones(n, dtype=bool),
         filter_valid=np.ones(n, dtype=bool),
         reported_d=d,
-        spacing=SPACING,
     )
     with pytest.raises(CalibrationQualityError):
         build_calibration(phase, PUMP)

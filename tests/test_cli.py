@@ -175,6 +175,26 @@ def test_calibrate_bad_row_count_is_parse_error(artifact_chain, tmp_path, capsys
     assert not (tmp_path / "x.record.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5e-9"])
+@pytest.mark.parametrize("command, artifact, key", [
+    ("calibrate", "scan.txt", "spacing"),
+    ("measure", "cal.record.txt", "grid_step"),
+])
+def test_bad_scalar_header_is_parse_error(artifact_chain, tmp_path, capsys,
+                                          command, artifact, key, value):
+    lines = (artifact_chain / artifact).read_text().splitlines()
+    index = next(i for i, l in enumerate(lines) if l.startswith(f"# {key} "))
+    lines[index] = f"# {key} {value}"
+    broken = tmp_path / artifact
+    broken.write_text("\n".join(lines) + "\n")
+    code = main([command, str(broken), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert f"line {index + 1}: '# {key}'" in err
+    assert list(tmp_path.iterdir()) == [broken]
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["calibrate", str(tmp_path / "absent.txt"),
                  "--output", str(tmp_path / "x")])

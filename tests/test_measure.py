@@ -88,9 +88,8 @@ def test_autocorrelate_matches_direct_sum_oracle():
         direct[k] = np.dot(x[: n - k], x[k:])
     direct /= direct[0]
 
-    positive = acorr.values[acorr.zero_index:]
-    assert len(positive) == k_max + 1
-    assert np.max(np.abs(positive - direct)) < 1e-10
+    assert len(acorr.values) == k_max + 1
+    assert np.max(np.abs(acorr.values - direct)) < 1e-10
 
 
 def test_autocorrelate_pure_cosine_preserves_period():
@@ -103,9 +102,9 @@ def test_autocorrelate_pure_cosine_preserves_period():
         grid_step=GRID,
     )
     acorr = autocorrelate(record)
-    center = acorr.zero_index
+    center = 0
     assert acorr.values[center] == 1.0
-    # the lag of the m-th positive-side maximum is m periods
+    # the lag of the m-th maximum is m periods
     m = 40
     window = acorr.values[center + int(m * 20) - 5: center + int(m * 20) + 6]
     assert np.argmax(window) == 5
@@ -116,13 +115,11 @@ def test_autocorrelate_pure_cosine_preserves_period():
     assert np.max(np.abs(got - expected)) < 5e-3
 
 
-def test_autocorrelogram_symmetric_normalized_bounded():
+def test_autocorrelogram_normalized_bounded():
     acorr = autocorrelate(synthetic_record(seed=5))
     vals = acorr.values
-    assert np.array_equal(vals, vals[::-1])
-    assert vals[acorr.zero_index] == 1.0
+    assert vals[0] == 1.0
     assert np.max(np.abs(vals)) <= 1.0 + 1e-9
-    assert np.array_equal(acorr.lags, -acorr.lags[::-1])
 
 
 def test_autocorrelate_rejects_short_and_flat_records():
@@ -143,12 +140,12 @@ def test_autocorrelate_rejects_short_and_flat_records():
 
 
 def test_autocorrelogram_validates_normalization():
-    lags = np.arange(-50, 51) * GRID
-    analytic = np.zeros(101, dtype=complex)
-    analytic[50] = 0.5  # not normalized
+    lags = np.arange(51) * GRID
+    analytic = np.zeros(51, dtype=complex)
+    analytic[0] = 0.5  # not normalized
     with pytest.raises(ConfigError):
         Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
-    analytic[50] = 1.0
+    analytic[0] = 1.0
     analytic[10] = 1.5j  # exceeds the zero-lag value in modulus
     with pytest.raises(ConfigError):
         Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
@@ -159,18 +156,17 @@ def test_autocorrelogram_validates_normalization():
 
 
 def test_analytic_autocorrelation_matches_hilbert_oracle():
-    # a record longer than the default keeps the middle half of the lags
-    # well clear of the oracle's own edge effects
+    # the oracle transforms the even two-sided sequence A(-k_cap .. k_cap);
+    # a record longer than the default keeps lags 0 .. k_cap / 2 well clear
+    # of the oracle's own edge effects
     acorr = autocorrelate(synthetic_record(n=8192, seed=5))
     analytic = acorr.analytic
-    k = np.arange(1, acorr.zero_index + 1)
-    assert np.array_equal(analytic[acorr.zero_index - k],
-                          np.conj(analytic[acorr.zero_index + k]))
-    oracle = hilbert(acorr.values).imag
-    m = len(analytic)
-    middle = slice(m // 4, 3 * m // 4)
+    v = acorr.values
+    k_cap = len(v) - 1
+    oracle = hilbert(np.concatenate([v[:0:-1], v])).imag[k_cap:]
+    near = slice(0, k_cap // 2 + 1)
     peak = np.max(np.abs(analytic))
-    assert np.max(np.abs(analytic.imag[middle] - oracle[middle])) < 1e-6 * peak
+    assert np.max(np.abs(analytic.imag[near] - oracle[near])) < 1e-6 * peak
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ def _record(intensity):
 
 
 def _packet_acorr(envelope_sigma=2.0e-6, n_half=4000):
-    """Autocorrelogram of one Gaussian fringe packet, lags -n_half..n_half.
+    """Autocorrelogram of one Gaussian fringe packet, lags 0..n_half.
 
     A packet of envelope width s / sqrt(2) correlates into a packet of
     width s at zero lag.

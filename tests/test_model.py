@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -20,8 +19,6 @@ from qolcr.model import (
     coherence_envelope,
     response_function,
     spectrum_density,
-    surface_delay,
-    transfer_function,
 )
 
 LAMBDA_0 = 810e-9
@@ -32,6 +29,11 @@ def default_spectrum(total_power=1.0):
     return Spectrum.from_wavelength(LAMBDA_0, BANDWIDTH, total_power)
 
 
+def surface_delay(z):
+    """Round-trip delay of a lone surface at depth z, from Sample.delays."""
+    return Sample.from_pairs([(0.5, z)]).delays[0]
+
+
 def test_surface_delay_round_trip_one_meter():
     # 2 z / c with z = 1 m
     assert surface_delay(1.0) == pytest.approx(6.671281903963041e-09, rel=1e-15)
@@ -39,51 +41,6 @@ def test_surface_delay_round_trip_one_meter():
 
 def test_surface_delay_zero():
     assert surface_delay(0.0) == 0.0
-
-
-def test_transfer_function_matches_direct_complex_sum():
-    sample = Sample.from_pairs([(0.3, 10e-6), (0.7, 290.228e-6)])
-    omega = 2 * math.pi * SPEED_OF_LIGHT / LAMBDA_0
-    oracle = sum(
-        s.reflectivity * cmath.exp(1j * omega * 2 * s.position / SPEED_OF_LIGHT)
-        for s in sample.surfaces
-    )
-    got = transfer_function(sample, omega)
-    assert abs(got - oracle) <= 1e-12 * abs(oracle)
-
-
-def test_transfer_function_destructive_pair():
-    # two equal surfaces a quarter center-wavelength apart cancel at omega0
-    omega0 = 2 * math.pi * SPEED_OF_LIGHT / LAMBDA_0
-    sample = Sample.from_pairs([(0.5, 0.0), (0.5, LAMBDA_0 / 4)])
-    assert abs(transfer_function(sample, omega0)) < 1e-12
-
-
-def test_transfer_function_vectorized_consistent():
-    sample = Sample.from_pairs([(0.4, 5e-6), (0.2, 40e-6)])
-    omegas = np.linspace(2.2e15, 2.4e15, 7)
-    vec = transfer_function(sample, omegas)
-    for w, h in zip(omegas, vec):
-        assert abs(transfer_function(sample, w) - h) < 1e-12 * abs(h)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    r1=st.floats(0.01, 1.0),
-    r2=st.floats(0.01, 1.0),
-    alpha=st.floats(0.05, 1.0),
-)
-def test_transfer_function_linear_in_reflectivity(r1, r2, alpha):
-    z1, z2 = 3e-6, 75e-6
-    omega = 2.3e15
-    base = transfer_function(Sample.from_pairs([(r1, z1), (r2, z2)]), omega)
-    scaled = transfer_function(
-        Sample.from_pairs([(alpha * r1, z1), (alpha * r2, z2)]), omega
-    )
-    left = transfer_function(Sample.from_pairs([(r1, z1)]), omega)
-    right = transfer_function(Sample.from_pairs([(r2, z2)]), omega)
-    assert abs(base - (left + right)) < 1e-12 * (abs(left) + abs(right))
-    assert abs(scaled - alpha * base) < 1e-12 * abs(base) + 1e-15
 
 
 def test_sample_requires_sorted_positions():

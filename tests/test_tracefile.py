@@ -394,11 +394,11 @@ def test_non_finite_record_value_names_its_line(tmp_path, trace_and_config):
     assert "column intensity contains non-finite values" in str(err.value)
 
 
-def _with_row_count(path, count):
-    """Replace the '# rows' value; returns that line's 1-based number."""
+def _with_header(path, key, value):
+    """Replace the '# key' value; returns that line's 1-based number."""
     lines = path.read_text().splitlines()
-    index = next(i for i, l in enumerate(lines) if l.startswith("# rows "))
-    lines[index] = f"# rows {count}"
+    index = next(i for i, l in enumerate(lines) if l.startswith(f"# {key} "))
+    lines[index] = f"# {key} {value}"
     path.write_text("\n".join(lines) + "\n")
     return index + 1
 
@@ -407,7 +407,7 @@ def test_negative_row_count_names_its_line(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    rows_line = _with_row_count(path, -1)
+    rows_line = _with_header(path, "rows", -1)
     for reader in (read_trace, read_embedded_config):
         with pytest.raises(TraceParseError) as err:
             reader(path)
@@ -421,7 +421,7 @@ def test_row_count_beyond_the_file_is_a_mismatch(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    _with_row_count(path, 10**12)
+    _with_header(path, "rows", 10**12)
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
     assert err.value.line == len(path.read_text().splitlines())
@@ -537,6 +537,30 @@ def test_calibration_writer_checks_the_correction_column(tmp_path, written_objec
             np.errstate(over="ignore"):
         write_calibration_table(table, tmp_path / "out.txt")
     assert list(tmp_path.iterdir()) == []
+
+
+READERS = {"trace": read_trace, "record": read_calibrated_record,
+           "calibration": read_calibration_table}
+
+# (object written, scalar header, value that header must not hold)
+BAD_SCALAR_HEADERS = [
+    (kind, key, value)
+    for kind, key in [("trace", "spacing"), ("record", "grid_step"),
+                      ("calibration", "edge_fit")]
+    for value in ["nan", "inf", "0", "-5e-9"]
+] + [("calibration", "edge_fit", "2000.5")]
+
+
+@pytest.mark.parametrize("kind, key, value", BAD_SCALAR_HEADERS)
+def test_bad_scalar_header_names_its_line(tmp_path, written_objects, kind, key, value):
+    path = tmp_path / "out.txt"
+    WRITERS[kind](written_objects[kind], path)
+    line = _with_header(path, key, value)
+    for reader in (READERS[kind], read_embedded_config):
+        with pytest.raises(TraceParseError) as err:
+            reader(path)
+        assert err.value.line == line
+        assert f"'# {key}' must be a finite positive" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
