@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve, firwin, freqz
 
 from qolcr.errors import CalibrationQualityError, ConfigError
-from qolcr.model import PumpReference
+from qolcr.model import BandpassSpec, PumpReference
 from qolcr.scan import ScanTrace
 
 # realized-response requirements checked after every design
@@ -40,32 +40,6 @@ MAX_BAD_FRACTION = 0.10
 
 # share of the filter-valid scan that must carry usable phase
 MIN_VALID_FRACTION = 0.9
-
-
-@dataclass(frozen=True)
-class BandpassSpec:
-    """Band-pass prescription in cycles per meter of reported travel."""
-
-    center_frequency: float        # cycles per meter, 2 / lambda_p for the carrier
-    relative_bandwidth: float = 0.2
-    num_taps: int = 2001           # odd, symmetric FIR
-
-    def __post_init__(self):
-        if self.center_frequency <= 0:
-            raise ConfigError("band-pass center frequency must be positive")
-        if not 0 < self.relative_bandwidth < 1:
-            raise ConfigError("relative bandwidth must lie in (0, 1)")
-        if self.num_taps < 31 or self.num_taps % 2 == 0:
-            raise ConfigError("num_taps must be odd and at least 31")
-
-    @classmethod
-    def for_pump(cls, pump: PumpReference, **kw) -> "BandpassSpec":
-        return cls(center_frequency=2.0 / pump.wavelength, **kw)
-
-    @property
-    def band_edges(self) -> tuple[float, float]:
-        half = 0.5 * self.relative_bandwidth * self.center_frequency
-        return (self.center_frequency - half, self.center_frequency + half)
 
 
 def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:

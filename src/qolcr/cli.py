@@ -43,16 +43,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_base_config(args) -> RunConfig:
-    if getattr(args, "config", None) is not None:
+def _resolve_config(args, data_path=None) -> RunConfig:
+    """Config from --config, else the one embedded in data_path, else the default."""
+    if args.config is not None:
         return load_config(args.config)
-    return default_config()
-
-
-def _config_for_data_file(args, data_path) -> RunConfig:
-    """Config from --config, else the one embedded in the data file."""
-    if getattr(args, "config", None) is not None:
-        return load_config(args.config)
+    if data_path is None:
+        return default_config()
     embedded = tracefile.read_embedded_config(data_path)
     if embedded is None:
         raise ConfigError(
@@ -60,17 +56,12 @@ def _config_for_data_file(args, data_path) -> RunConfig:
     return embedded
 
 
-def _apply_overrides(config: RunConfig, *, seed=None, grid_step_nm=None,
-                     expected_peaks=None) -> RunConfig:
-    if seed is None and grid_step_nm is None and expected_peaks is None:
+def _with_seed(config: RunConfig, seed) -> RunConfig:
+    """The config with its master seed replaced by --seed, when given."""
+    if seed is None:
         return config
     raw = json.loads(config.to_json())
-    if seed is not None:
-        raw.setdefault("seeds", {})["master"] = seed
-    if grid_step_nm is not None:
-        raw.setdefault("pipeline", {})["grid_step_nm"] = grid_step_nm
-    if expected_peaks is not None:
-        raw.setdefault("pipeline", {})["expected_peaks"] = expected_peaks
+    raw["seeds"]["master"] = seed
     return parse_config(raw)
 
 
@@ -79,7 +70,7 @@ def _apply_overrides(config: RunConfig, *, seed=None, grid_step_nm=None,
 
 
 def cmd_simulate(args) -> int:
-    config = _apply_overrides(_load_base_config(args), seed=args.seed)
+    config = _with_seed(_resolve_config(args), args.seed)
     trace = synthesize(config, run_index=0)
     tracefile.write_trace(trace, args.output, config=config)
     start, stop = config.scan_range
@@ -92,8 +83,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = _config_for_data_file(args, args.trace)
-    config = _apply_overrides(config, grid_step_nm=args.grid_step)
+    config = _resolve_config(args, args.trace)
     trace = tracefile.read_trace(args.trace)
     calibration, record = calibrate_trace(config, trace)
     table_path = f"{args.output}.calibration.txt"
@@ -111,8 +101,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    config = _config_for_data_file(args, args.record)
-    config = _apply_overrides(config, expected_peaks=args.expected_peaks)
+    config = _resolve_config(args, args.record)
     record = tracefile.read_calibrated_record(args.record)
     report = measure_record(config, record)
     tracefile.write_json_document(report.to_dict(), args.output)
@@ -125,7 +114,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_repeat(args) -> int:
-    config = _apply_overrides(_load_base_config(args), seed=args.seed)
+    config = _with_seed(_resolve_config(args), args.seed)
     result = repeatability_experiment(config, n_runs=args.runs,
                                       force_ambiguity_runs=args.force_ambiguity)
     results_path = f"{args.output}.results.json"
@@ -150,7 +139,7 @@ def cmd_repeat(args) -> int:
 
 
 def cmd_linearity(args) -> int:
-    config = _apply_overrides(_load_base_config(args), seed=args.seed)
+    config = _with_seed(_resolve_config(args), args.seed)
     result = linearity_experiment(config, step=args.step_size * 1e-9,
                                   n_steps=args.steps)
     results_path = f"{args.output}.results.json"
@@ -195,8 +184,6 @@ def build_parser() -> _Parser:
     cal.add_argument("--config", help="override the embedded config")
     cal.add_argument("--output", required=True,
                      help="prefix for .calibration.txt and .record.txt")
-    cal.add_argument("--grid-step", type=float,
-                     help="resampling grid step in nm")
     cal.set_defaults(func=cmd_calibrate)
 
     mea = sub.add_parser("measure",
@@ -204,8 +191,6 @@ def build_parser() -> _Parser:
     mea.add_argument("record", help="calibrated record from calibrate")
     mea.add_argument("--config", help="override the embedded config")
     mea.add_argument("--output", required=True, help="report JSON to write")
-    mea.add_argument("--expected-peaks", type=int,
-                     help="expected separation count")
     mea.set_defaults(func=cmd_measure)
 
     rep = sub.add_parser("repeat", help="repeatability study over seeded runs")

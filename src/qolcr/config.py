@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qolcr.errors import ConfigError
-from qolcr.model import PumpReference, Sample, Spectrum
+from qolcr.model import BandpassSpec, PumpReference, Sample, Spectrum
 from qolcr.scan import NoiseModel, StageModel
 
 DEFAULT_CONFIG = {
@@ -63,8 +63,7 @@ DEFAULT_CONFIG = {
 class PipelineParams:
     """Processing knobs carried alongside the physical configuration."""
 
-    filter_relative_bandwidth: float
-    filter_num_taps: int
+    bandpass: BandpassSpec       # the carrier filter, built from the filter_* keys
     grid_step: float | None
     expected_peaks: int
     phase_method: str
@@ -248,10 +247,14 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("pipeline.phase_method must be 'analytic' or 'crossings'")
     grid_step_nm = _number(pipe_raw, "pipeline", "grid_step_nm",
                            positive=True, allow_none=True)
+    bandwidth = _number(pipe_raw, "pipeline", "filter_relative_bandwidth")
+    num_taps = _integer(pipe_raw, "pipeline", "filter_num_taps")
+    try:
+        bandpass = BandpassSpec.for_pump(pump, bandwidth, num_taps)
+    except ConfigError as exc:
+        raise ConfigError(f"pipeline.filter_{exc}") from exc
     pipeline = PipelineParams(
-        filter_relative_bandwidth=_number(
-            pipe_raw, "pipeline", "filter_relative_bandwidth", positive=True),
-        filter_num_taps=_integer(pipe_raw, "pipeline", "filter_num_taps", minimum=31),
+        bandpass=bandpass,
         grid_step=None if grid_step_nm is None else grid_step_nm * 1e-9,
         expected_peaks=_integer(pipe_raw, "pipeline", "expected_peaks", minimum=0),
         phase_method=method,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qolcr.calibration import (
-    BandpassSpec,
     CalibratedRecord,
     CalibrationMap,
     build_calibration,
@@ -40,12 +39,7 @@ def synthesize(config: RunConfig, run_index: int = 0) -> ScanTrace:
 
 def calibrate_trace(config: RunConfig, trace: ScanTrace) -> tuple[CalibrationMap, CalibratedRecord]:
     """Carrier extraction, phase calibration, and uniform resampling."""
-    spec = BandpassSpec.for_pump(
-        config.pump,
-        relative_bandwidth=config.pipeline.filter_relative_bandwidth,
-        num_taps=config.pipeline.filter_num_taps,
-    )
-    carrier = extract_tpi(trace, spec)
+    carrier = extract_tpi(trace, config.pipeline.bandpass)
     phase = extract_phase(carrier, method=config.pipeline.phase_method)
     calibration = build_calibration(phase, config.pump)
     record = resample_intensity(trace, calibration, grid_step=config.pipeline.grid_step)
@@ -73,7 +67,6 @@ class RepeatabilityResult:
 
     n_runs: int
     estimates: list          # separations of included (non-flagged) runs, m
-    std_dev: float           # sample standard deviation over estimates, m
     outlier_count: int
     seed_ledger: list        # per-run dict: seeds, separation, flags
     failures: list = field(default_factory=list)
@@ -85,6 +78,11 @@ class RepeatabilityResult:
     @property
     def included_count(self) -> int:
         return len(self.estimates)
+
+    @property
+    def std_dev(self) -> float:
+        """Sample (n-1) standard deviation over the estimates, m; 0 below two."""
+        return float(np.std(self.estimates, ddof=1)) if len(self.estimates) >= 2 else 0.0
 
     def to_dict(self) -> dict:
         """Results document; a "summary" block is added when any run is included."""
@@ -101,11 +99,10 @@ class RepeatabilityResult:
             "std_convention": "sample (n-1)",
         }
         if self.estimates:
-            n = self.included_count
             doc["summary"] = {
-                "n": n,
+                "n": self.included_count,
                 "mean_m": doc["mean_m"],
-                "std_dev_m": float(np.std(self.estimates, ddof=1)) if n >= 2 else 0.0,
+                "std_dev_m": doc["std_dev_m"],
                 "min_m": min(self.estimates),
                 "max_m": max(self.estimates),
                 "outliers_excluded": self.outlier_count,
@@ -125,6 +122,8 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
     """
     if n_runs < 2:
         raise ConfigError("repeatability needs at least 2 runs")
+    if config.pipeline.expected_peaks < 1:
+        raise ConfigError("pipeline.expected_peaks must be at least 1 to repeat a separation")
     forced = {int(i) for i in force_ambiguity_runs}
     bad = {i for i in forced if not 0 <= i < n_runs}
     if bad:
@@ -160,9 +159,8 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
         else:
             estimates.append(peak.separation)
 
-    std = float(np.std(estimates, ddof=1)) if len(estimates) >= 2 else 0.0
     return RepeatabilityResult(
-        n_runs=n_runs, estimates=estimates, std_dev=std,
+        n_runs=n_runs, estimates=estimates,
         outlier_count=outlier_count, seed_ledger=ledger, failures=failures,
     )
 
@@ -208,6 +206,8 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
         raise ConfigError("linearity step must be positive")
     if n_steps < 2:
         raise ConfigError("linearity needs at least 2 steps")
+    if config.pipeline.expected_peaks < 1:
+        raise ConfigError("pipeline.expected_peaks must be at least 1 to track a separation")
     travel = (n_steps - 1) * step
     gap = config.sample.min_gap()
     if travel >= gap / 2.0:

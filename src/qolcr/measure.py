@@ -44,6 +44,9 @@ MIN_CLUSTER_HEIGHT = 1e-3
 # zero-lag guard
 NOISE_FLOOR_FACTOR = 6.0
 
+# fewest lags a cluster window must hold for the envelope and phase fits
+MIN_CLUSTER_SAMPLES = 64
+
 
 @dataclass
 class Autocorrelogram:
@@ -154,7 +157,6 @@ class PeakEstimate:
 
     separation: float          # final value: the carrier-refined position
     envelope_vertex: float
-    carrier_refined: float
     uncertainty: float         # vertex standard error from the envelope fit
     outlier_flag: bool         # refinement moved > half a fringe from the vertex
     diagnostics: dict = field(default_factory=dict)
@@ -180,7 +182,7 @@ class MeasurementReport:
                 {
                     "separation_m": p.separation,
                     "envelope_vertex_m": p.envelope_vertex,
-                    "carrier_refined_m": p.carrier_refined,
+                    "carrier_refined_m": p.separation,
                     "uncertainty_m": p.uncertainty,
                     "outlier": bool(p.outlier_flag),
                     "diagnostics": dict(p.diagnostics),
@@ -204,6 +206,11 @@ def _cluster_parameters(acorr: Autocorrelogram):
     edge = np.argmin(above)  # first index below half max
     if edge == 0:
         raise PeakFitError("zero-lag cluster of the autocorrelogram is malformed")
+    # a cluster window spans 2 * 1.5 half-widths (envelope_halfwidth below)
+    if 3 * edge < MIN_CLUSTER_SAMPLES:
+        raise PeakFitError(
+            f"zero-lag half-width of only {edge} lag(s) leaves a cluster window under "
+            f"{MIN_CLUSTER_SAMPLES} lags: uncorrelated counting noise dominates the record")
     w_half = float(edge) * acorr.grid_step
     return {
         "w_half": w_half,
@@ -276,7 +283,7 @@ def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
     window = acorr.window(center, params["envelope_halfwidth"])
     analytic = acorr.analytic[window]
     lags = acorr.lags[window]
-    if len(analytic) < 64:
+    if len(analytic) < MIN_CLUSTER_SAMPLES:
         raise PeakFitError("cluster too close to the edge of the autocorrelogram")
     env = np.abs(analytic)
     phase = np.unwrap(np.angle(analytic))
@@ -305,7 +312,6 @@ def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
     return PeakEstimate(
         separation=refined,
         envelope_vertex=vertex,
-        carrier_refined=refined,
         uncertainty=sigma,
         outlier_flag=bool(outlier),
         diagnostics={

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qolcr.errors import ConfigError
+
 # exact by definition of the meter
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -169,6 +171,33 @@ class PumpReference:
                 "pump frequency is not twice the signal center frequency: "
                 f"omega_p={omega_p:.6e}, 2*omega0={2 * spectrum.center_frequency:.6e}"
             )
+
+
+@dataclass(frozen=True)
+class BandpassSpec:
+    """Band-pass prescription in cycles per meter of reported travel."""
+
+    center_frequency: float        # cycles per meter, 2 / lambda_p for the carrier
+    relative_bandwidth: float
+    num_taps: int                  # odd, symmetric FIR
+
+    def __post_init__(self):
+        # each message starts with the field name, which parse_config prefixes
+        if self.center_frequency <= 0:
+            raise ConfigError("center_frequency must be positive")
+        if not 0 < self.relative_bandwidth < 1:
+            raise ConfigError("relative_bandwidth must lie in (0, 1)")
+        if self.num_taps < 31 or self.num_taps % 2 == 0:
+            raise ConfigError("num_taps must be odd and at least 31")
+
+    @classmethod
+    def for_pump(cls, pump: PumpReference, relative_bandwidth, num_taps) -> "BandpassSpec":
+        return cls(2.0 / pump.wavelength, relative_bandwidth, num_taps)
+
+    @property
+    def band_edges(self) -> tuple[float, float]:
+        half = 0.5 * self.relative_bandwidth * self.center_frequency
+        return (self.center_frequency - half, self.center_frequency + half)
 
 
 def spectrum_density(spectrum: Spectrum, detuning):

@@ -79,18 +79,6 @@ def _shift_exponents(tokens, shift: int) -> list:
             in (token.replace("E", "e").rpartition("e") for token in tokens)]
 
 
-def encode_position_um(meters: float) -> str:
-    """Render a meters float as its exact value in micrometres."""
-    if not np.isfinite(meters):
-        raise ValueError(f"cannot encode non-finite position {meters!r}")
-    return _shift_exponents([f"{float(meters):.16e}"], _UM_EXPONENT)[0]
-
-
-def decode_position_um(token: str) -> float:
-    """Parse a micrometre token back to the meters float it came from."""
-    return float(_shift_exponents([token], -_UM_EXPONENT)[0])
-
-
 # ---------------------------------------------------------------------------
 # shared writing machinery
 

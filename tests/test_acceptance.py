@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from qolcr.calibration import (
-    BandpassSpec,
     CalibratedRecord,
     design_bandpass,
     extract_phase,
@@ -168,7 +167,7 @@ def test_07_tpi_frequency_matches_pump():
     t0 = time.perf_counter()
     config = default_config()
     trace = synthesize(config)
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(config.pump))
+    carrier = extract_tpi(trace, config.pipeline.bandpass)
     phase = extract_phase(carrier)
     use = phase.filter_valid & phase.quality_mask
     slope = np.polyfit(trace.truth.true_d[use], phase.unwrapped_phase[use], 1)[0]
@@ -203,7 +202,7 @@ def test_08_invariance_suite():
     ):
         assert np.max(np.abs(np.asarray(transformed) - np.asarray(base))) < 1e-12
 
-    taps = design_bandpass(BandpassSpec.for_pump(config.pump), record.grid_step)
+    taps = design_bandpass(config.pipeline.bandpass, record.grid_step)
     rng = np.random.default_rng(7)
     x = rng.normal(size=20000)
     y = rng.normal(size=20000)

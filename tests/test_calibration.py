@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from scipy.fft import rfft
 from scipy.signal import hilbert
 
 from qolcr.calibration import (
-    BandpassSpec,
     CalibrationMap,
     PhaseTrace,
     analytic_from_spectrum,
@@ -34,6 +34,7 @@ LAMBDA_P = 405e-9
 SPACING = 5e-9
 CARRIER_FREQ = 2.0 / LAMBDA_P       # cycles per meter of mirror travel
 PUMP = PumpReference(LAMBDA_P)
+BANDPASS = default_config().pipeline.bandpass   # the carrier filter the pipeline runs
 
 
 def carrier_trace(n=60000, amplitude=500.0, baseline=4000.0, phi0=0.3,
@@ -82,14 +83,14 @@ def distorted_trace():
 
 
 def test_taps_are_symmetric_linear_phase():
-    spec = BandpassSpec.for_pump(PUMP)
+    spec = BANDPASS
     taps = design_bandpass(spec, SPACING)
     assert len(taps) == 2001
     assert np.array_equal(taps, taps[::-1])
 
 
 def test_filter_passes_carrier_tone_with_zero_phase():
-    spec = BandpassSpec.for_pump(PUMP)
+    spec = BANDPASS
     taps = design_bandpass(spec, SPACING)
     d = np.arange(40000) * SPACING
     tone = np.cos(2.0 * math.pi * CARRIER_FREQ * d + 0.7)
@@ -99,7 +100,7 @@ def test_filter_passes_carrier_tone_with_zero_phase():
 
 
 def test_filter_blocks_dc_and_fringe_band():
-    spec = BandpassSpec.for_pump(PUMP)
+    spec = BANDPASS
     taps = design_bandpass(spec, SPACING)
     d = np.arange(40000) * SPACING
     interior = slice(2000, 38000)
@@ -115,20 +116,20 @@ def test_filter_blocks_dc_and_fringe_band():
 
 def test_design_rejects_impossible_specs():
     with pytest.raises(ConfigError):
-        design_bandpass(BandpassSpec(CARRIER_FREQ, num_taps=31), SPACING)
+        design_bandpass(replace(BANDPASS, num_taps=31), SPACING)
     with pytest.raises(ConfigError):
         # band edge beyond Nyquist for a coarse grid
-        design_bandpass(BandpassSpec.for_pump(PUMP), 150e-9)
+        design_bandpass(BANDPASS, 150e-9)
     with pytest.raises(ConfigError):
-        BandpassSpec(CARRIER_FREQ, num_taps=100)  # even tap count
+        replace(BANDPASS, num_taps=100)  # even tap count
     with pytest.raises(ConfigError):
-        BandpassSpec(CARRIER_FREQ, relative_bandwidth=1.5)
+        replace(BANDPASS, relative_bandwidth=1.5)
     with pytest.raises(ConfigError):
-        BandpassSpec(-1.0)
+        replace(BANDPASS, center_frequency=-1.0)
 
 
 def test_white_noise_gain_matches_tap_energy():
-    spec = BandpassSpec.for_pump(PUMP)
+    spec = BANDPASS
     taps = design_bandpass(spec, SPACING)
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.0, 300000)
@@ -138,7 +139,7 @@ def test_white_noise_gain_matches_tap_energy():
 
 
 def test_filter_is_linear_to_float_precision():
-    spec = BandpassSpec.for_pump(PUMP)
+    spec = BANDPASS
     taps = design_bandpass(spec, SPACING)
     rng = np.random.default_rng(4)
     x = rng.normal(0.0, 1.0, 20000)
@@ -153,7 +154,7 @@ def test_filter_is_linear_to_float_precision():
 @settings(max_examples=15, deadline=None)
 @given(rel=st.floats(-0.03, 0.03), phi=st.floats(0.0, 2.0 * math.pi))
 def test_filter_flat_over_carrier_neighborhood(rel, phi):
-    spec = BandpassSpec.for_pump(PUMP)
+    spec = BANDPASS
     taps = design_bandpass(spec, SPACING)
     d = np.arange(20000) * SPACING
     f = CARRIER_FREQ * (1.0 + rel)
@@ -170,7 +171,7 @@ def test_filter_flat_over_carrier_neighborhood(rel, phi):
 
 def test_extract_tpi_passes_pure_carrier():
     trace = carrier_trace()
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
+    carrier = extract_tpi(trace, BANDPASS)
     d = trace.reported_d
     truth = 500.0 * np.cos(2.0 * math.pi * CARRIER_FREQ * d + 0.3)
     sel = carrier.valid
@@ -180,7 +181,7 @@ def test_extract_tpi_passes_pure_carrier():
 
 
 def test_extract_tpi_from_full_coincidence_model(identity_trace):
-    carrier = extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP))
+    carrier = extract_tpi(identity_trace, BANDPASS)
     truth = identity_trace.truth.pair_carrier
     sel = carrier.valid
     resid = carrier.values[sel] - truth[sel]
@@ -190,7 +191,7 @@ def test_extract_tpi_from_full_coincidence_model(identity_trace):
 
 def test_extract_tpi_edge_exclusion_width():
     trace = carrier_trace(n=20000)
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
+    carrier = extract_tpi(trace, BANDPASS)
     half = (carrier.spec.num_taps - 1) // 2
     assert not carrier.valid[:half].any()
     assert not carrier.valid[-half:].any()
@@ -201,7 +202,7 @@ def test_extract_tpi_rejects_too_short_trace():
     # shorter than twice the half-filter edge exclusion of 1000 samples
     trace = carrier_trace(n=1500)
     with pytest.raises(CalibrationQualityError):
-        extract_tpi(trace, BandpassSpec.for_pump(PUMP))
+        extract_tpi(trace, BANDPASS)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +217,14 @@ def test_analytic_from_spectrum_matches_hilbert(n):
 
 def test_analytic_from_spectrum_matches_hilbert_on_default_carrier():
     config = default_config()
-    carrier = extract_tpi(synthesize(config), BandpassSpec.for_pump(config.pump))
+    carrier = extract_tpi(synthesize(config), config.pipeline.bandpass)
     x = carrier.values
     assert np.array_equal(analytic_from_spectrum(rfft(x), len(x)), hilbert(x))
 
 
 def test_phase_slope_matches_carrier_frequency():
     trace = carrier_trace()
-    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(trace, BANDPASS))
     sel = phase.quality_mask
     slope = float(np.polyfit(phase.reported_d[sel], phase.unwrapped_phase[sel], 1)[0])
     assert abs(slope / (2.0 * math.pi * CARRIER_FREQ) - 1.0) < 1e-4
@@ -231,7 +232,7 @@ def test_phase_slope_matches_carrier_frequency():
 
 def test_phase_unharmed_by_amplitude_modulation():
     trace = carrier_trace(am=(0.3, 50e-6))
-    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(trace, BANDPASS))
     sel = phase.quality_mask
     d = phase.reported_d[sel]
     expected = 2.0 * math.pi * CARRIER_FREQ * d
@@ -247,7 +248,7 @@ def test_phase_masks_low_amplitude_stretch():
     coincidence = 4000.0 + 500.0 * dip * np.cos(2.0 * math.pi * CARRIER_FREQ * d)
     trace = ScanTrace(reported_d=d, intensity=np.full(n, 1000.0),
                       coincidence=coincidence, spacing=SPACING)
-    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(trace, BANDPASS))
     center = int(round(150e-6 / SPACING))
     assert not phase.quality_mask[center]
     assert phase.quality_mask[center - 4000]
@@ -262,12 +263,12 @@ def test_phase_raises_when_carrier_mostly_weak():
     trace = ScanTrace(reported_d=d, intensity=np.full(n, 1000.0),
                       coincidence=coincidence, spacing=SPACING)
     with pytest.raises(CalibrationQualityError):
-        extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
+        extract_phase(extract_tpi(trace, BANDPASS))
 
 
 def test_crossing_phase_agrees_with_analytic():
     trace = carrier_trace(am=(0.1, 70e-6))
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
+    carrier = extract_tpi(trace, BANDPASS)
     analytic = extract_phase(carrier, method="analytic")
     crossings = extract_phase(carrier, method="crossings")
     sel = analytic.quality_mask & crossings.quality_mask
@@ -281,7 +282,7 @@ def test_crossing_phase_agrees_with_analytic():
 
 def test_phase_rejects_unknown_method():
     trace = carrier_trace(n=20000)
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(PUMP))
+    carrier = extract_tpi(trace, BANDPASS)
     with pytest.raises(ConfigError):
         extract_phase(carrier, method="wavelet")
 
@@ -291,14 +292,14 @@ def test_phase_rejects_unknown_method():
 
 
 def test_identity_stage_correction_is_constant(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     corr = cal.correction()
     assert corr.max() - corr.min() < 0.5e-9
 
 
 def test_distorted_stage_round_trip_under_1nm(distorted_trace):
-    phase = extract_phase(extract_tpi(distorted_trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(distorted_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     true_d = distorted_trace.truth.true_d
     # compare at the knots: reported knots are a subset of the scan grid
@@ -315,14 +316,14 @@ def test_distorted_stage_round_trip_under_1nm(distorted_trace):
 def test_scale_error_recovered_in_map_slope():
     stage = StageModel(velocity=500e-9, sample_rate=100.0, scale_error=1e-3)
     trace = simulate(stage=stage)
-    phase = extract_phase(extract_tpi(trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     slope = float(np.polyfit(cal.reported, cal.calibrated, 1)[0])
     assert abs(slope - 1.001) < 1e-5
 
 
 def test_map_anchor_pins_midpoint(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     anchor = cal.quality["anchor_reported_d"]
     k = int(np.argmin(np.abs(cal.reported - anchor)))
@@ -385,7 +386,7 @@ def test_build_calibration_rejects_phase_reversal():
 
 
 def test_resample_identity_is_near_noop(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     record = resample_intensity(identity_trace, cal)
     # identity calibration: the resampled grid lands on the original one
@@ -409,7 +410,7 @@ def test_resample_restores_fringe_frequency(distorted_trace):
                                  distorted_trace.reported_d, 9.886e-6, 3e-6)
     assert abs(raw / target - 1.0) > 5e-4      # distorted axis lies
 
-    phase = extract_phase(extract_tpi(distorted_trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(distorted_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     record = resample_intensity(distorted_trace, cal)
     fixed = local_fringe_frequency(record.intensity, record.positions, 9.886e-6, 3e-6)
@@ -417,7 +418,7 @@ def test_resample_restores_fringe_frequency(distorted_trace):
 
 
 def test_resample_grid_step_override(identity_trace):
-    phase = extract_phase(extract_tpi(identity_trace, BandpassSpec.for_pump(PUMP)))
+    phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
     record = resample_intensity(identity_trace, cal, grid_step=2.5e-9)
     steps = np.diff(record.positions)

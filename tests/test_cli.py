@@ -19,7 +19,7 @@ from qolcr.tracefile import (
 
 
 def config_file(tmp_path, name="config.json", surfaces=((0.6, 30.0), (0.6, 90.0)),
-                stop_um=120.0, identity=True, noise=False):
+                stop_um=120.0, identity=True, noise=False, pipeline=None):
     raw = copy.deepcopy(DEFAULT_CONFIG)
     raw["sample"]["surfaces"] = [
         {"reflectivity": r, "position_um": z} for r, z in surfaces]
@@ -29,6 +29,7 @@ def config_file(tmp_path, name="config.json", surfaces=((0.6, 30.0), (0.6, 90.0)
                             drift_step_nm=0.0)
     if not noise:
         raw["noise"] = None
+    raw["pipeline"].update(pipeline or {})
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
@@ -82,6 +83,19 @@ def test_simulate_rejects_invalid_config(tmp_path, capsys):
     assert "sample.surfaces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("filter_num_taps", 2000),
+    ("filter_relative_bandwidth", 1.5),
+])
+def test_simulate_rejects_bad_filter_settings(tmp_path, capsys, field, value):
+    # the carrier filter is checked at load, before a trace is written
+    bad = config_file(tmp_path, "bad.json", pipeline={field: value})
+    out = tmp_path / "x.txt"
+    assert main(["simulate", "--config", str(bad), "--output", str(out)]) == 1
+    assert f"pipeline.{field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path):
     cfg = config_file(tmp_path, noise=True, identity=False)
     a, b, c = (tmp_path / n for n in ("a.txt", "b.txt", "c.txt"))
@@ -129,8 +143,7 @@ def test_measure_insufficient_peaks_is_quality_failure(tmp_path, capsys):
     assert main(["calibrate", str(trace_path),
                  "--output", str(tmp_path / "single")]) == 0
     code = main(["measure", str(tmp_path / "single.record.txt"),
-                 "--output", str(tmp_path / "r.json"),
-                 "--expected-peaks", "1"])
+                 "--output", str(tmp_path / "r.json")])
     assert code == 2
     assert "quality" in capsys.readouterr().err
 
@@ -274,10 +287,19 @@ def test_linearity_command_smoke(tmp_path, capsys):
 
 def test_grid_step_override_changes_record(tmp_path):
     cfg = config_file(tmp_path)
+    coarse = config_file(tmp_path, "coarse.json", pipeline={"grid_step_nm": 10.0})
     trace_path = tmp_path / "scan.txt"
     assert main(["simulate", "--config", str(cfg),
                  "--output", str(trace_path)]) == 0
-    assert main(["calibrate", str(trace_path), "--grid-step", "10.0",
+    assert main(["calibrate", str(trace_path), "--config", str(coarse),
                  "--output", str(tmp_path / "coarse")]) == 0
     record = read_calibrated_record(tmp_path / "coarse.record.txt")
     assert record.grid_step == pytest.approx(10e-9)
+
+
+@pytest.mark.parametrize("command", [["repeat", "--runs", "2"], ["linearity", "--steps", "2"]])
+def test_batch_commands_reject_zero_expected_peaks(tmp_path, capsys, command):
+    cfg = config_file(tmp_path, pipeline={"expected_peaks": 0})
+    code = main([*command, "--config", str(cfg), "--output", str(tmp_path / "b")])
+    assert code == 1
+    assert "pipeline.expected_peaks" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 
 from qolcr.config import DEFAULT_CONFIG, default_config, load_config, parse_config
 from qolcr.errors import ConfigError
+from qolcr.model import BandpassSpec
 
 
 def tweaked(**sections):
@@ -34,6 +35,7 @@ def test_default_config_parses_to_si():
     assert cfg.scan_range == (0.0, 300e-6)
     assert cfg.pipeline.expected_peaks == 1
     assert cfg.pipeline.grid_step is None
+    assert cfg.pipeline.bandpass == BandpassSpec(2.0 / cfg.pump.wavelength, 0.2, 2001)
     assert cfg.master_seed == DEFAULT_CONFIG["seeds"]["master"]
 
 
@@ -69,6 +71,9 @@ def test_invalid_json_raises_config_error(tmp_path):
     (tweaked(pipeline={"filter_num_taps": 10}), "filter_num_taps"),
     (tweaked(seeds={"master": -3}), "seeds.master"),
     (tweaked(noise={"singles_scale": True}), "noise.singles_scale"),
+    (tweaked(pipeline={"filter_num_taps": 2000}), "pipeline.filter_num_taps"),
+    (tweaked(pipeline={"filter_relative_bandwidth": 1.5}),
+     "pipeline.filter_relative_bandwidth"),
 ])
 def test_field_level_messages(raw, needle):
     with pytest.raises(ConfigError) as err:

@@ -113,6 +113,13 @@ def test_repeatability_rejects_bad_arguments(clean_config):
         repeatability_experiment(clean_config, n_runs=3, force_ambiguity_runs=(5,))
 
 
+def test_repeatability_needs_an_expected_peak():
+    # each run's first separation is the study's sample, so expecting none
+    # is a configuration error raised before any run
+    with pytest.raises(ConfigError, match="pipeline.expected_peaks"):
+        repeatability_experiment(make_config(expected_peaks=0), n_runs=2)
+
+
 def test_linearity_noise_free_identity(clean_config):
     res = linearity_experiment(clean_config, step=50e-9, n_steps=3)
     assert res.step_size == 50e-9
@@ -158,6 +165,11 @@ def test_linearity_rejects_bad_arguments(clean_config):
         linearity_experiment(clean_config, step=20e-6, n_steps=10)
 
 
+def test_linearity_needs_an_expected_peak():
+    with pytest.raises(ConfigError, match="pipeline.expected_peaks"):
+        linearity_experiment(make_config(expected_peaks=0), step=50e-9, n_steps=2)
+
+
 def test_linearity_to_dict_round_trip(clean_config):
     res = linearity_experiment(clean_config, step=50e-9, n_steps=2)
     doc = res.to_dict()
@@ -169,7 +181,7 @@ def test_linearity_to_dict_round_trip(clean_config):
 def summary_of(estimates, outlier_count=0):
     result = RepeatabilityResult(
         n_runs=len(estimates) + outlier_count, estimates=list(estimates),
-        std_dev=0.0, outlier_count=outlier_count, seed_ledger=[])
+        outlier_count=outlier_count, seed_ledger=[])
     return result.to_dict().get("summary")
 
 
@@ -186,3 +198,11 @@ def test_summarize_conventions():
     stats = summary_of([1.0, 2.0, 3.0], outlier_count=2)
     assert stats["outliers_excluded"] == 2
     assert summary_of([], outlier_count=2) is None
+
+
+def test_std_dev_follows_estimates():
+    result = RepeatabilityResult(n_runs=3, estimates=[100.0e-9, 102.0e-9, 104.0e-9],
+                                 outlier_count=0, seed_ledger=[])
+    assert result.std_dev == pytest.approx(2.0e-9, rel=1e-12)
+    doc = result.to_dict()
+    assert doc["std_dev_m"] == doc["summary"]["std_dev_m"] == result.std_dev

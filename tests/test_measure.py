@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 from scipy.signal import hilbert
 
 from qolcr.calibration import (
-    BandpassSpec,
     CalibratedRecord,
     build_calibration,
     extract_phase,
     extract_tpi,
     resample_intensity,
 )
+from qolcr.config import DEFAULT_CONFIG, default_config, parse_config
+from qolcr.experiments import run_pipeline as run_seeded
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 from qolcr.measure import (
     MIN_OVERLAP,
@@ -36,6 +38,7 @@ LAMBDA_0 = 810e-9
 LAMBDA_P = 405e-9
 TRUE_SEPARATION = 290.114e-6 - 9.886e-6
 GRID = 5e-9
+BANDPASS = default_config().pipeline.bandpass   # the carrier filter the pipeline runs
 
 
 def synthetic_record(n=4096, step=GRID, seed=11, packets=((3e-6, 900.0), (15e-6, 700.0))):
@@ -56,7 +59,7 @@ def run_pipeline(sample_rate=100.0, noise=None, grid_step=None):
     stage = StageModel(velocity=500e-9, sample_rate=sample_rate)
     trace = simulate_scan(sample, spectrum, pump, stage, noise=noise,
                           scan_range=(0.0, 300e-6))
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(pump))
+    carrier = extract_tpi(trace, BANDPASS)
     phase = extract_phase(carrier)
     calibration = build_calibration(phase, pump)
     return resample_intensity(trace, calibration, grid_step=grid_step)
@@ -310,12 +313,27 @@ def test_single_surface_record_has_no_cluster():
     stage = StageModel(velocity=500e-9, sample_rate=100.0)
     trace = simulate_scan(sample, spectrum, pump, stage, noise=None,
                           scan_range=(0.0, 300e-6))
-    carrier = extract_tpi(trace, BandpassSpec.for_pump(pump))
+    carrier = extract_tpi(trace, BANDPASS)
     calibration = build_calibration(extract_phase(carrier), pump)
     record = resample_intensity(trace, calibration)
     acorr = autocorrelate(record)
     with pytest.raises(PeakCountError):
         estimate_separations(acorr, expected_count=1)
+
+
+def test_white_noise_zero_lag_is_too_narrow_for_a_cluster_window():
+    acorr = autocorrelate(synthetic_record(packets=()))
+    with pytest.raises(PeakFitError, match="counting noise dominates"):
+        _cluster_parameters(acorr)
+
+
+def test_noise_swamped_record_names_the_cause():
+    # at singles_scale 100 uncorrelated counting noise dominates lag 0, so
+    # the zero-lag cluster is a few lags wide, not ~1300
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    raw["noise"]["singles_scale"] = 100.0
+    with pytest.raises(PeakFitError, match="counting noise dominates"):
+        run_seeded(parse_config(raw), run_index=0)
 
 
 def test_report_is_sorted_and_json_ready(standard_acorr):
@@ -325,6 +343,7 @@ def test_report_is_sorted_and_json_ready(standard_acorr):
     parsed = json.loads(doc)
     assert parsed["expected_count"] == 1
     assert parsed["peaks"][0]["outlier"] is False
+    assert parsed["peaks"][0]["carrier_refined_m"] == parsed["peaks"][0]["separation_m"]
 
 
 # ---------------------------------------------------------------------------

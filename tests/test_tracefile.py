@@ -16,8 +16,6 @@ from qolcr.errors import ConfigError, TraceParseError
 from qolcr.experiments import calibrate_trace, synthesize
 from qolcr.scan import ScanTrace, ScanTruth
 from qolcr.tracefile import (
-    decode_position_um,
-    encode_position_um,
     read_calibrated_record,
     read_calibration_table,
     read_embedded_config,
@@ -47,34 +45,17 @@ def trace_and_config():
 
 
 # ---------------------------------------------------------------------------
-# position encoding
-
-
-@given(st.floats(min_value=1e-12, max_value=1.0))
-@settings(max_examples=300, deadline=None)
-def test_position_encoding_is_bit_faithful(x):
-    assert decode_position_um(encode_position_um(x)) == x
-
-
-def test_position_encoding_examples():
-    # the token is the micrometre-scaled decimal of the float
-    token = encode_position_um(280.228e-6)
-    assert token.endswith("e+02")
-    assert float(token) == pytest.approx(280.228, abs=1e-12)
-    assert decode_position_um("280.228") == pytest.approx(280.228e-6)
-    assert decode_position_um(encode_position_um(0.0)) == 0.0
-    assert decode_position_um(encode_position_um(-5e-9)) == -5e-9
-    with pytest.raises(ValueError):
-        encode_position_um(float("nan"))
-
-
-# ---------------------------------------------------------------------------
 # per-value reference rendering: the writer must reproduce it byte for byte
 
 
 def reference_encode_um(meters):
     mantissa, exponent = f"{float(meters):.16e}".split("e")
     return f"{mantissa}e{int(exponent) + 6:+03d}"
+
+
+def reference_decode_um(token):
+    """Meters from a micrometre token: an exact decimal shift, then one rounding."""
+    return float(Decimal(token).scaleb(-6))
 
 
 def reference_rows(columns, arrays):
@@ -160,7 +141,6 @@ def assert_awkward_round_trip(path, values):
 
 @pytest.mark.parametrize("value", AWKWARD_VALUES)
 def test_awkward_values_through_the_columns(tmp_path, value):
-    assert encode_position_um(value) == reference_encode_um(value)
     assert_awkward_round_trip(tmp_path / "awkward.txt", [value, value, 1.0])
 
 
@@ -186,8 +166,7 @@ def test_reader_accepts_plain_and_uppercase_micrometre_tokens(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     back = read_trace(path)
     assert back.reported_d.tobytes() == trace.reported_d.tobytes()
-    assert list(back.reported_d) == [decode_position_um(t) for t in tokens]
-    assert decode_position_um("280.228") == decode_position_um("2.80228E+02")
+    assert list(back.reported_d) == [reference_decode_um(t) for t in tokens]
 
 
 # ---------------------------------------------------------------------------
