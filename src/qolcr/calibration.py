@@ -38,8 +38,8 @@ _KAISER_BETA = 8.96          # ~90 dB design
 AMPLITUDE_FLOOR_RATIO = 0.2
 MAX_BAD_FRACTION = 0.10
 
-# share of the filter-valid scan that must carry usable phase
-MIN_VALID_FRACTION = 0.9
+# knots per end over which the calibration map fits its extrapolation slope
+EDGE_FIT_KNOTS = 2000
 
 
 def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
@@ -102,7 +102,6 @@ class FilteredCarrier:
     values: np.ndarray
     valid: np.ndarray            # False within half a filter length of the ends
     reported_d: np.ndarray
-    spec: BandpassSpec
 
 
 def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
@@ -122,9 +121,7 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
             f"edge exclusion of 2 x {half}"
         )
     valid[half:len(filtered) - half] = True
-    return FilteredCarrier(
-        values=filtered, valid=valid, reported_d=trace.reported_d, spec=spec,
-    )
+    return FilteredCarrier(values=filtered, valid=valid, reported_d=trace.reported_d)
 
 
 def analytic_from_spectrum(half: np.ndarray, n: int) -> np.ndarray:
@@ -145,8 +142,7 @@ class PhaseTrace:
 
     unwrapped_phase: np.ndarray
     amplitude: np.ndarray
-    quality_mask: np.ndarray     # True where the phase is trustworthy
-    filter_valid: np.ndarray     # True outside the filter edge exclusion
+    quality_mask: np.ndarray     # True where the phase is trustworthy; False in the filter edges
     reported_d: np.ndarray
 
 
@@ -178,10 +174,8 @@ def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTr
             f"carrier amplitude below floor over {bad:.1%} of the scan "
             f"(allowed {MAX_BAD_FRACTION:.0%}); weak pair-interference signal"
         )
-    return PhaseTrace(
-        unwrapped_phase=phase, amplitude=amplitude, quality_mask=mask,
-        filter_valid=carrier.valid.copy(), reported_d=carrier.reported_d,
-    )
+    return PhaseTrace(unwrapped_phase=phase, amplitude=amplitude, quality_mask=mask,
+                      reported_d=carrier.reported_d)
 
 
 def _phase_from_crossings(carrier: FilteredCarrier):
@@ -222,13 +216,12 @@ class CalibrationMap:
 
     Knots cover the filter-valid part of the scan; evaluation interpolates
     linearly between knots and extrapolates linearly outside them with end
-    slopes fitted over `edge_fit` knots (single-pair slopes would inherit
-    too much phase noise).
+    slopes fitted over EDGE_FIT_KNOTS knots (single-pair slopes would
+    inherit too much phase noise).
     """
 
     reported: np.ndarray
     calibrated: np.ndarray
-    edge_fit: int = 2000
     quality: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -247,7 +240,7 @@ class CalibrationMap:
         self._hi_slope = self._end_slope(-1)
 
     def _end_slope(self, which: int) -> float:
-        n = min(self.edge_fit, len(self.reported) // 4)
+        n = min(EDGE_FIT_KNOTS, len(self.reported) // 4)
         n = max(n, 2)
         sel = slice(0, n) if which == 0 else slice(-n, None)
         x = self.reported[sel]
@@ -289,12 +282,6 @@ def build_calibration(phase: PhaseTrace, pump: PumpReference) -> CalibrationMap:
     idx = np.nonzero(mask)[0]
     if len(idx) < 16:
         raise CalibrationQualityError("too few valid phase samples to calibrate")
-    coverage = len(idx) / max(int(phase.filter_valid.sum()), 1)
-    if coverage < MIN_VALID_FRACTION:
-        raise CalibrationQualityError(
-            f"only {coverage:.1%} of the filter-valid scan has usable phase, "
-            f"need {MIN_VALID_FRACTION:.0%}"
-        )
     scale = pump.wavelength / (4.0 * math.pi)
     phi = phase.unwrapped_phase[idx]
     if np.any(np.diff(phi) <= 0):

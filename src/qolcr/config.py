@@ -10,6 +10,7 @@ and reloaded for byte-identical reruns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,7 +141,12 @@ def _number(section: dict, section_name: str, key: str, *,
         raise ConfigError(f"{section_name}.{key} is required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section_name}.{key} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:    # a JSON integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{section_name}.{key} must be a finite number")
     if positive and value <= 0:
         raise ConfigError(f"{section_name}.{key} must be positive")
     if nonnegative and value < 0:

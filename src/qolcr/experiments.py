@@ -65,15 +65,24 @@ def run_pipeline(config: RunConfig, run_index: int = 0,
 class RepeatabilityResult:
     """Separation statistics over repeated seeded runs of one configuration."""
 
-    n_runs: int
-    estimates: list          # separations of included (non-flagged) runs, m
-    outlier_count: int
-    seed_ledger: list        # per-run dict: seeds, separation, flags
-    failures: list = field(default_factory=list)
+    seed_ledger: list        # per-run dict: seeds, then separation and flag, or error
 
-    def __post_init__(self):
-        if self.outlier_count + len(self.estimates) + len(self.failures) != self.n_runs:
-            raise ConfigError("repeatability bookkeeping does not add up")
+    @property
+    def n_runs(self) -> int:
+        return len(self.seed_ledger)
+
+    @property
+    def estimates(self) -> list:
+        """Separations of the included (non-flagged) runs, m."""
+        return [e["separation_m"] for e in self.seed_ledger if e.get("outlier") is False]
+
+    @property
+    def outlier_count(self) -> int:
+        return sum(e.get("outlier") is True for e in self.seed_ledger)
+
+    @property
+    def failures(self) -> list:
+        return [e for e in self.seed_ledger if "error" in e]
 
     @property
     def included_count(self) -> int:
@@ -82,30 +91,32 @@ class RepeatabilityResult:
     @property
     def std_dev(self) -> float:
         """Sample (n-1) standard deviation over the estimates, m; 0 below two."""
-        return float(np.std(self.estimates, ddof=1)) if len(self.estimates) >= 2 else 0.0
+        estimates = self.estimates
+        return float(np.std(estimates, ddof=1)) if len(estimates) >= 2 else 0.0
 
     def to_dict(self) -> dict:
         """Results document; a "summary" block is added when any run is included."""
+        estimates = self.estimates
         doc = {
             "n_runs": self.n_runs,
-            "included_count": self.included_count,
+            "included_count": len(estimates),
             "outlier_count": self.outlier_count,
             "failure_count": len(self.failures),
-            "estimates_m": list(self.estimates),
+            "estimates_m": estimates,
             "std_dev_m": self.std_dev,
-            "mean_m": float(np.mean(self.estimates)) if self.estimates else None,
+            "mean_m": float(np.mean(estimates)) if estimates else None,
             "seed_ledger": list(self.seed_ledger),
-            "failures": list(self.failures),
+            "failures": self.failures,
             "std_convention": "sample (n-1)",
         }
-        if self.estimates:
+        if estimates:
             doc["summary"] = {
-                "n": self.included_count,
+                "n": len(estimates),
                 "mean_m": doc["mean_m"],
                 "std_dev_m": doc["std_dev_m"],
-                "min_m": min(self.estimates),
-                "max_m": max(self.estimates),
-                "outliers_excluded": self.outlier_count,
+                "min_m": min(estimates),
+                "max_m": max(estimates),
+                "outliers_excluded": doc["outlier_count"],
                 "std_convention": "sample (n-1)",
             }
         return doc
@@ -122,18 +133,15 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
     """
     if n_runs < 2:
         raise ConfigError("repeatability needs at least 2 runs")
-    if config.pipeline.expected_peaks < 1:
-        raise ConfigError("pipeline.expected_peaks must be at least 1 to repeat a separation")
+    if config.pipeline.expected_peaks != 1:
+        raise ConfigError("pipeline.expected_peaks must be 1: each run repeats one separation")
     forced = {int(i) for i in force_ambiguity_runs}
     bad = {i for i in forced if not 0 <= i < n_runs}
     if bad:
         raise ConfigError(f"forced-ambiguity run index {sorted(bad)[0]} out of range")
     one_fringe = config.spectrum.center_wavelength / 2.0
 
-    estimates = []
     ledger = []
-    failures = []
-    outlier_count = 0
     for i in range(n_runs):
         stage_seed, noise_seed = config.seeds_for_run(i)
         entry = {
@@ -147,39 +155,41 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
             report = run_pipeline(config, run_index=i, refinement_offset=offset)
         except QolcrError as exc:
             entry["error"] = str(exc)
-            failures.append(dict(entry))
-            ledger.append(entry)
-            continue
-        peak = report.peaks[0]
-        entry["separation_m"] = peak.separation
-        entry["outlier"] = bool(peak.outlier_flag)
-        ledger.append(entry)
-        if peak.outlier_flag:
-            outlier_count += 1
         else:
-            estimates.append(peak.separation)
-
-    return RepeatabilityResult(
-        n_runs=n_runs, estimates=estimates,
-        outlier_count=outlier_count, seed_ledger=ledger, failures=failures,
-    )
+            peak = report.peaks[0]
+            entry["separation_m"] = peak.separation
+            entry["outlier"] = bool(peak.outlier_flag)
+        ledger.append(entry)
+    return RepeatabilityResult(seed_ledger=ledger)
 
 
 @dataclass
 class LinearityResult:
     """Measured separations against commanded sub-fringe surface shifts."""
 
+    first_position: float        # unshifted first-surface position, m
     step_size: float
-    commanded_positions: list    # commanded first-surface positions, m
     measured_separations: list   # one per step, m (nan for failed runs)
-    deviations: list             # measured minus unit-slope prediction, m
-    max_abs_deviation: float
     failures: list = field(default_factory=list)
 
-    def __post_init__(self):
-        n = len(self.commanded_positions)
-        if len(self.measured_separations) != n or len(self.deviations) != n:
-            raise ConfigError("linearity result arrays must match in length")
+    @property
+    def commanded_positions(self) -> list:
+        """Commanded first-surface positions, m."""
+        return [self.first_position + k * self.step_size
+                for k in range(len(self.measured_separations))]
+
+    @property
+    def deviations(self) -> list:
+        """Measured minus the unit-slope line through the first finite step, m."""
+        measured = self.measured_separations
+        base_k, baseline = next((k, m) for k, m in enumerate(measured) if not math.isnan(m))
+        return [m - (baseline - (k - base_k) * self.step_size)
+                if not math.isnan(m) else math.nan
+                for k, m in enumerate(measured)]
+
+    @property
+    def max_abs_deviation(self) -> float:
+        return max(abs(d) for d in self.deviations if not math.isnan(d))
 
     def to_dict(self) -> dict:
         def _null_if_nan(values):
@@ -187,7 +197,7 @@ class LinearityResult:
 
         return {
             "step_size_m": self.step_size,
-            "commanded_positions_m": list(self.commanded_positions),
+            "commanded_positions_m": self.commanded_positions,
             "measured_separations_m": _null_if_nan(self.measured_separations),
             "deviations_m": _null_if_nan(self.deviations),
             "max_abs_deviation_m": self.max_abs_deviation,
@@ -206,8 +216,8 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
         raise ConfigError("linearity step must be positive")
     if n_steps < 2:
         raise ConfigError("linearity needs at least 2 steps")
-    if config.pipeline.expected_peaks < 1:
-        raise ConfigError("pipeline.expected_peaks must be at least 1 to track a separation")
+    if config.pipeline.expected_peaks != 1:
+        raise ConfigError("pipeline.expected_peaks must be 1: each step tracks one separation")
     travel = (n_steps - 1) * step
     gap = config.sample.min_gap()
     if travel >= gap / 2.0:
@@ -216,8 +226,6 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
             f"the smallest surface gap of {gap * 1e6:.3f} um"
         )
 
-    z1 = float(config.sample.positions[0])
-    commanded = [z1 + k * step for k in range(n_steps)]
     measured = []
     failures = []
     for k in range(n_steps):
@@ -229,19 +237,9 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
             failures.append({"step": k, "error": str(exc)})
             measured.append(math.nan)
 
-    finite = [m for m in measured if not math.isnan(m)]
-    if not finite:
+    if all(math.isnan(m) for m in measured):
         raise PipelineQualityError("every linearity run failed")
-    baseline = next(m for m in measured if not math.isnan(m))
-    base_k = measured.index(baseline)
-    deviations = [
-        m - (baseline - (k - base_k) * step) if not math.isnan(m) else math.nan
-        for k, m in enumerate(measured)
-    ]
-    max_abs = max(abs(d) for d in deviations if not math.isnan(d))
     return LinearityResult(
-        step_size=step, commanded_positions=commanded,
-        measured_separations=measured, deviations=deviations,
-        max_abs_deviation=max_abs, failures=failures,
+        first_position=float(config.sample.positions[0]), step_size=step,
+        measured_separations=measured, failures=failures,
     )
-

@@ -167,7 +167,6 @@ class MeasurementReport:
     """All separations of one record, sorted ascending."""
 
     peaks: list
-    expected_count: int
     metadata: dict = field(default_factory=dict)
     quality: dict = field(default_factory=dict)
 
@@ -177,7 +176,7 @@ class MeasurementReport:
 
     def to_dict(self) -> dict:
         return {
-            "expected_count": self.expected_count,
+            "expected_count": len(self.peaks),
             "peaks": [
                 {
                     "separation_m": p.separation,
@@ -233,9 +232,7 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
     if expected_count < 0:
         raise ConfigError("expected_count must be nonnegative")
     report = MeasurementReport(
-        peaks=[], expected_count=expected_count,
-        metadata=dict(acorr.metadata), quality=dict(acorr.quality),
-    )
+        peaks=[], metadata=dict(acorr.metadata), quality=dict(acorr.quality))
     if expected_count == 0:
         return report
 

@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .calibration import CalibratedRecord, CalibrationMap
+from .calibration import EDGE_FIT_KNOTS, CalibratedRecord, CalibrationMap
 from .errors import ConfigError, TraceParseError
 from .scan import ScanTrace, ScanTruth
 
@@ -49,6 +49,9 @@ _BLOCK_LINES = 4096  # data rows formatted or parsed per block
 
 # plain header values that must be finite and positive, integers in decimal digits
 _POSITIVE_HEADERS = {"spacing": "number", "grid_step": "number", "edge_fit": "integer"}
+
+# how a calibration table is read back; a reader refuses any other value
+_CALIBRATION_READBACK = {"interpolation": "linear", "edge_fit": str(EDGE_FIT_KNOTS)}
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +430,7 @@ def read_calibrated_record(path) -> CalibratedRecord:
 
 
 def write_calibration_table(calibration: CalibrationMap, path, config=None) -> None:
-    header = {
-        "interpolation": "linear",
-        "edge_fit": str(int(calibration.edge_fit)),
-        "quality": _header_json(calibration.quality),
-    }
+    header = {**_CALIBRATION_READBACK, "quality": _header_json(calibration.quality)}
     _write_table(path, CALIBRATION_FORMAT, header, CALIBRATION_COLUMNS,
                  [calibration.reported, calibration.calibrated,
                   calibration.correction()], config)
@@ -439,13 +438,12 @@ def write_calibration_table(calibration: CalibrationMap, path, config=None) -> N
 
 def read_calibration_table(path) -> CalibrationMap:
     table = _read_table(path, CALIBRATION_FORMAT, ("reported_d_um", "calibrated_d_um"))
-    if table.header.get("interpolation") != "linear":
-        raise TraceParseError("expected '# interpolation linear' header", path=path)
-    edge_fit = int(_header_float(table, "edge_fit"))
+    for key, value in _CALIBRATION_READBACK.items():
+        if table.header.get(key) != value:
+            raise TraceParseError(f"expected '# {key} {value}' header", path=path)
     return CalibrationMap(
         reported=table.data["reported_d_um"],
         calibrated=table.data["calibrated_d_um"],
-        edge_fit=edge_fit,
         quality=table.json_fields.get("quality", {}),
     )
 

@@ -169,7 +169,7 @@ def test_07_tpi_frequency_matches_pump():
     trace = synthesize(config)
     carrier = extract_tpi(trace, config.pipeline.bandpass)
     phase = extract_phase(carrier)
-    use = phase.filter_valid & phase.quality_mask
+    use = phase.quality_mask
     slope = np.polyfit(trace.truth.true_d[use], phase.unwrapped_phase[use], 1)[0]
     measured_frequency = abs(slope) / (2.0 * np.pi)    # cycles per meter
     expected = 2.0 / config.pump.wavelength

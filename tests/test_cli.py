@@ -83,6 +83,25 @@ def test_simulate_rejects_invalid_config(tmp_path, capsys):
     assert "sample.surfaces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("stage", "velocity_nm_per_s", float("nan")),
+    ("scan", "stop_um", float("inf")),
+    ("pipeline", "grid_step_nm", float("nan")),
+])
+def test_simulate_rejects_non_finite_config_numbers(tmp_path, capsys, section, field, value):
+    # json reads NaN and Infinity; both are refused before a trace is written
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    raw[section][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "x.txt"
+    assert main(["simulate", "--config", str(bad), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert f"{section}.{field} must be a finite number" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("filter_num_taps", 2000),
     ("filter_relative_bandwidth", 1.5),
@@ -299,7 +318,9 @@ def test_grid_step_override_changes_record(tmp_path):
 
 @pytest.mark.parametrize("command", [["repeat", "--runs", "2"], ["linearity", "--steps", "2"]])
 def test_batch_commands_reject_zero_expected_peaks(tmp_path, capsys, command):
-    cfg = config_file(tmp_path, pipeline={"expected_peaks": 0})
-    code = main([*command, "--config", str(cfg), "--output", str(tmp_path / "b")])
-    assert code == 1
-    assert "pipeline.expected_peaks" in capsys.readouterr().err
+    # each run records one separation: none or several is a config error
+    for expected_peaks in (0, 3):
+        cfg = config_file(tmp_path, pipeline={"expected_peaks": expected_peaks})
+        code = main([*command, "--config", str(cfg), "--output", str(tmp_path / "b")])
+        assert code == 1
+        assert "pipeline.expected_peaks" in capsys.readouterr().err

@@ -74,6 +74,15 @@ def test_invalid_json_raises_config_error(tmp_path):
     (tweaked(pipeline={"filter_num_taps": 2000}), "pipeline.filter_num_taps"),
     (tweaked(pipeline={"filter_relative_bandwidth": 1.5}),
      "pipeline.filter_relative_bandwidth"),
+    (tweaked(stage={"velocity_nm_per_s": float("nan")}),
+     "stage.velocity_nm_per_s must be a finite number"),
+    (tweaked(scan={"stop_um": float("inf")}), "scan.stop_um must be a finite number"),
+    (tweaked(noise={"singles_scale": float("nan")}),
+     "noise.singles_scale must be a finite number"),
+    (tweaked(pipeline={"grid_step_nm": float("nan")}),
+     "pipeline.grid_step_nm must be a finite number"),
+    (tweaked(stage={"scale_error": float("-inf")}), "stage.scale_error must be a finite number"),
+    (tweaked(scan={"stop_um": 10 ** 400}), "scan.stop_um must be a finite number"),
 ])
 def test_field_level_messages(raw, needle):
     with pytest.raises(ConfigError) as err:

@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
+from qolcr import experiments
 from qolcr.config import DEFAULT_CONFIG, parse_config
-from qolcr.errors import ConfigError
+from qolcr.errors import ConfigError, PipelineQualityError
 from qolcr.experiments import (
     RepeatabilityResult,
     linearity_experiment,
@@ -114,10 +115,43 @@ def test_repeatability_rejects_bad_arguments(clean_config):
 
 
 def test_repeatability_needs_an_expected_peak():
-    # each run's first separation is the study's sample, so expecting none
-    # is a configuration error raised before any run
-    with pytest.raises(ConfigError, match="pipeline.expected_peaks"):
-        repeatability_experiment(make_config(expected_peaks=0), n_runs=2)
+    # each run records one separation, so expecting none or several is a
+    # configuration error raised before any run
+    for expected_peaks in (0, 3):
+        with pytest.raises(ConfigError, match="pipeline.expected_peaks"):
+            repeatability_experiment(make_config(expected_peaks=expected_peaks), n_runs=2)
+
+
+def fail_runs(monkeypatch, indices):
+    """Make run_pipeline raise a quality failure for the given run indices."""
+    real = experiments.run_pipeline
+
+    def run_pipeline(config, run_index=0, refinement_offset=0.0):
+        if run_index in indices:
+            raise PipelineQualityError(f"injected failure in run {run_index}")
+        return real(config, run_index=run_index, refinement_offset=refinement_offset)
+
+    monkeypatch.setattr(experiments, "run_pipeline", run_pipeline)
+
+
+def test_repeatability_failed_run_is_kept_in_the_ledger(clean_config, monkeypatch):
+    fail_runs(monkeypatch, {2})
+    res = repeatability_experiment(clean_config, n_runs=4, force_ambiguity_runs=(1,))
+    failed = res.seed_ledger[2]
+    assert failed["error"] == "injected failure in run 2"
+    assert "separation_m" not in failed and "outlier" not in failed
+    assert res.failures == [failed]
+    assert res.n_runs == 4
+    assert res.outlier_count == 1
+    assert res.included_count == 2
+    assert res.estimates == [res.seed_ledger[0]["separation_m"],
+                             res.seed_ledger[3]["separation_m"]]
+    doc = res.to_dict()
+    assert doc["failure_count"] == 1
+    assert doc["failures"] == [failed]
+    assert doc["summary"]["n"] == 2
+    assert doc["summary"]["outliers_excluded"] == 1
+    assert doc["summary"]["mean_m"] == pytest.approx(TRUE_SEPARATION, abs=0.1e-9)
 
 
 def test_linearity_noise_free_identity(clean_config):
@@ -166,8 +200,31 @@ def test_linearity_rejects_bad_arguments(clean_config):
 
 
 def test_linearity_needs_an_expected_peak():
-    with pytest.raises(ConfigError, match="pipeline.expected_peaks"):
-        linearity_experiment(make_config(expected_peaks=0), step=50e-9, n_steps=2)
+    for expected_peaks in (0, 3):
+        with pytest.raises(ConfigError, match="pipeline.expected_peaks"):
+            linearity_experiment(make_config(expected_peaks=expected_peaks),
+                                 step=50e-9, n_steps=2)
+
+
+def test_linearity_failed_step_is_null_and_baseline_moves(clean_config, monkeypatch):
+    fail_runs(monkeypatch, {0})
+    res = linearity_experiment(clean_config, step=50e-9, n_steps=3)
+    assert res.failures == [{"step": 0, "error": "injected failure in run 0"}]
+    assert np.isnan(res.measured_separations[0])
+    # the unit-slope line runs through the first finite step
+    assert res.deviations[1] == 0.0
+    assert abs(res.deviations[2]) < 0.1e-9
+    assert res.max_abs_deviation == abs(res.deviations[2])
+    doc = res.to_dict()
+    assert doc["measured_separations_m"][0] is None
+    assert doc["deviations_m"][0] is None
+    assert len(doc["commanded_positions_m"]) == 3
+
+
+def test_linearity_all_steps_failed_raises(clean_config, monkeypatch):
+    fail_runs(monkeypatch, {0, 1})
+    with pytest.raises(PipelineQualityError, match="every linearity run failed"):
+        linearity_experiment(clean_config, step=50e-9, n_steps=2)
 
 
 def test_linearity_to_dict_round_trip(clean_config):
@@ -178,10 +235,14 @@ def test_linearity_to_dict_round_trip(clean_config):
     assert len(doc["deviations_m"]) == 2
 
 
+def ledger_of(estimates, outlier_count=0):
+    """Ledger entries for included runs at the given separations, then outliers."""
+    return ([{"separation_m": s, "outlier": False} for s in estimates]
+            + [{"separation_m": 0.0, "outlier": True}] * outlier_count)
+
+
 def summary_of(estimates, outlier_count=0):
-    result = RepeatabilityResult(
-        n_runs=len(estimates) + outlier_count, estimates=list(estimates),
-        outlier_count=outlier_count, seed_ledger=[])
+    result = RepeatabilityResult(seed_ledger=ledger_of(estimates, outlier_count))
     return result.to_dict().get("summary")
 
 
@@ -201,8 +262,7 @@ def test_summarize_conventions():
 
 
 def test_std_dev_follows_estimates():
-    result = RepeatabilityResult(n_runs=3, estimates=[100.0e-9, 102.0e-9, 104.0e-9],
-                                 outlier_count=0, seed_ledger=[])
+    result = RepeatabilityResult(seed_ledger=ledger_of([100.0e-9, 102.0e-9, 104.0e-9]))
     assert result.std_dev == pytest.approx(2.0e-9, rel=1e-12)
     doc = result.to_dict()
     assert doc["std_dev_m"] == doc["summary"]["std_dev_m"] == result.std_dev

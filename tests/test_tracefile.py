@@ -429,7 +429,6 @@ def test_calibrated_record_round_trip(tmp_path, trace_and_config):
     table = read_calibration_table(table_path)
     assert np.array_equal(table.reported, calibration.reported)
     assert np.array_equal(table.calibrated, calibration.calibrated)
-    assert table.edge_fit == calibration.edge_fit
 
 
 def test_calibration_table_has_correction_column(tmp_path, trace_and_config):
@@ -456,6 +455,13 @@ def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_confi
     path.write_text(text.replace("# interpolation linear\n", ""))
     with pytest.raises(TraceParseError):
         read_calibration_table(path)
+    # the end-slope fit length is fixed; another value is not this format
+    assert "# edge_fit 2000\n" in text
+    for edited in (text.replace("# edge_fit 2000", "# edge_fit 1000"),
+                   text.replace("# edge_fit 2000\n", "")):
+        path.write_text(edited)
+        with pytest.raises(TraceParseError, match="edge_fit 2000"):
+            read_calibration_table(path)
 
 
 @pytest.fixture(scope="module")
