@@ -14,6 +14,7 @@ filter length of either end are flagged invalid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ MAX_BAD_FRACTION = 0.10
 EDGE_FIT_KNOTS = 2000
 
 
+@functools.lru_cache(maxsize=8)
 def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
     """Kaiser-window linear-phase FIR for the given spacing of the d' grid.
 
@@ -80,6 +82,7 @@ def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
             f"at half the center frequency, need {STOPBAND_DB:.0f} dB; "
             "increase num_taps or widen the transition"
         )
+    taps.flags.writeable = False  # cached per (spec, spacing), shared by every caller
     return taps
 
 

@@ -209,16 +209,15 @@ def spectrum_density(spectrum: Spectrum, detuning):
 
 
 def coherence_envelope(spectrum: Spectrum, tau):
-    """Complex envelope s(tau), the inverse transform of the density.
+    """Envelope s(tau), the inverse transform of the density, as a real array.
 
     For the Gaussian density the closed form is
-    s(tau) = S0 / (2 pi) * exp(-sigma^2 tau^2 / 2); the imaginary part is
-    zero because S is symmetric.
+    s(tau) = S0 / (2 pi) * exp(-sigma^2 tau^2 / 2); it is real because S is
+    symmetric.
     """
     tau = np.asarray(tau, dtype=float)
     sig = spectrum.sigma
-    mag = spectrum.total_power / (2.0 * math.pi) * np.exp(-0.5 * (sig * tau) ** 2)
-    return mag.astype(complex)
+    return spectrum.total_power / (2.0 * math.pi) * np.exp(-0.5 * (sig * tau) ** 2)
 
 
 def response_function(spectrum: Spectrum, tau):
@@ -229,4 +228,4 @@ def response_function(spectrum: Spectrum, tau):
     """
     tau = np.asarray(tau, dtype=float)
     env = coherence_envelope(spectrum, tau)
-    return 2.0 * np.real(env * np.exp(-1j * spectrum.center_frequency * tau))
+    return 2.0 * (env * np.cos(spectrum.center_frequency * tau))

@@ -215,12 +215,10 @@ def coincidence_components(sample: Sample, spectrum: Spectrum,
             hom += refl[i] * refl[j] * np.exp(-0.5 * (sig * (2.0 * tau - center)) ** 2)
     hom = 2.0 * HOM_AMPLITUDE * env_scale * hom
 
-    packet = np.zeros(tau.shape, dtype=complex)
+    packet = np.zeros(tau.shape)
     for r, tau_j in zip(refl, taus):
         packet += r * coherence_envelope(spectrum, tau - tau_j)
-    fringes = 4.0 * FRINGE_AMPLITUDE * np.real(
-        packet * np.exp(-1j * spectrum.center_frequency * tau)
-    )
+    fringes = 4.0 * FRINGE_AMPLITUDE * (packet * np.cos(spectrum.center_frequency * tau))
 
     pair_carrier = 2.0 * np.real(
         terms.pair_constant * np.exp(-1j * pump.angular_frequency * tau)

@@ -128,6 +128,27 @@ def test_design_rejects_impossible_specs():
         replace(BANDPASS, center_frequency=-1.0)
 
 
+def test_design_is_cached_per_spec_and_spacing():
+    # every run of a study shares one design: a repeat call returns the same
+    # read-only array, and any other key gets a fresh, uncached design
+    taps = design_bandpass(BANDPASS, SPACING)
+    assert design_bandpass(replace(BANDPASS), float(SPACING)) is taps
+    with pytest.raises(ValueError):
+        taps[0] = 1.0
+    for spec, spacing in ((replace(BANDPASS, num_taps=1001), SPACING),
+                          (BANDPASS, 4e-9)):
+        other = design_bandpass(spec, spacing)
+        assert other is not taps
+        assert np.array_equal(other, design_bandpass.__wrapped__(spec, spacing))
+
+
+def test_design_failure_is_not_cached():
+    bad = replace(BANDPASS, num_taps=31)
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            design_bandpass(bad, 150e-9)
+
+
 def test_white_noise_gain_matches_tap_energy():
     spec = BANDPASS
     taps = design_bandpass(spec, SPACING)

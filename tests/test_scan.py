@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qolcr.config import default_config, load_config
 from qolcr.errors import SynthesisError
-from qolcr.model import PumpReference, Sample, Spectrum
+from qolcr.experiments import synthesize
+from qolcr.model import (
+    SPEED_OF_LIGHT,
+    PumpReference,
+    Sample,
+    Spectrum,
+    coherence_envelope,
+    response_function,
+)
 from qolcr.scan import (
+    FRINGE_AMPLITUDE,
     CoincidenceTerms,
     NoiseModel,
     StageModel,
@@ -206,6 +217,29 @@ def test_coincidence_truth_decomposition_is_consistent():
     residual = rate - terms.baseline - parts["hom"] - parts["fringes"]
     assert np.allclose(residual, parts["pair_carrier"], rtol=1e-12,
                        atol=1e-12 * terms.baseline)
+
+
+@pytest.mark.parametrize("config", [
+    default_config(),
+    load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"),
+], ids=["default", "multilayer"])
+def test_real_kernels_bit_identical_to_complex_form(config):
+    # oracle: the complex expressions the real-valued kernels replaced,
+    # evaluated on run 0's true positions; any last-bit difference would
+    # change the synthesized artifacts
+    spec, sample = config.spectrum, config.sample
+    true_d = synthesize(config, 0).truth.true_d
+    tau = 2.0 * true_d / SPEED_OF_LIGHT
+    rotor = np.exp(-1j * spec.center_frequency * tau)
+    packet = np.zeros(tau.shape, dtype=complex)
+    for r, tau_j in zip(sample.reflectivities, sample.delays):
+        env = coherence_envelope(spec, tau - tau_j).astype(complex)
+        kernel = 2.0 * np.real(env * np.exp(-1j * spec.center_frequency * (tau - tau_j)))
+        assert np.array_equal(response_function(spec, tau - tau_j), kernel)
+        packet += r * env
+    terms = CoincidenceTerms.from_sample(sample, spec)
+    fringes = coincidence_components(sample, spec, config.pump, terms, true_d)["fringes"]
+    assert np.array_equal(fringes, 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor))
 
 
 def test_coincidence_rate_nonnegative_model_units():
