@@ -132,7 +132,7 @@ def test_design_is_cached_per_spec_and_spacing():
     # every run of a study shares one design: a repeat call returns the same
     # read-only array, and any other key gets a fresh, uncached design
     taps = design_bandpass(BANDPASS, SPACING)
-    assert design_bandpass(replace(BANDPASS), float(SPACING)) is taps
+    assert design_bandpass(replace(BANDPASS), SPACING) is taps
     with pytest.raises(ValueError):
         taps[0] = 1.0
     for spec, spacing in ((replace(BANDPASS, num_taps=1001), SPACING),
