@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft, rfft
+from scipy.fft import ifft, irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve, firwin, freqz
+from scipy.signal import firwin, freqz
 
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.model import BandpassSpec, PumpReference
@@ -86,16 +86,30 @@ def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
     return taps
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_spectrum(taps: bytes, nfft: int) -> np.ndarray:
+    """rfft of the float64 taps zero-padded to nfft, read-only and cached."""
+    spectrum = rfft(np.frombuffer(taps), nfft)
+    spectrum.flags.writeable = False  # shared by every run with these taps and length
+    return spectrum
+
+
 def zero_phase_apply(taps: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply a symmetric FIR with its group delay removed.
 
-    mode='same' centers the (odd, symmetric) kernel on each sample, which
-    for a linear-phase filter is exactly the zero-phase response away from
-    the edges.
+    The full linear convolution comes from one real FFT pair; keeping its
+    len(values) central samples centers the (odd, symmetric) kernel on each
+    sample, which for a linear-phase filter is exactly the zero-phase
+    response away from the edges. The kernel spectrum is cached per taps
+    and FFT length.
     """
     if len(taps) % 2 == 0:
         raise ConfigError("zero-phase application requires an odd tap count")
-    return fftconvolve(values, taps, mode="same")
+    n, m = len(values), len(taps)
+    nfft = next_fast_len(n + m - 1, real=True)
+    kernel = _kernel_spectrum(np.asarray(taps, dtype=float).tobytes(), nfft)
+    start = (m - 1) // 2
+    return irfft(rfft(values, nfft) * kernel, nfft)[start:start + n]
 
 
 @dataclass
@@ -203,12 +217,16 @@ def _phase_from_crossings(carrier: FilteredCarrier):
     slope1 = math.pi / (pos[-1] - pos[-2])
     phase[head] = phase_at[0] + (k[head] - pos[0]) * slope0
     phase[tail] = phase_at[-1] + (k[tail] - pos[-1]) * slope1
-    # block amplitude: peak |x| between adjacent crossings
+    # block amplitude: peak |x| over block k, which runs from the last
+    # sample before crossing k to the first sample after crossing k+1,
+    # x[idx[k] : idx[k+1] + 2]; the reduceat segments stop short of
+    # idx[k+1], whose two end samples are folded in after
     amp_pos = 0.5 * (pos[:-1] + pos[1:])
-    amp_val = np.array([
-        np.abs(x[int(a):max(int(a) + 1, int(b) + 1)]).max()
-        for a, b in zip(idx[:-1], idx[1:] + 1)
-    ])
+    mag = np.abs(x)
+    ends = idx[1:]
+    amp_val = np.maximum.reduceat(mag[:ends[-1]], idx[:-1])
+    np.maximum(amp_val, mag[ends], out=amp_val)
+    np.maximum(amp_val, mag[ends + 1], out=amp_val)
     amplitude = np.interp(k, amp_pos, amp_val)
     return phase, amplitude
 
