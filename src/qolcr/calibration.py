@@ -97,11 +97,10 @@ def _kernel_spectrum(taps: bytes, nfft: int) -> np.ndarray:
 def zero_phase_apply(taps: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply a symmetric FIR with its group delay removed.
 
-    The full linear convolution comes from one real FFT pair; keeping its
-    len(values) central samples centers the (odd, symmetric) kernel on each
-    sample, which for a linear-phase filter is exactly the zero-phase
-    response away from the edges. The kernel spectrum is cached per taps
-    and FFT length.
+    The len(values) central samples of the full convolution (one real FFT
+    pair, kernel spectrum cached per taps and FFT length) center the odd,
+    symmetric kernel on each sample: the zero-phase response of a
+    linear-phase filter away from the edges.
     """
     if len(taps) % 2 == 0:
         raise ConfigError("zero-phase application requires an odd tap count")
@@ -217,10 +216,9 @@ def _phase_from_crossings(carrier: FilteredCarrier):
     slope1 = math.pi / (pos[-1] - pos[-2])
     phase[head] = phase_at[0] + (k[head] - pos[0]) * slope0
     phase[tail] = phase_at[-1] + (k[tail] - pos[-1]) * slope1
-    # block amplitude: peak |x| over block k, which runs from the last
-    # sample before crossing k to the first sample after crossing k+1,
-    # x[idx[k] : idx[k+1] + 2]; the reduceat segments stop short of
-    # idx[k+1], whose two end samples are folded in after
+    # block amplitude: peak |x| over block k, from the last sample before
+    # crossing k to the first after crossing k+1 (x[idx[k]:idx[k+1] + 2]);
+    # the reduceat segments stop at idx[k+1], so its two samples are added
     amp_pos = 0.5 * (pos[:-1] + pos[1:])
     mag = np.abs(x)
     ends = idx[1:]

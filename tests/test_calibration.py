@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import rfft
-from scipy.signal import hilbert
+from scipy.fft import next_fast_len, rfft
+from scipy.signal import fftconvolve, hilbert
 
 from qolcr.calibration import (
     CalibrationMap,
+    FilteredCarrier,
     PhaseTrace,
+    _kernel_spectrum,
+    _phase_from_crossings,
     analytic_from_spectrum,
     build_calibration,
     design_bandpass,
@@ -23,7 +27,7 @@ from qolcr.calibration import (
     resample_intensity,
     zero_phase_apply,
 )
-from qolcr.config import default_config
+from qolcr.config import default_config, load_config
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.experiments import synthesize
 from qolcr.model import PumpReference, Sample, Spectrum
@@ -35,6 +39,7 @@ SPACING = 5e-9
 CARRIER_FREQ = 2.0 / LAMBDA_P       # cycles per meter of mirror travel
 PUMP = PumpReference(LAMBDA_P)
 BANDPASS = default_config().pipeline.bandpass   # the carrier filter the pipeline runs
+MULTILAYER = Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"
 
 
 def carrier_trace(n=60000, amplitude=500.0, baseline=4000.0, phi0=0.3,
@@ -186,6 +191,40 @@ def test_filter_flat_over_carrier_neighborhood(rel, phi):
     assert abs(amp - 1.0) < 0.015
 
 
+@pytest.mark.parametrize("num_taps", [31, 2001])
+@pytest.mark.parametrize("n", [7, 1000, 12345, 60000, 60208, 60720])
+def test_zero_phase_apply_bit_identical_to_fftconvolve(num_taps, n):
+    # 60208 + 2001 - 1 and 60720 + 31 - 1 are fast lengths already; the
+    # other lengths get padded by different amounts
+    taps = (design_bandpass(BANDPASS, SPACING) if num_taps == 2001
+            else np.kaiser(num_taps, 8.96) / num_taps)
+    values = np.random.default_rng(n).normal(0.0, 1.0, n)
+    assert np.array_equal(zero_phase_apply(taps, values),
+                          fftconvolve(values, taps, mode="same"))
+
+
+def test_zero_phase_apply_reuses_one_kernel_spectrum_per_length():
+    taps = design_bandpass(BANDPASS, SPACING)
+    x = np.random.default_rng(5).normal(0.0, 1.0, 30000)
+    first = zero_phase_apply(taps, x)
+    before = _kernel_spectrum.cache_info()
+    assert np.array_equal(zero_phase_apply(taps, x), first)
+    after = _kernel_spectrum.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    key = taps.tobytes()
+    nfft = next_fast_len(30000 + len(taps) - 1, real=True)
+    spectrum = _kernel_spectrum(key, nfft)
+    assert _kernel_spectrum(key, nfft) is spectrum
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+    zero_phase_apply(taps, x[:20000])       # a new length, a new FFT size
+    assert _kernel_spectrum.cache_info().misses == after.misses + 1
+    other = _kernel_spectrum(key, next_fast_len(20000 + len(taps) - 1, real=True))
+    assert other is not spectrum and len(other) != len(spectrum)
+
+
 # ---------------------------------------------------------------------------
 # carrier extraction
 
@@ -302,6 +341,54 @@ def test_crossing_phase_agrees_with_analytic():
     diff = analytic.unwrapped_phase[sel] - crossings.unwrapped_phase[sel]
     diff -= diff.mean()
     assert math.sqrt(float(np.mean(diff ** 2))) < 0.05
+
+
+def _reference_crossing_amplitude(x):
+    """The per-block list comprehension the vectorised amplitude replaced."""
+    signs = np.sign(x)
+    signs[signs == 0] = 1
+    idx = np.nonzero(np.diff(signs) != 0)[0]
+    pos = idx + x[idx] / (x[idx] - x[idx + 1])
+    amp_val = np.array([
+        np.abs(x[int(a):max(int(a) + 1, int(b) + 1)]).max()
+        for a, b in zip(idx[:-1], idx[1:] + 1)
+    ])
+    return np.interp(np.arange(len(x), dtype=float), 0.5 * (pos[:-1] + pos[1:]), amp_val)
+
+
+def _bare_carrier(values):
+    return FilteredCarrier(values=values, valid=np.ones(len(values), dtype=bool),
+                           reported_d=np.arange(len(values)) * SPACING)
+
+
+@pytest.mark.parametrize("config", ["default", "multilayer"])
+@pytest.mark.parametrize("run", range(4))
+def test_crossing_amplitude_matches_block_loop_on_study_carriers(config, run):
+    cfg = default_config() if config == "default" else load_config(MULTILAYER)
+    carrier = extract_tpi(synthesize(cfg, run), cfg.pipeline.bandpass)
+    _, amplitude = _phase_from_crossings(carrier)
+    assert np.array_equal(amplitude, _reference_crossing_amplitude(carrier.values))
+
+
+def test_crossing_amplitude_matches_block_loop_with_exact_zeros():
+    k = np.arange(400)
+    x = np.round(3.0 * (1.0 + k / 400) * np.sin(2.0 * math.pi * k / 20))
+    x[95:106] = 0.0                          # a run of zeros across a whole half-period
+    assert x[-2] < 0 and x[-1] < 0
+    x[-1] = -9.0                             # beyond the last block: no block may reach it
+    assert np.count_nonzero(x == 0) > 40     # zeros take the signs == 0 branch
+    _, amplitude = _phase_from_crossings(_bare_carrier(x))
+    assert np.array_equal(amplitude, _reference_crossing_amplitude(x))
+
+
+def test_crossing_amplitude_matches_block_loop_with_crossing_at_the_end():
+    k = np.arange(300)
+    x = np.sin(2.0 * math.pi * k / 16 + 0.3)
+    x[-1] = -5.0 * np.sign(x[-2])            # the last crossing sits at n - 2
+    assert np.nonzero(np.diff(np.sign(x)))[0][-1] == len(x) - 2
+    _, amplitude = _phase_from_crossings(_bare_carrier(x))
+    assert np.array_equal(amplitude, _reference_crossing_amplitude(x))
+    assert amplitude[-1] == 5.0              # the last block reaches sample n - 1
 
 
 def test_phase_rejects_unknown_method():
