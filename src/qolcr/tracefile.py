@@ -1,21 +1,14 @@
-"""Text file formats for traces, calibrated records, tables, and reports.
+"""File formats for traces, calibrated records, tables, and reports.
 
-Every artifact is a '#'-headed delimited text file: a format/version line,
-key-value header lines (JSON for structured values), a column declaration,
-a row count, then constant-width data rows.  Files are written atomically
-(temp file + rename in the destination directory).
-
-Position columns are labelled in micrometres.  To keep the write-then-read
-round trip bit-faithful, a position is printed by formatting the underlying
-meters float with 17 significant digits and shifting the decimal exponent
-by +6 as a pure string operation; the reader shifts the exponent back
-before a single correctly-rounded parse.  Scaling by 1e6 in floating point
-instead would lose the low bit on a few percent of values, and some doubles
-have no micrometre-double preimage at all.
-
-A run configuration may be embedded in any header as one JSON line so that
-downstream commands can recover filter and pump parameters from the data
-file itself.
+A trace, calibrated record or calibration table is a '#'-headed text header
+followed by a binary payload.  The header holds the format/version line,
+key-value lines (JSON for structured values), an optional '# config' line
+from which downstream commands recover the run configuration, the column
+declaration, the row count and, last, '# payload float64-le'.  The columns
+follow in declared order, each as `rows` little-endian float64 values, so
+arrays (positions in meters) round-trip bit for bit.  Reports are JSON, plot
+data is text, and every file is written atomically (temp file + rename in
+its directory).
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -33,53 +25,25 @@ from .calibration import EDGE_FIT_KNOTS, CalibratedRecord, CalibrationMap
 from .errors import ConfigError, TraceParseError
 from .scan import ScanTrace, ScanTruth
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 TRACE_FORMAT = "qolcr-trace"
 RECORD_FORMAT = "qolcr-record"
 CALIBRATION_FORMAT = "qolcr-calibration"
+TABLE_FORMATS = (TRACE_FORMAT, RECORD_FORMAT, CALIBRATION_FORMAT)
 
-TRACE_COLUMNS = ["index", "reported_d_um", "intensity", "coincidence"]
-TRUTH_COLUMNS = ["true_d_um", "intensity_rate", "coincidence_rate", "pair_carrier"]
-RECORD_COLUMNS = ["index", "position_um", "intensity"]
-CALIBRATION_COLUMNS = ["index", "reported_d_um", "calibrated_d_um", "correction_um"]
+TRACE_COLUMNS = ["reported_d_m", "intensity", "coincidence"]
+TRUTH_COLUMNS = ["true_d_m", "intensity_rate", "coincidence_rate", "pair_carrier"]
+RECORD_COLUMNS = ["position_m", "intensity"]
+CALIBRATION_COLUMNS = ["reported_d_m", "calibrated_d_m"]
 
-_FIELD_WIDTH = 24
-_UM_EXPONENT = 6     # decimal exponent shift from meters to micrometres
-_BLOCK_LINES = 4096  # data rows formatted or parsed per block
+PAYLOAD = "float64-le"
+_PAYLOAD_DTYPE = np.dtype("<f8")
 
 # plain header values that must be finite and positive, integers in decimal digits
 _POSITIVE_HEADERS = {"spacing": "number", "grid_step": "number", "edge_fit": "integer"}
 
 # how a calibration table is read back; a reader refuses any other value
 _CALIBRATION_READBACK = {"interpolation": "linear", "edge_fit": str(EDGE_FIT_KNOTS)}
-
-
-# ---------------------------------------------------------------------------
-# position encoding
-
-
-class _ExponentShift(dict):
-    """Maps an exponent's digits to 'e' plus that exponent moved by `shift`."""
-
-    def __init__(self, shift: int):
-        super().__init__()
-        self.shift = shift
-
-    def __missing__(self, exponent: str) -> str:
-        shifted = self[exponent] = f"e{int(exponent) + self.shift:+03d}"
-        return shifted
-
-
-def _shift_exponents(tokens, shift: int) -> list:
-    """Move the decimal exponent of each numeric token by `shift`, as text.
-
-    A token without an exponent has exponent 0; 'E' reads as 'e'.  Each
-    distinct exponent is converted once per call.
-    """
-    table = _ExponentShift(shift)
-    return [mantissa + table[exponent] if marker else exponent + table["0"]
-            for mantissa, marker, exponent
-            in (token.replace("E", "e").rpartition("e") for token in tokens)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +67,15 @@ def _header_json(value) -> str:
     return json.dumps(_jsonable(value), sort_keys=True)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and rename in the same directory."""
+def atomic_write(path, parts) -> None:
+    """Write the byte strings `parts` to path via a temp file and rename in
+    the same directory."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qolcr-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -120,53 +85,28 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _render_rows(arrays: list, in_um: list, index_width: int | None = None) -> str:
-    """Render columns as text rows, each ending in a newline.
-
-    Each value is right-justified to the field width with 17 significant
-    digits; arrays flagged in `in_um` hold meters and print in micrometres.
-    With `index_width`, each row starts with its row index.  Each block of
-    rows is formatted by one template, so no per-row strings are built.
-    """
-    fields = [] if index_width is None else [f"%{index_width}d"]
-    fields += [f"%{_FIELD_WIDTH}s" if um else f"%{_FIELD_WIDTH}.16e" for um in in_um]
-    row_template = " ".join(fields) + "\n"
-    arrays = [np.asarray(values, dtype=float) for values in arrays]
-    n = len(arrays[0]) if arrays else 0
-    blocks = []
-    for start in range(0, n, _BLOCK_LINES):
-        stop = min(start + _BLOCK_LINES, n)
-        cells = [] if index_width is None else [range(start, stop)]
-        for values, um in zip(arrays, in_um):
-            values = values[start:stop].tolist()
-            cells.append(_shift_exponents(map("%.16e".__mod__, values), _UM_EXPONENT)
-                         if um else values)
-        blocks.append(row_template * (stop - start)
-                      % tuple(chain.from_iterable(zip(*cells))))
-    return "".join(blocks)
-
-
 def _write_table(path, format_name: str, header: dict, columns: list,
                  arrays: list, config) -> None:
     """Write one table file: format line, header, optional '# config' line,
-    column declaration, row count, then the rows.
+    column declaration, row count and payload line, then the payload.
 
-    Every value column must be finite; otherwise nothing is written.
+    Every column must be finite and all must share one length; otherwise
+    nothing is written.
     """
-    for name, values in zip(columns[1:], arrays):
+    arrays = [np.asarray(values, dtype=_PAYLOAD_DTYPE) for values in arrays]
+    n = len(arrays[0])
+    for name, values in zip(columns, arrays):
+        if len(values) != n:
+            raise ConfigError(f"column {name} holds {len(values)} values, not {n}")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"column {name} contains non-finite values")
-    n = len(arrays[0])
     lines = [f"# {format_name} {FORMAT_VERSION}"]
     lines += [f"# {key} {value}" for key, value in header.items()]
     if config is not None:
         lines.append(f"# config {config.to_json()}")
-    lines += ["# columns " + " ".join(columns), f"# rows {n}"]
-    # no name holds the rows, so only the joined text is alive while it is written
-    text = "\n".join(lines) + "\n" + _render_rows(
-        arrays, [name.endswith("_um") for name in columns[1:]],
-        index_width=max(len(str(n - 1)), 5))
-    atomic_write_text(path, text)
+    lines += ["# columns " + " ".join(columns), f"# rows {n}", f"# payload {PAYLOAD}"]
+    text = "\n".join(lines) + "\n"
+    atomic_write(path, [text.encode(), *(values.tobytes() for values in arrays)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +117,58 @@ def _write_table(path, format_name: str, header: dict, columns: list,
 class _Table:
     header: dict        # plain '# key value' text
     json_fields: dict   # header values parsed as JSON objects
-    data: dict          # value column name -> array
+    data: dict          # column name -> array
     path: str
 
 
-def _parse_header(path, numbered_lines):
-    """Parse the '# key value' lines that open a file, up to its first data
-    line; returns (header, json_fields, that line's number or None).
+def _read_header(path, handle, formats=TABLE_FORMATS):
+    """Parse the text header of a table file from the binary `handle`, up
+    to and including its '# payload' line, which leaves the handle at the
+    first payload byte; returns (header, json_fields, '# rows' line number).
 
-    '# config', and any other value that opens with '{' except a column
-    list, is a JSON object; '# rows' must be a count in decimal digits, and
-    the values of _POSITIVE_HEADERS keys must be positive.
+    The first line must name one of `formats` and this version.  '# config',
+    and any other value that opens with '{' except a column list, is a JSON
+    object; '# rows' must be a count in decimal digits, and the values of
+    _POSITIVE_HEADERS keys must be positive.
     """
+    first = handle.readline(64)  # a format line is short; other input is not read on
+    words = first.split()
+    name = words[1].decode("ascii", "replace") if len(words) == 3 else ""
+    if words[:1] != [b"#"] or name not in formats:
+        raise TraceParseError(f"not a {' or '.join(formats)} file: it opens with "
+                              f"{first[:40]!r}", path=path, line=1)
+    if words[2] != str(FORMAT_VERSION).encode():
+        raise TraceParseError(
+            f"{name} version {words[2].decode('ascii', 'replace')} is not supported; "
+            f"this reader reads version {FORMAT_VERSION}", path=path, line=1)
+
     header: dict = {}
     json_fields: dict = {}
-    for line_no, line in numbered_lines:
+    rows_line = None
+    for line_no, raw in enumerate(handle, start=2):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise TraceParseError("header line is not UTF-8 text",
+                                  path=path, line=line_no) from None
         if not line.startswith("#"):
-            return header, json_fields, line_no
+            raise TraceParseError(f"expected a '#' header line before '# payload {PAYLOAD}'",
+                                  path=path, line=line_no)
         parts = line[1:].strip().split(None, 1)
         if not parts:
             raise TraceParseError("empty header line", path=path, line=line_no)
         key = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
-        if key == "rows" and not rest.isdecimal():
-            raise TraceParseError(f"invalid row count {rest!r}",
-                                  path=path, line=line_no)
+        if key == "payload":
+            if rest != PAYLOAD:
+                raise TraceParseError(f"unsupported payload {rest!r}; expected {PAYLOAD}",
+                                      path=path, line=line_no)
+            return header, json_fields, rows_line
+        if key == "rows":
+            if not rest.isdecimal():
+                raise TraceParseError(f"invalid row count {rest!r}",
+                                      path=path, line=line_no)
+            rows_line = line_no
         kind = _POSITIVE_HEADERS.get(key)
         if kind and not _is_positive(rest, kind):
             raise TraceParseError(f"'# {key}' must be a finite positive {kind}, got {rest!r}",
@@ -218,7 +185,7 @@ def _parse_header(path, numbered_lines):
         if not isinstance(json_fields[key], dict):
             raise TraceParseError(f"header key '{key}' must hold a JSON object",
                                   path=path, line=line_no)
-    return header, json_fields, None
+    raise TraceParseError(f"missing '# payload {PAYLOAD}' line", path=path)
 
 
 def _is_positive(text: str, kind: str) -> bool:
@@ -229,106 +196,35 @@ def _is_positive(text: str, kind: str) -> bool:
     return 0 < value < math.inf and (kind != "integer" or text.isdecimal())
 
 
-def _read_rows(path, lines: list, line_no: int, columns: list,
-               buffers: np.ndarray, count: int) -> int:
-    """Parse a block of data lines into `buffers` (one row per value column)
-    from data row `count` on.
-
-    `line_no` is the 1-based line number of lines[0]; returns the new row
-    count.  The checks run over the whole block at once.  If one fails, the
-    block is parsed again one line at a time, so the error names the first
-    bad line and reads as it would from a row-by-row parse.
-    """
-    try:
-        return _parse_block(path, lines, line_no, columns, buffers, count)
-    except TraceParseError:
-        if len(lines) == 1:
-            raise
-    for offset, line in enumerate(lines):
-        count = _parse_block(path, [line], line_no + offset, columns, buffers, count)
-    return count
-
-
-def _parse_block(path, lines: list, line_no: int, columns: list,
-                 buffers: np.ndarray, count: int) -> int:
-    rows = [line.split() for line in lines]
-    if not all(rows):
-        rows = [tokens for tokens in rows if tokens]  # blank lines hold no row
-        if not rows:
-            return count
-    if any(line.startswith("#") for line in lines):
-        raise TraceParseError("header line after data began", path=path, line=line_no)
-    width = len(columns)
-    wrong = [len(tokens) for tokens in rows if len(tokens) != width]
-    if wrong:
-        raise TraceParseError(f"expected {width} columns, found {wrong[0]}",
-                              path=path, line=line_no)
-    declared = buffers.shape[1]
-    end = count + len(rows)
-    if end > declared:
-        raise TraceParseError(f"more data rows than the declared {declared}",
-                              path=path, line=line_no)
-    tokens = list(chain.from_iterable(rows))
-    try:
-        indices = list(map(int, tokens[0::width]))
-        for j, (name, buf) in enumerate(zip(columns[1:], buffers), start=1):
-            column = tokens[j::width]
-            if name.endswith("_um"):
-                column = _shift_exponents(column, -_UM_EXPONENT)
-            buf[count:end] = list(map(float, column))
-    except ValueError as exc:
-        raise TraceParseError(f"unparseable value: {exc}",
-                              path=path, line=line_no) from exc
-    if indices != list(range(count, end)):
-        raise TraceParseError(f"row index {indices[0]} out of order (expected {count})",
-                              path=path, line=line_no)
-    for name, buf in zip(columns[1:], buffers):
-        if not np.all(np.isfinite(buf[count:end])):
-            raise TraceParseError(f"column {name} contains non-finite values",
-                                  path=path, line=line_no)
-    return end
-
-
 def _read_table(path, expected_format: str, required_columns) -> _Table:
-    with open(path, "r") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise TraceParseError("empty file", path=path, line=1)
+    """Read one table file; the payload length is checked against the
+    declared shape before any column is built."""
+    with open(path, "rb") as handle:
+        header, json_fields, rows_line = _read_header(path, handle, (expected_format,))
+        payload = handle.read()
 
-    first = lines[0].split()
-    if len(first) != 3 or first[0] != "#" or first[1] != expected_format:
-        raise TraceParseError(
-            f"expected format line '# {expected_format} {FORMAT_VERSION}', "
-            f"got {lines[0]!r}", path=path, line=1)
-    if first[2] != str(FORMAT_VERSION):
-        raise TraceParseError(f"unsupported {expected_format} version {first[2]}",
-                              path=path, line=1)
-
-    header, json_fields, data_start = _parse_header(path, enumerate(lines, start=1))
     columns = header.get("columns", "").split()
     if not columns:
         raise TraceParseError("missing '# columns' declaration", path=path)
-    if columns[0] != "index":
-        raise TraceParseError("first column must be 'index'", path=path)
-    if "rows" not in header:
+    if rows_line is None:
         raise TraceParseError("missing '# rows' declaration", path=path)
-    declared_rows = int(header["rows"])
-
-    value_names = columns[1:]
-    data_lines = [] if data_start is None else lines[data_start - 1:]
-    # a count beyond the data lines ends in the mismatch error below, so
-    # no buffer is sized for it
-    buffers = np.empty((len(value_names), min(declared_rows, len(data_lines))))
-    count = 0
-    for offset in range(0, len(data_lines), _BLOCK_LINES):
-        count = _read_rows(path, data_lines[offset:offset + _BLOCK_LINES],
-                           data_start + offset, columns, buffers, count)
-    if count != declared_rows:
+    rows = int(header["rows"])
+    size = rows * len(columns) * _PAYLOAD_DTYPE.itemsize
+    if len(payload) != size:
         raise TraceParseError(
-            f"header declares {declared_rows} rows but file has {count}",
-            path=path, line=len(lines))
+            f"{rows} rows of {len(columns)} columns need {size} payload bytes, "
+            f"file has {len(payload)}", path=path, line=rows_line)
 
-    data = dict(zip(value_names, buffers))
+    data = {}
+    for k, name in enumerate(columns):
+        # a native, writable copy that owns its memory, not a view of the payload
+        values = np.frombuffer(payload, _PAYLOAD_DTYPE, rows,
+                               k * rows * _PAYLOAD_DTYPE.itemsize).astype(float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise TraceParseError(f"column {name} contains non-finite values "
+                                  f"(first at row {bad[0]})", path=path)
+        data[name] = values
     for name in required_columns:
         if name not in data:
             raise TraceParseError(f"missing column {name}", path=path)
@@ -365,14 +261,14 @@ def write_trace(trace: ScanTrace, path, config=None) -> None:
 
 def read_trace(path) -> ScanTrace:
     """Read a scan trace; reconstructs truth channels when present."""
-    table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS[1:])
-    reported = table.data["reported_d_um"]
+    table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS)
+    reported = table.data["reported_d_m"]
     if reported.size and not np.all(np.diff(reported) > 0):
         raise TraceParseError("reported_d must be strictly increasing", path=path)
     truth = None
     if all(name in table.data for name in TRUTH_COLUMNS):
         truth = ScanTruth(
-            true_d=table.data["true_d_um"],
+            true_d=table.data["true_d_m"],
             intensity_rate=table.data["intensity_rate"],
             coincidence_rate=table.data["coincidence_rate"],
             pair_carrier=table.data["pair_carrier"],
@@ -390,12 +286,12 @@ def read_trace(path) -> ScanTrace:
 def read_embedded_config(path):
     """Return the RunConfig embedded in any table file, or None.
 
-    Only the header lines are read.
+    Only the header, up to its '# payload' line, is read.
     """
     from .config import parse_config
 
-    with open(path, "r") as handle:
-        _, json_fields, _ = _parse_header(path, enumerate(handle, start=1))
+    with open(path, "rb") as handle:
+        _, json_fields, _ = _read_header(path, handle)
     raw = json_fields.get("config")
     return None if raw is None else parse_config(raw)
 
@@ -415,9 +311,9 @@ def write_calibrated_record(record: CalibratedRecord, path, config=None) -> None
 
 
 def read_calibrated_record(path) -> CalibratedRecord:
-    table = _read_table(path, RECORD_FORMAT, RECORD_COLUMNS[1:])
+    table = _read_table(path, RECORD_FORMAT, RECORD_COLUMNS)
     return CalibratedRecord(
-        positions=table.data["position_um"],
+        positions=table.data["position_m"],
         intensity=table.data["intensity"],
         grid_step=_header_float(table, "grid_step"),
         metadata=table.json_fields.get("metadata", {}),
@@ -432,18 +328,17 @@ def read_calibrated_record(path) -> CalibratedRecord:
 def write_calibration_table(calibration: CalibrationMap, path, config=None) -> None:
     header = {**_CALIBRATION_READBACK, "quality": _header_json(calibration.quality)}
     _write_table(path, CALIBRATION_FORMAT, header, CALIBRATION_COLUMNS,
-                 [calibration.reported, calibration.calibrated,
-                  calibration.correction()], config)
+                 [calibration.reported, calibration.calibrated], config)
 
 
 def read_calibration_table(path) -> CalibrationMap:
-    table = _read_table(path, CALIBRATION_FORMAT, ("reported_d_um", "calibrated_d_um"))
+    table = _read_table(path, CALIBRATION_FORMAT, CALIBRATION_COLUMNS)
     for key, value in _CALIBRATION_READBACK.items():
         if table.header.get(key) != value:
             raise TraceParseError(f"expected '# {key} {value}' header", path=path)
     return CalibrationMap(
-        reported=table.data["reported_d_um"],
-        calibrated=table.data["calibrated_d_um"],
+        reported=table.data["reported_d_m"],
+        calibrated=table.data["calibrated_d_m"],
         quality=table.json_fields.get("quality", {}),
     )
 
@@ -455,7 +350,7 @@ def read_calibration_table(path) -> CalibrationMap:
 def write_json_document(document: dict, path) -> None:
     """Write a report or results document with stable key order."""
     text = json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
-    atomic_write_text(path, text)
+    atomic_write(path, [text.encode()])
 
 
 def read_json_document(path) -> dict:
@@ -478,5 +373,6 @@ def write_plot_data(path, names: list, columns: list, comment: str = "") -> None
         raise ConfigError("plot columns must share one length")
     lines = [f"# {part}" for part in comment.splitlines()]
     lines.append("# columns " + " ".join(names))
-    rows = _render_rows(arrays, [False] * len(arrays))
-    atomic_write_text(path, "\n".join(lines) + "\n" + rows)
+    row = " ".join(["%24.16e"] * len(arrays)) + "\n"
+    rows = "".join(row % values for values in zip(*(a.tolist() for a in arrays)))
+    atomic_write(path, [("\n".join(lines) + "\n" + rows).encode()])

@@ -167,40 +167,56 @@ def test_measure_insufficient_peaks_is_quality_failure(tmp_path, capsys):
     assert "quality" in capsys.readouterr().err
 
 
+PAYLOAD_LINE = b"# payload float64-le\n"
+
+
+def split_table(path):
+    """A table file's header lines (text) and its payload (bytes)."""
+    data = path.read_bytes()
+    cut = data.index(PAYLOAD_LINE) + len(PAYLOAD_LINE)
+    return data[:cut].decode().splitlines(), data[cut:]
+
+
+def with_header(source, dest, key, value):
+    """Copy a table file with its '# key' value replaced; returns that line's number."""
+    lines, payload = split_table(source)
+    index = next(i for i, l in enumerate(lines) if l.startswith(f"# {key} "))
+    lines[index] = f"# {key} {value}"
+    dest.write_bytes(("\n".join(lines) + "\n").encode() + payload)
+    return index + 1
+
+
 def test_calibrate_truncated_trace_names_line(artifact_chain, tmp_path, capsys):
-    source = (artifact_chain / "scan.txt").read_text().splitlines()
     broken = tmp_path / "broken.txt"
-    broken.write_text("\n".join(source[:-50]) + "\n")
+    broken.write_bytes((artifact_chain / "scan.txt").read_bytes()[:-400])
     code = main(["calibrate", str(broken), "--output", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert "parse error" in err
-    assert "line" in err
+    lines, payload = split_table(broken)
+    rows_line = next(i for i, l in enumerate(lines, start=1) if l.startswith("# rows "))
+    assert (f"line {rows_line}: 24000 rows of 7 columns need {24000 * 56} payload bytes, "
+            f"file has {len(payload)}") in err
 
 
 def test_measure_rejects_non_finite_record(artifact_chain, tmp_path, capsys):
-    lines = (artifact_chain / "cal.record.txt").read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    cells = lines[data_start + 100].split()
-    cells[2] = "nan"
-    lines[data_start + 100] = " ".join(cells)
+    lines, payload = split_table(artifact_chain / "cal.record.txt")
+    values = np.frombuffer(payload, "<f8").reshape(2, -1).copy()
+    values[1, 100] = np.nan     # intensity, row 100
     broken = tmp_path / "nan.record.txt"
-    broken.write_text("\n".join(lines) + "\n")
+    broken.write_bytes(("\n".join(lines) + "\n").encode() + values.tobytes())
     code = main(["measure", str(broken), "--output", str(tmp_path / "r.json")])
     assert code == 1
     err = capsys.readouterr().err
     assert "parse error" in err
-    assert f"line {data_start + 101}" in err
+    assert "column intensity contains non-finite values (first at row 100)" in err
     assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("count", ["-1", "1000000000000"])
 def test_calibrate_bad_row_count_is_parse_error(artifact_chain, tmp_path, capsys, count):
-    lines = (artifact_chain / "scan.txt").read_text().splitlines()
-    index = next(i for i, l in enumerate(lines) if l.startswith("# rows "))
-    lines[index] = f"# rows {count}"
     broken = tmp_path / "scan.txt"
-    broken.write_text("\n".join(lines) + "\n")
+    with_header(artifact_chain / "scan.txt", broken, "rows", count)
     code = main(["calibrate", str(broken), "--output", str(tmp_path / "x")])
     assert code == 1
     assert "parse error" in capsys.readouterr().err
@@ -214,17 +230,37 @@ def test_calibrate_bad_row_count_is_parse_error(artifact_chain, tmp_path, capsys
 ])
 def test_bad_scalar_header_is_parse_error(artifact_chain, tmp_path, capsys,
                                           command, artifact, key, value):
-    lines = (artifact_chain / artifact).read_text().splitlines()
-    index = next(i for i, l in enumerate(lines) if l.startswith(f"# {key} "))
-    lines[index] = f"# {key} {value}"
     broken = tmp_path / artifact
-    broken.write_text("\n".join(lines) + "\n")
+    line = with_header(artifact_chain / artifact, broken, key, value)
     code = main([command, str(broken), "--output", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert "parse error" in err
-    assert f"line {index + 1}: '# {key}'" in err
+    assert f"line {line}: '# {key}'" in err
     assert list(tmp_path.iterdir()) == [broken]
+
+
+# (input file content, words the parse error must hold)
+NOT_AN_ARTIFACT = {
+    "non-utf-8 junk": (bytes(range(128, 256)) * 8, "line 1: not a qolcr-"),
+    "version 1 trace": (b"# qolcr-trace 1\n# spacing 5e-09\n# rows 0\n",
+                        "line 1: qolcr-trace version 1 is not supported"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_AN_ARTIFACT))
+@pytest.mark.parametrize("command", ["calibrate", "measure"])
+def test_non_artifact_input_is_parse_error(tmp_path, capsys, command, kind):
+    content, words = NOT_AN_ARTIFACT[kind]
+    junk = tmp_path / "junk.txt"
+    junk.write_bytes(content)
+    code = main([command, str(junk), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert words in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [junk]
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
-from decimal import Decimal
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qolcr.config import DEFAULT_CONFIG, parse_config
@@ -45,43 +45,46 @@ def trace_and_config():
 
 
 # ---------------------------------------------------------------------------
-# per-value reference rendering: the writer must reproduce it byte for byte
+# table-file editing and a per-value reference for the payload
 
 
-def reference_encode_um(meters):
-    mantissa, exponent = f"{float(meters):.16e}".split("e")
-    return f"{mantissa}e{int(exponent) + 6:+03d}"
+PAYLOAD_LINE = b"# payload float64-le\n"
 
 
-def reference_decode_um(token):
-    """Meters from a micrometre token: an exact decimal shift, then one rounding."""
-    return float(Decimal(token).scaleb(-6))
+def split_table(path):
+    """A table file's header lines (text) and its payload (bytes)."""
+    data = path.read_bytes()
+    cut = data.index(PAYLOAD_LINE) + len(PAYLOAD_LINE)
+    return data[:cut].decode().splitlines(), data[cut:]
 
 
-def reference_rows(columns, arrays):
-    n = len(arrays[0])
-    width = max(len(str(n - 1)), 5)
-    rows = []
-    for i in range(n):
-        cells = [f"{i:>{width}d}"]
-        for name, values in zip(columns[1:], arrays):
-            token = (reference_encode_um(values[i]) if name.endswith("_um")
-                     else f"{values[i]:.16e}")
-            cells.append(f"{token:>24}")
-        rows.append(" ".join(cells))
-    return rows
+def join_table(path, lines, payload):
+    path.write_bytes(("\n".join(lines) + "\n").encode() + payload)
 
 
-def assert_rows_match_reference(path, columns, arrays):
-    lines = path.read_text().splitlines()
-    header = [line for line in lines if line.startswith("#")]
-    assert header[-2] == "# columns " + " ".join(columns)
-    expected = "\n".join(header + reference_rows(columns, arrays)) + "\n"
-    assert path.read_bytes() == expected.encode()
+def set_payload_value(path, column, row, value):
+    """Overwrite one payload value in place, leaving the header alone."""
+    lines, payload = split_table(path)
+    columns = next(l for l in lines if l.startswith("# columns ")).split()[2:]
+    values = np.frombuffer(payload, "<f8").reshape(len(columns), -1).copy()
+    values[columns.index(column), row] = value
+    join_table(path, lines, values.tobytes())
 
 
-TRACE_WITH_TRUTH_COLUMNS = ["index", "reported_d_um", "intensity", "coincidence",
-                 "true_d_um", "intensity_rate", "coincidence_rate", "pair_carrier"]
+def reference_payload(arrays):
+    """Each column in order, value by value, as little-endian IEEE doubles."""
+    return b"".join(struct.pack(f"<{len(a)}d", *map(float, a)) for a in arrays)
+
+
+def assert_payload_matches_reference(path, columns, arrays):
+    lines, payload = split_table(path)
+    assert lines[-3:] == ["# columns " + " ".join(columns), f"# rows {len(arrays[0])}",
+                          "# payload float64-le"]
+    assert payload == reference_payload(arrays)
+
+
+TRACE_WITH_TRUTH_COLUMNS = ["reported_d_m", "intensity", "coincidence",
+                            "true_d_m", "intensity_rate", "coincidence_rate", "pair_carrier"]
 
 
 def trace_arrays(trace):
@@ -94,33 +97,28 @@ def test_writer_matches_per_value_reference(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    assert_rows_match_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
+    assert_payload_matches_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
 
     calibration, record = calibrate_trace(cfg, trace)
     table_path = tmp_path / "calibration.txt"
     write_calibration_table(calibration, table_path, config=cfg)
-    assert_rows_match_reference(
-        table_path, ["index", "reported_d_um", "calibrated_d_um", "correction_um"],
-        [calibration.reported, calibration.calibrated, calibration.correction()])
+    assert_payload_matches_reference(table_path, ["reported_d_m", "calibrated_d_m"],
+                                     [calibration.reported, calibration.calibrated])
 
     record_path = tmp_path / "record.txt"
     write_calibrated_record(record, record_path, config=cfg)
-    assert_rows_match_reference(record_path, ["index", "position_um", "intensity"],
-                                [record.positions, record.intensity])
+    assert_payload_matches_reference(record_path, ["position_m", "intensity"],
+                                     [record.positions, record.intensity])
 
 
-def test_awkward_values_include_a_decade_carry():
-    # 1e-14 is stored just below 10**-14; its 17-digit rounding carries
-    assert Decimal(1e-14) < Decimal("1e-14")
-    assert f"{1e-14:.16e}" == "1.0000000000000000e-14"
-
-
-AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-300, -5e-9, 1e-6, 1e-14, -1.7976931348623157e308]
+MAX_FLOAT = np.finfo(float).max
+AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-300, -5e-9, 1e-6, 1e-14, -1.7976931348623157e308,
+                  MAX_FLOAT, -5e-324, 2.2250738585072009e-308]
 
 
 def awkward_trace(values):
-    """A trace whose truth columns hold `values` in both a micrometre column
-    (true_d_um) and a plain column (intensity_rate)."""
+    """A trace whose truth columns hold `values` in both a position column
+    (true_d_m) and a plain column (intensity_rate)."""
     values = np.asarray(values, dtype=float)
     n = values.size
     reported = np.arange(n) * 5e-9
@@ -133,7 +131,7 @@ def awkward_trace(values):
 def assert_awkward_round_trip(path, values):
     trace = awkward_trace(values)
     write_trace(trace, path)
-    assert_rows_match_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
+    assert_payload_matches_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
     back = read_trace(path)
     for got, want in zip(trace_arrays(back), trace_arrays(trace)):
         assert got.tobytes() == want.tobytes()   # bit-exact, including -0.0
@@ -146,27 +144,23 @@ def test_awkward_values_through_the_columns(tmp_path, value):
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=12))
+@example([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, MAX_FLOAT, -MAX_FLOAT])
 @settings(max_examples=100, deadline=None)
 def test_columns_match_reference_for_any_finite_values(tmp_path_factory, values):
     assert_awkward_round_trip(tmp_path_factory.mktemp("cols") / "t.txt", values)
 
 
-def test_reader_accepts_plain_and_uppercase_micrometre_tokens(tmp_path):
-    trace = awkward_trace([1.0, 2.0, 3.0])
-    trace.truth = None
-    path = tmp_path / "scan.txt"
-    write_trace(trace, path)
-    lines = path.read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    tokens = ["0", "5.0000000000000001E-03", "0.010000000000000000"]
-    for k, token in enumerate(tokens):
-        cells = lines[data_start + k].split()
-        cells[1] = token
-        lines[data_start + k] = " ".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    back = read_trace(path)
-    assert back.reported_d.tobytes() == trace.reported_d.tobytes()
-    assert list(back.reported_d) == [reference_decode_um(t) for t in tokens]
+def test_readers_return_writable_arrays_that_own_their_data(tmp_path, written_objects):
+    for kind, attributes in [("trace", ["reported_d", "intensity", "coincidence"]),
+                             ("record", ["positions", "intensity"]),
+                             ("calibration", ["reported", "calibrated"])]:
+        path = tmp_path / f"{kind}.txt"
+        WRITERS[kind](written_objects[kind], path)
+        back = READERS[kind](path)
+        for attribute in attributes:
+            values = getattr(back, attribute)
+            assert values.dtype == np.float64
+            assert values.flags.writeable and values.flags.owndata
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +195,22 @@ def test_embedded_config_round_trip(tmp_path, trace_and_config):
 
 def test_broken_embedded_config_names_its_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text('# qolcr-trace 1\n# spacing 5e-09\n# config {"sample": \n')
+    path.write_text('# qolcr-trace 2\n# spacing 5e-09\n# config {"sample": \n')
     with pytest.raises(TraceParseError) as err:
         read_embedded_config(path)
     assert err.value.line == 3
     assert "bad.txt: line 3: invalid JSON" in str(err.value)
+
+
+def test_embedded_config_reads_only_the_header(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    lines, payload = split_table(path)
+    join_table(path, lines, payload[:5] + b"\xff\n# not a header line\n")
+    assert read_embedded_config(path).to_json() == cfg.to_json()
+    with pytest.raises(TraceParseError, match="payload bytes"):
+        read_trace(path)
 
 
 def test_write_is_deterministic(tmp_path, trace_and_config):
@@ -228,31 +233,44 @@ def test_trace_without_truth_or_config(tmp_path, trace_and_config):
     assert read_embedded_config(path) is None
 
 
+def rows_line_number(path):
+    lines, _ = split_table(path)
+    return next(i for i, l in enumerate(lines, start=1) if l.startswith("# rows "))
+
+
 def test_truncated_file_names_the_line(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-100]) + "\n")
+    data = path.read_bytes()
+    path.write_bytes(data[:-100])
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
-    message = str(err.value)
-    assert "scan.txt" in message
-    assert "line" in message
-    assert "rows" in message
+    n = trace.n_samples
+    assert err.value.line == rows_line_number(path)
+    assert (f"scan.txt: line {err.value.line}: {n} rows of 7 columns need "
+            f"{n * 56} payload bytes, file has {n * 56 - 100}") in str(err.value)
 
 
-def test_corrupt_row_names_the_line(tmp_path, trace_and_config):
-    trace, cfg = trace_and_config
-    path = tmp_path / "scan.txt"
-    write_trace(trace, path, config=cfg)
-    lines = path.read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    lines[data_start + 3] = lines[data_start + 3] + " 99.0"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError) as err:
-        read_trace(path)
-    assert f"line {data_start + 4}" in str(err.value)
+@pytest.mark.parametrize("edit, change", [
+    (lambda payload: payload[:-1], -1),
+    (lambda payload: payload[:-8], -8),
+    (lambda payload: payload + b"\0", 1),
+    (lambda payload: payload + b"\0" * 8, 8),
+    (lambda payload: payload + b"\n", 1),
+])
+def test_payload_length_fault_names_both_byte_counts(tmp_path, written_objects, edit, change):
+    for kind in ("trace", "record", "calibration"):
+        path = tmp_path / f"{kind}.txt"
+        WRITERS[kind](written_objects[kind], path)
+        lines, payload = split_table(path)
+        join_table(path, lines, edit(payload))
+        assert read_embedded_config(path) is None   # the header alone is sound
+        with pytest.raises(TraceParseError) as err:
+            READERS[kind](path)
+        assert err.value.line == rows_line_number(path)
+        assert (f"need {len(payload)} payload bytes, file has {len(payload) + change}"
+                in str(err.value))
 
 
 def test_wrong_format_line_rejected(tmp_path):
@@ -261,6 +279,89 @@ def test_wrong_format_line_rejected(tmp_path):
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
     assert "qolcr-trace" in str(err.value)
+
+
+def test_reading_one_format_as_another_is_refused(tmp_path, written_objects):
+    path = tmp_path / "record.txt"
+    write_calibrated_record(written_objects["record"], path)
+    for reader, name in [(read_trace, "qolcr-trace"),
+                         (read_calibration_table, "qolcr-calibration")]:
+        with pytest.raises(TraceParseError, match=f"line 1: not a {name} file"):
+            reader(path)
+
+
+def version_1_trace(path):
+    """The opening of a text-row trace as the format's first version wrote it."""
+    path.write_text("# qolcr-trace 1\n# spacing 5e-09\n"
+                    "# columns index reported_d_um intensity coincidence\n# rows 1\n"
+                    "    0   0.0000000000000000e+00   1.0000000000000000e+00"
+                    "   1.0000000000000000e+00\n")
+
+
+def test_version_1_file_is_refused_with_its_version(tmp_path):
+    path = tmp_path / "old.txt"
+    version_1_trace(path)
+    for reader in (read_trace, read_embedded_config):
+        with pytest.raises(TraceParseError) as err:
+            reader(path)
+        assert err.value.line == 1
+        assert "qolcr-trace version 1 is not supported" in str(err.value)
+        assert "version 2" in str(err.value)
+
+
+# content that opens with no qolcr format line
+NOT_A_TABLE = {
+    "empty": b"",
+    "binary": bytes(range(256)) * 4,
+    "not utf-8": "naïve text\n".encode("latin-1"),
+    "long first line": b"#" * 5000,
+    "plain text": b"reported intensity\n0.0 1.0\n",
+    "numbers only": np.arange(64.0).tobytes(),
+}
+
+
+@pytest.mark.parametrize("content", sorted(NOT_A_TABLE))
+def test_non_table_input_is_a_parse_error(tmp_path, content):
+    path = tmp_path / "junk.txt"
+    path.write_bytes(NOT_A_TABLE[content])
+    for reader in (read_trace, read_calibrated_record, read_calibration_table,
+                   read_embedded_config):
+        with pytest.raises(TraceParseError) as err:
+            reader(path)
+        assert err.value.line == 1
+        assert "junk.txt: line 1: not a qolcr-" in str(err.value)
+
+
+# (edit to the header lines, line it is blamed on counted from the end, words)
+HEADER_DEFECTS = {
+    "not utf-8": (lambda lines: lines[:-1] + ["# note \udcff"] + lines[-1:], -2,
+                  "not UTF-8"),
+    "no payload line": (lambda lines: lines[:-1], None, "missing '# payload float64-le'"),
+    "other payload": (lambda lines: lines[:-1] + ["# payload float32-be"], -1,
+                      "unsupported payload 'float32-be'"),
+    "text line": (lambda lines: lines[:-1] + ["0 1.0 2.0"] + lines[-1:], -2,
+                  "expected a '#' header line"),
+    "empty line": (lambda lines: lines[:-1] + ["#"] + lines[-1:], -2, "empty header line"),
+    "no columns": (lambda lines: [l for l in lines if not l.startswith("# columns")], None,
+                   "missing '# columns'"),
+    "no rows": (lambda lines: [l for l in lines if not l.startswith("# rows")], None,
+                "missing '# rows'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+def test_header_defect_is_a_parse_error(tmp_path, written_objects, defect):
+    edit, blamed, words = HEADER_DEFECTS[defect]
+    path = tmp_path / "record.txt"
+    write_calibrated_record(written_objects["record"], path)
+    lines, payload = split_table(path)
+    lines = edit(lines)
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n"
+                     + (payload if defect != "no payload line" else b""))
+    with pytest.raises(TraceParseError) as err:
+        read_calibrated_record(path)
+    assert err.value.line == (None if blamed is None else len(lines) + 1 + blamed)
+    assert words in str(err.value)
 
 
 def test_non_monotone_write_rejected(tmp_path, trace_and_config):
@@ -276,109 +377,60 @@ def test_non_monotone_read_rejected(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    lines = path.read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    cells_lo = lines[data_start].split()
-    cells_hi = lines[data_start + 1].split()
-    cells_hi[1] = cells_lo[1]
-    lines[data_start + 1] = " ".join(cells_hi)
-    path.write_text("\n".join(lines) + "\n")
+    set_payload_value(path, "reported_d_m", 1, trace.reported_d[0])
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
     assert "increasing" in str(err.value)
 
 
-def _replace_cell(line, column, token):
-    cells = line.split()
-    cells[column] = token
-    return " ".join(cells)
-
-
-# (edit applied to one data line, words expected in the error message)
-ROW_DEFECTS = {
-    "extra column": (lambda line: line + " 99.0", "expected 8 columns, found 9"),
-    "index out of order": (lambda line: _replace_cell(line, 0, "7"), "out of order"),
-    "unparseable value": (lambda line: _replace_cell(line, 2, "4.9x3"), "unparseable"),
-    "unparseable exponent": (lambda line: _replace_cell(line, 4, "5.0e+x2"), "unparseable"),
-    "header after data": (lambda line: "# " + line, "header line after data"),
-    "nan value": (lambda line: _replace_cell(line, 3, "nan"), "non-finite"),
-    "infinite value": (lambda line: _replace_cell(line, 7, "-inf"), "non-finite"),
-    "overflowing value": (lambda line: _replace_cell(line, 5, "1e999"), "non-finite"),
-}
-
-
 @pytest.mark.parametrize("row", [1, 4100, 9998])
-@pytest.mark.parametrize("defect", sorted(ROW_DEFECTS))
-def test_bad_row_names_its_line_in_any_block(tmp_path, trace_and_config, defect, row):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", TRACE_WITH_TRUTH_COLUMNS)
+def test_non_finite_payload_value_names_its_column(tmp_path, trace_and_config,
+                                                   column, value, row):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    lines = path.read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    edit, words = ROW_DEFECTS[defect]
-    lines[data_start + row] = edit(lines[data_start + row])
-    # a bad row after it must not mask it
-    lines[-1] = lines[-1] + " 1.0"
-    path.write_text("\n".join(lines) + "\n")
+    set_payload_value(path, column, row, value)
+    # a second bad value after it must not mask it
+    set_payload_value(path, column, trace.n_samples - 1, np.nan)
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
-    assert err.value.line == data_start + row + 1
-    assert words in str(err.value)
-
-
-def test_blank_data_lines_are_skipped(tmp_path, trace_and_config):
-    trace, cfg = trace_and_config
-    path = tmp_path / "scan.txt"
-    write_trace(trace, path, config=cfg)
-    lines = path.read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    lines.insert(data_start + 5000, "   ")
-    lines.insert(data_start + 20, "")
-    path.write_text("\n".join(lines) + "\n")
-    back = read_trace(path)
-    assert np.array_equal(back.truth.pair_carrier, trace.truth.pair_carrier)
-    # line numbers still count the blank lines
-    lines[data_start + 6000] = _replace_cell(lines[data_start + 6000], 0, "1")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError) as err:
-        read_trace(path)
-    assert err.value.line == data_start + 6001
+    assert str(err.value).endswith(
+        f"scan.txt: column {column} contains non-finite values (first at row {row})")
 
 
 def test_rows_beyond_the_declared_count_are_rejected(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    text = path.read_text()
     n = trace.n_samples
-    path.write_text(text.replace(f"# rows {n}\n", f"# rows {n - 1}\n"))
+    rows_line = _with_header(path, "rows", n - 1)
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
-    assert err.value.line == len(text.splitlines())
-    assert f"more data rows than the declared {n - 1}" in str(err.value)
+    assert err.value.line == rows_line
+    assert (f"{n - 1} rows of 7 columns need {(n - 1) * 56} payload bytes, "
+            f"file has {n * 56}") in str(err.value)
 
 
-def test_non_finite_record_value_names_its_line(tmp_path, trace_and_config):
+def test_non_finite_record_value_names_its_column(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     _, record = calibrate_trace(cfg, trace)
     path = tmp_path / "record.txt"
     write_calibrated_record(record, path, config=cfg)
-    lines = path.read_text().splitlines()
-    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    lines[data_start + 4500] = _replace_cell(lines[data_start + 4500], 2, "nan")
-    path.write_text("\n".join(lines) + "\n")
+    set_payload_value(path, "intensity", 4500, np.nan)
     with pytest.raises(TraceParseError) as err:
         read_calibrated_record(path)
-    assert err.value.line == data_start + 4501
-    assert "column intensity contains non-finite values" in str(err.value)
+    assert err.value.line is None
+    assert "column intensity contains non-finite values (first at row 4500)" in str(err.value)
 
 
 def _with_header(path, key, value):
     """Replace the '# key' value; returns that line's 1-based number."""
-    lines = path.read_text().splitlines()
+    lines, payload = split_table(path)
     index = next(i for i, l in enumerate(lines) if l.startswith(f"# {key} "))
     lines[index] = f"# {key} {value}"
-    path.write_text("\n".join(lines) + "\n")
+    join_table(path, lines, payload)
     return index + 1
 
 
@@ -395,17 +447,17 @@ def test_negative_row_count_names_its_line(tmp_path, trace_and_config):
 
 
 def test_row_count_beyond_the_file_is_a_mismatch(tmp_path, trace_and_config):
-    # 10**12 rows of 7 value columns would need 56 TB if a buffer were sized
-    # from the header
+    # 10**12 rows of 7 columns would need 56 TB if a buffer were sized from
+    # the header; the payload length is checked first
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    _with_header(path, "rows", 10**12)
+    rows_line = _with_header(path, "rows", 10**12)
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
-    assert err.value.line == len(path.read_text().splitlines())
-    assert (f"header declares {10**12} rows but file has {trace.n_samples}"
-            in str(err.value))
+    assert err.value.line == rows_line
+    assert (f"{10**12} rows of 7 columns need {56 * 10**12} payload bytes, "
+            f"file has {trace.n_samples * 56}") in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +483,15 @@ def test_calibrated_record_round_trip(tmp_path, trace_and_config):
     assert np.array_equal(table.calibrated, calibration.calibrated)
 
 
-def test_calibration_table_has_correction_column(tmp_path, trace_and_config):
+def test_calibration_table_columns(tmp_path, trace_and_config):
+    # the correction is calibrated - reported, so it is not stored
     trace, cfg = trace_and_config
     calibration, _ = calibrate_trace(cfg, trace)
     path = tmp_path / "calibration.txt"
     write_calibration_table(calibration, path)
-    lines = path.read_text().splitlines()
+    lines, _ = split_table(path)
     columns_line = next(l for l in lines if l.startswith("# columns"))
-    assert columns_line.split()[2:] == [
-        "index", "reported_d_um", "calibrated_d_um", "correction_um"]
+    assert columns_line.split()[2:] == ["reported_d_m", "calibrated_d_m"]
 
 
 def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_config):
@@ -447,19 +499,19 @@ def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_confi
     calibration, _ = calibrate_trace(cfg, trace)
     path = tmp_path / "calibration.txt"
     write_calibration_table(calibration, path)
-    text = path.read_text()
-    assert "# interpolation linear\n" in text
-    path.write_text(text.replace("# interpolation linear", "# interpolation cubic"))
+    data = path.read_bytes()
+    assert b"# interpolation linear\n" in data
+    path.write_bytes(data.replace(b"# interpolation linear", b"# interpolation cubic"))
     with pytest.raises(TraceParseError):
         read_calibration_table(path)
-    path.write_text(text.replace("# interpolation linear\n", ""))
+    path.write_bytes(data.replace(b"# interpolation linear\n", b""))
     with pytest.raises(TraceParseError):
         read_calibration_table(path)
     # the end-slope fit length is fixed; another value is not this format
-    assert "# edge_fit 2000\n" in text
-    for edited in (text.replace("# edge_fit 2000", "# edge_fit 1000"),
-                   text.replace("# edge_fit 2000\n", "")):
-        path.write_text(edited)
+    assert b"# edge_fit 2000\n" in data
+    for edited in (data.replace(b"# edge_fit 2000", b"# edge_fit 1000"),
+                   data.replace(b"# edge_fit 2000\n", b"")):
+        path.write_bytes(edited)
         with pytest.raises(TraceParseError, match="edge_fit 2000"):
             read_calibration_table(path)
 
@@ -476,17 +528,17 @@ WRITERS = {"trace": write_trace, "record": write_calibrated_record,
 
 # (object written, value column, attribute that holds it)
 VALUE_COLUMNS = [
-    ("trace", "reported_d_um", "reported_d"),
+    ("trace", "reported_d_m", "reported_d"),
     ("trace", "intensity", "intensity"),
     ("trace", "coincidence", "coincidence"),
-    ("trace", "true_d_um", "truth.true_d"),
+    ("trace", "true_d_m", "truth.true_d"),
     ("trace", "intensity_rate", "truth.intensity_rate"),
     ("trace", "coincidence_rate", "truth.coincidence_rate"),
     ("trace", "pair_carrier", "truth.pair_carrier"),
-    ("record", "position_um", "positions"),
+    ("record", "position_m", "positions"),
     ("record", "intensity", "intensity"),
-    ("calibration", "reported_d_um", "reported"),
-    ("calibration", "calibrated_d_um", "calibrated"),
+    ("calibration", "reported_d_m", "reported"),
+    ("calibration", "calibrated_d_m", "calibrated"),
 ]
 
 
@@ -514,13 +566,11 @@ def test_writers_reject_non_finite_values(tmp_path, written_objects, kind, colum
     assert list(tmp_path.iterdir()) == []
 
 
-def test_calibration_writer_checks_the_correction_column(tmp_path, written_objects):
-    # finite knots whose difference overflows to inf
-    table = _with_last_value(written_objects["calibration"], "reported", -1.5e308)
-    table = _with_last_value(table, "calibrated", 1.5e308)
-    with pytest.raises(ConfigError, match="column correction_um contains non-finite"), \
-            np.errstate(over="ignore"):
-        write_calibration_table(table, tmp_path / "out.txt")
+def test_writer_rejects_columns_of_unequal_length(tmp_path, written_objects):
+    record = copy.copy(written_objects["record"])
+    record.intensity = record.intensity[:-1]
+    with pytest.raises(ConfigError, match="column intensity holds"):
+        write_calibrated_record(record, tmp_path / "out.txt")
     assert list(tmp_path.iterdir()) == []
 
 
