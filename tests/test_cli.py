@@ -83,6 +83,16 @@ def test_simulate_rejects_invalid_config(tmp_path, capsys):
     assert "sample.surfaces" in capsys.readouterr().err
 
 
+def test_simulate_rejects_non_text_config(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes(range(128, 256)))
+    assert main(["simulate", "--config", str(bad),
+                 "--output", str(tmp_path / "x.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert "bad.json: not valid JSON" in err
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("stage", "velocity_nm_per_s", float("nan")),
     ("scan", "stop_um", float("inf")),

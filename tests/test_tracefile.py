@@ -290,17 +290,13 @@ def test_reading_one_format_as_another_is_refused(tmp_path, written_objects):
             reader(path)
 
 
-def version_1_trace(path):
-    """The opening of a text-row trace as the format's first version wrote it."""
+def test_version_1_file_is_refused_with_its_version(tmp_path):
+    path = tmp_path / "old.txt"
+    # a text-row trace as the format's first version wrote it
     path.write_text("# qolcr-trace 1\n# spacing 5e-09\n"
                     "# columns index reported_d_um intensity coincidence\n# rows 1\n"
                     "    0   0.0000000000000000e+00   1.0000000000000000e+00"
                     "   1.0000000000000000e+00\n")
-
-
-def test_version_1_file_is_refused_with_its_version(tmp_path):
-    path = tmp_path / "old.txt"
-    version_1_trace(path)
     for reader in (read_trace, read_embedded_config):
         with pytest.raises(TraceParseError) as err:
             reader(path)
