@@ -263,8 +263,10 @@ def read_trace(path) -> ScanTrace:
     """Read a scan trace; reconstructs truth channels when present."""
     table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS)
     reported = table.data["reported_d_m"]
-    if reported.size and not np.all(np.diff(reported) > 0):
-        raise TraceParseError("reported_d must be strictly increasing", path=path)
+    bad = np.flatnonzero(~(np.diff(reported) > 0))
+    if bad.size:
+        raise TraceParseError(f"reported_d must be strictly increasing "
+                              f"(first fault at row {bad[0] + 1})", path=path)
     truth = None
     if all(name in table.data for name in TRUTH_COLUMNS):
         truth = ScanTruth(

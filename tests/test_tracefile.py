@@ -379,6 +379,88 @@ def test_non_monotone_read_rejected(tmp_path, trace_and_config):
     assert "increasing" in str(err.value)
 
 
+def set_payload_bits(path, column, row, bits):
+    """Overwrite one payload value with the 8 bytes of the 64-bit pattern `bits`."""
+    lines, payload = split_table(path)
+    columns = next(l for l in lines if l.startswith("# columns ")).split()[2:]
+    values = np.frombuffer(payload, "<u8").reshape(len(columns), -1).copy()
+    values[columns.index(column), row] = bits
+    join_table(path, lines, values.tobytes())
+
+
+def insert_payload_bytes(path, row, extra):
+    """Insert `extra` into the payload after the first column's value at `row`."""
+    lines, payload = split_table(path)
+    cut = (row + 1) * 8
+    join_table(path, lines, payload[:cut] + extra + payload[cut:])
+
+
+def repeat_previous_position(path, row):
+    """Give row `row` of a trace the position of the row before it."""
+    _, payload = split_table(path)   # reported_d_m is the first column
+    previous = np.frombuffer(payload, "<f8", 1, (row - 1) * 8)[0]
+    set_payload_value(path, "reported_d_m", row, previous)
+
+
+# (edit that spoils one payload row, words expected in the error message);
+# a row's fault is named by its row, a payload-length fault by the '# rows' line
+ROW_DEFECTS = {
+    "extra column": (lambda path, row: insert_payload_bytes(path, row, b"\0" * 8),
+                     "payload bytes"),
+    "index out of order": (repeat_previous_position, "strictly increasing"),
+    # bytes that no finite double has: all ones, and an all-ones exponent field
+    "unparseable value": (lambda path, row: set_payload_bits(
+        path, "intensity", row, 0xFFFF_FFFF_FFFF_FFFF), "column intensity"),
+    "unparseable exponent": (lambda path, row: set_payload_bits(
+        path, "true_d_m", row, 0x7FF0_0000_0000_0001), "column true_d_m"),
+    "header after data": (lambda path, row: insert_payload_bytes(path, row, b"# note\n"),
+                          "payload bytes"),
+    "nan value": (lambda path, row: set_payload_value(path, "coincidence", row, np.nan),
+                  "column coincidence"),
+    "infinite value": (lambda path, row: set_payload_value(path, "pair_carrier", row,
+                                                           -np.inf),
+                       "column pair_carrier"),
+    # a value past the largest double, as stored once it has overflowed
+    "overflowing value": (lambda path, row: set_payload_value(
+        path, "intensity_rate", row, MAX_FLOAT.item() * 10.0), "column intensity_rate"),
+}
+
+
+@pytest.mark.parametrize("row", [1, 4100, 9998])
+@pytest.mark.parametrize("defect", sorted(ROW_DEFECTS))
+def test_bad_row_names_its_line_in_any_block(tmp_path, trace_and_config, defect, row):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    edit, words = ROW_DEFECTS[defect]
+    # a bad last row must not mask the one before it
+    last = trace.n_samples - 1
+    edit(path, last)
+    edit(path, row)
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert words in str(err.value)
+    if words == "payload bytes":
+        assert err.value.line == rows_line_number(path)
+    else:
+        assert err.value.line is None
+        assert str(err.value).endswith(f"(first at row {row})"
+                                       if words.startswith("column")
+                                       else f"(first fault at row {row})")
+
+
+def test_corrupt_row_names_the_line(tmp_path, trace_and_config):
+    trace, cfg = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path, config=cfg)
+    for column in TRACE_WITH_TRUTH_COLUMNS:
+        set_payload_bits(path, column, 3, 0xFFFF_FFFF_FFFF_FFFF)
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert str(err.value).endswith(
+        "scan.txt: column reported_d_m contains non-finite values (first at row 3)")
+
+
 @pytest.mark.parametrize("row", [1, 4100, 9998])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("column", TRACE_WITH_TRUTH_COLUMNS)
@@ -522,19 +604,26 @@ def written_objects(trace_and_config):
 WRITERS = {"trace": write_trace, "record": write_calibrated_record,
            "calibration": write_calibration_table}
 
-# (object written, value column, attribute that holds it)
+# (object written, value column, attribute that holds it); a case's id names
+# its position column as format version 1 did (in micrometres, '_um'), so each
+# case keeps one id across the change to metre columns ('_m')
 VALUE_COLUMNS = [
-    ("trace", "reported_d_m", "reported_d"),
-    ("trace", "intensity", "intensity"),
-    ("trace", "coincidence", "coincidence"),
-    ("trace", "true_d_m", "truth.true_d"),
-    ("trace", "intensity_rate", "truth.intensity_rate"),
-    ("trace", "coincidence_rate", "truth.coincidence_rate"),
-    ("trace", "pair_carrier", "truth.pair_carrier"),
-    ("record", "position_m", "positions"),
-    ("record", "intensity", "intensity"),
-    ("calibration", "reported_d_m", "reported"),
-    ("calibration", "calibrated_d_m", "calibrated"),
+    pytest.param(kind, column, attribute,
+                 id=f"{kind}-{column[:-2] + '_um' if column.endswith('_m') else column}"
+                    f"-{attribute}")
+    for kind, column, attribute in [
+        ("trace", "reported_d_m", "reported_d"),
+        ("trace", "intensity", "intensity"),
+        ("trace", "coincidence", "coincidence"),
+        ("trace", "true_d_m", "truth.true_d"),
+        ("trace", "intensity_rate", "truth.intensity_rate"),
+        ("trace", "coincidence_rate", "truth.coincidence_rate"),
+        ("trace", "pair_carrier", "truth.pair_carrier"),
+        ("record", "position_m", "positions"),
+        ("record", "intensity", "intensity"),
+        ("calibration", "reported_d_m", "reported"),
+        ("calibration", "calibrated_d_m", "calibrated"),
+    ]
 ]
 
 
