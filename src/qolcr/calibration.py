@@ -149,7 +149,20 @@ def analytic_from_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     weighted = np.zeros(n, dtype=complex)
     weighted[: len(half)] = half
     weighted[1: (n + 1) // 2] *= 2.0
-    return ifft(weighted)
+    return ifft(weighted, overwrite_x=True)
+
+
+def _unwrap(phase: np.ndarray) -> np.ndarray:
+    """np.unwrap(phase) bit for bit, folding only the steps that are not
+    |step| < pi (NaN included): a finely sampled carrier wraps at few steps."""
+    step = np.diff(phase)
+    wraps = np.flatnonzero(~(np.abs(step) < math.pi))
+    jump = step[wraps]
+    folded = np.mod(jump + math.pi, 2.0 * math.pi) - math.pi
+    np.copyto(folded, math.pi, where=(folded == -math.pi) & (jump > 0))
+    correction = np.zeros_like(step)
+    correction[wraps] = folded - jump
+    return np.concatenate((phase[:1], phase[1:] + np.cumsum(correction)))
 
 
 @dataclass
@@ -174,7 +187,7 @@ def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTr
     if method == "analytic":
         analytic = analytic_from_spectrum(rfft(carrier.values), len(carrier.values))
         amplitude = np.abs(analytic)
-        phase = np.unwrap(np.angle(analytic))
+        phase = _unwrap(np.angle(analytic))
     elif method == "crossings":
         phase, amplitude = _phase_from_crossings(carrier)
     else:

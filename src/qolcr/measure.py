@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft
 from scipy.signal import find_peaks
 
-from qolcr.calibration import CalibratedRecord, analytic_from_spectrum
+from qolcr.calibration import CalibratedRecord, _unwrap, analytic_from_spectrum
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 
 # smallest sample overlap allowed between the shifted record copies; lags
@@ -63,6 +63,7 @@ class Autocorrelogram:
     grid_step: float
     metadata: dict = field(default_factory=dict)
     quality: dict = field(default_factory=dict)
+    envelope: np.ndarray = field(init=False, repr=False)  # |analytic|, set once
 
     def __post_init__(self):
         if not np.iscomplexobj(self.analytic):
@@ -71,7 +72,8 @@ class Autocorrelogram:
             raise ConfigError("autocorrelogram arrays must match in length")
         if abs(self.analytic[0] - 1.0) > 1e-12:
             raise ConfigError("autocorrelogram must be normalized to A(0) = 1")
-        if np.max(np.abs(self.analytic)) > 1.0 + 1e-9:
+        self.envelope = np.abs(self.analytic)
+        if np.max(self.envelope) > 1.0 + 1e-9:
             raise ConfigError("autocorrelogram exceeds its zero-lag value")
 
     @property
@@ -103,10 +105,10 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
 
     nfft = next_fast_len(2 * n - 1)
     spec = rfft(x, nfft)
-    raw = analytic_from_spectrum(spec * np.conj(spec), nfft)[: k_cap + 1]
-    if raw[0].real <= 0:
+    analytic = analytic_from_spectrum(spec * np.conj(spec), nfft)[: k_cap + 1]
+    if analytic[0].real <= 0:
         raise ConfigError("record has zero variance")
-    analytic = raw / raw[0].real
+    analytic /= analytic[0].real
     analytic[0] = 1.0
     return Autocorrelogram(
         lags=np.arange(k_cap + 1) * record.grid_step, analytic=analytic,
@@ -200,9 +202,7 @@ def _cluster_parameters(acorr: Autocorrelogram):
     cluster, so its half-max half-width sets the natural length scale
     without needing the source spectrum.
     """
-    env = np.abs(acorr.analytic)
-    above = env >= 0.5
-    edge = np.argmin(above)  # first index below half max
+    edge = np.argmin(acorr.envelope >= 0.5)  # first index below half max
     if edge == 0:
         raise PeakFitError("zero-lag cluster of the autocorrelogram is malformed")
     # a cluster window spans 2 * 1.5 half-widths (envelope_halfwidth below)
@@ -217,7 +217,6 @@ def _cluster_parameters(acorr: Autocorrelogram):
         "min_separation": 3.0 * w_half,
         "envelope_halfwidth": 1.5 * w_half,
         "fit_halfwidth": 0.3 * w_half,
-        "envelope": env,
     }
 
 
@@ -237,7 +236,7 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
         return report
 
     params = _cluster_parameters(acorr)
-    env = params["envelope"]
+    env = acorr.envelope
     search = env.copy()
     guard_idx = int(round(params["zero_guard"] / acorr.grid_step))
     if guard_idx >= len(search):
@@ -282,8 +281,8 @@ def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
     lags = acorr.lags[window]
     if len(analytic) < MIN_CLUSTER_SAMPLES:
         raise PeakFitError("cluster too close to the edge of the autocorrelogram")
-    env = np.abs(analytic)
-    phase = np.unwrap(np.angle(analytic))
+    env = acorr.envelope[window]
+    phase = _unwrap(np.angle(analytic))
     peak_lag = float(lags[np.argmax(env)])
 
     fit_hw = params["fit_halfwidth"]

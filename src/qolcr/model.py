@@ -220,12 +220,13 @@ def coherence_envelope(spectrum: Spectrum, tau):
     return spectrum.total_power / (2.0 * math.pi) * np.exp(-0.5 * (sig * tau) ** 2)
 
 
-def response_function(spectrum: Spectrum, tau):
+def response_function(spectrum: Spectrum, tau, envelope=None):
     """Interference kernel f(tau) = 2 Re{ s(tau) exp(-1j omega0 tau) }.
 
     A surface at delay tau_j contributes r_j * f(tau - tau_j) to the
-    intensity scan. Even in tau, peak value 2 s(0) at tau = 0.
+    intensity scan. Even in tau, peak value 2 s(0) at tau = 0. Pass s(tau)
+    as `envelope` when it is already computed.
     """
     tau = np.asarray(tau, dtype=float)
-    env = coherence_envelope(spectrum, tau)
+    env = coherence_envelope(spectrum, tau) if envelope is None else envelope
     return 2.0 * (env * np.cos(spectrum.center_frequency * tau))

@@ -14,8 +14,9 @@ that would go negative is rejected.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -83,12 +84,7 @@ def true_positions(stage: StageModel, n_samples: int, start: float = 0.0) -> np.
     Raises SynthesisError if the distorted trajectory is not strictly
     increasing (the pipeline assumes no stage reversals).
     """
-    traveled = stage.spacing * np.arange(n_samples)
-    positions = traveled * (1.0 + stage.scale_error)
-    if stage.periodic_amplitude != 0.0:
-        positions = positions + stage.periodic_amplitude * np.sin(
-            2.0 * math.pi * traveled / stage.periodic_period + stage.periodic_phase
-        )
+    positions = _seed_free_trajectory(replace(stage, seed=None), n_samples)
     if stage.drift_step > 0.0:
         rng = np.random.default_rng(stage.seed)
         walk = np.cumsum(rng.normal(0.0, stage.drift_step, n_samples))
@@ -100,6 +96,19 @@ def true_positions(stage: StageModel, n_samples: int, start: float = 0.0) -> np.
             "stage error model produced a non-monotone trajectory; "
             "reduce the periodic amplitude or drift step"
         )
+    return positions
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_free_trajectory(stage: StageModel, n_samples: int) -> np.ndarray:
+    """true_positions' scale term plus lead-screw sine, cached read-only per seed-free stage."""
+    traveled = stage.spacing * np.arange(n_samples)
+    positions = traveled * (1.0 + stage.scale_error)
+    if stage.periodic_amplitude != 0.0:
+        positions = positions + stage.periodic_amplitude * np.sin(
+            2.0 * math.pi * traveled / stage.periodic_period + stage.periodic_phase
+        )
+    positions.flags.writeable = False  # shared by every run of this stage
     return positions
 
 
@@ -130,6 +139,13 @@ def intensity_baseline(sample: Sample, spectrum: Spectrum) -> float:
     return BASELINE_HEADROOM * peak * float(np.sum(sample.reflectivities))
 
 
+def _delays(sample: Sample, spectrum: Spectrum, d):
+    """tau = 2 d / c and each surface's (tau - tau_j, s(tau - tau_j)), for both channels."""
+    tau = 2.0 * np.asarray(d, dtype=float) / SPEED_OF_LIGHT
+    shifted = [tau - tau_j for tau_j in sample.delays]
+    return tau, [(x, coherence_envelope(spectrum, x)) for x in shifted]
+
+
 def intensity_rate(sample: Sample, spectrum: Spectrum, d,
                    noise: NoiseModel | None = None):
     """Classical interferogram I(d) = I0 + sum_j r_j f(2 d / c - tau_j).
@@ -137,12 +153,14 @@ def intensity_rate(sample: Sample, spectrum: Spectrum, d,
     With `noise` given, rescales so the fringe-free pedestal equals
     singles_scale counts per bin and adds the background.
     """
-    d = np.asarray(d, dtype=float)
-    tau = 2.0 * d / SPEED_OF_LIGHT
+    return _intensity_rate(sample, spectrum, *_delays(sample, spectrum, d), noise)
+
+
+def _intensity_rate(sample: Sample, spectrum: Spectrum, tau, surfaces, noise):
     baseline = intensity_baseline(sample, spectrum)
     rate = np.full(tau.shape, baseline)
-    for r, tau_j in zip(sample.reflectivities, sample.delays):
-        rate += r * response_function(spectrum, tau - tau_j)
+    for r, (x, env) in zip(sample.reflectivities, surfaces):
+        rate += r * response_function(spectrum, x, env)
     if noise is None:
         return rate
     return noise.singles_scale * rate / baseline + noise.background
@@ -201,8 +219,12 @@ def coincidence_components(sample: Sample, spectrum: Spectrum,
     against the pump frequency, which for exact degeneracy equals the
     2 omega0 form bit for bit.
     """
-    d = np.asarray(d, dtype=float)
-    tau = 2.0 * d / SPEED_OF_LIGHT
+    return _coincidence_components(sample, spectrum, pump, terms,
+                                   *_delays(sample, spectrum, d))
+
+
+def _coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpReference,
+                            terms: CoincidenceTerms, tau, surfaces):
     taus = sample.delays
     refl = sample.reflectivities
     env_scale = spectrum.total_power / (2.0 * math.pi)
@@ -216,31 +238,14 @@ def coincidence_components(sample: Sample, spectrum: Spectrum,
     hom = 2.0 * HOM_AMPLITUDE * env_scale * hom
 
     packet = np.zeros(tau.shape)
-    for r, tau_j in zip(refl, taus):
-        packet += r * coherence_envelope(spectrum, tau - tau_j)
+    for r, (_, env) in zip(refl, surfaces):
+        packet += r * env
     fringes = 4.0 * FRINGE_AMPLITUDE * (packet * np.cos(spectrum.center_frequency * tau))
 
     pair_carrier = 2.0 * np.real(
         terms.pair_constant * np.exp(-1j * pump.angular_frequency * tau)
     )
     return {"hom": hom, "fringes": fringes, "pair_carrier": pair_carrier}
-
-
-def coincidence_rate(sample: Sample, spectrum: Spectrum, pump: PumpReference,
-                     terms: CoincidenceTerms, d,
-                     noise: NoiseModel | None = None):
-    """Coincidence interferogram M(d); see coincidence_components for parts."""
-    return _coincidence_total(
-        coincidence_components(sample, spectrum, pump, terms, d), terms, noise)
-
-
-def _coincidence_total(parts: dict, terms: CoincidenceTerms,
-                       noise: NoiseModel | None):
-    """Baseline plus the evaluated parts, scaled to counts when noise is given."""
-    rate = terms.baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
-    if noise is None:
-        return rate
-    return noise.coincidence_scale * rate / terms.baseline + noise.background
 
 
 @dataclass
@@ -314,9 +319,12 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
     reported = stage.reported_grid(n, start)
     true_d = true_positions(stage, n, start)
 
-    expected_i = intensity_rate(sample, spectrum, true_d, noise)
-    parts = coincidence_components(sample, spectrum, pump, terms, true_d)
-    expected_m = _coincidence_total(parts, terms, noise)
+    tau, surfaces = _delays(sample, spectrum, true_d)
+    expected_i = _intensity_rate(sample, spectrum, tau, surfaces, noise)
+    parts = _coincidence_components(sample, spectrum, pump, terms, tau, surfaces)
+    expected_m = terms.baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
+    if noise is not None:  # to counts per bin, as in the intensity channel
+        expected_m = noise.coincidence_scale * expected_m / terms.baseline + noise.background
     if expected_i.min() < 0.0 or expected_m.min() < 0.0:
         raise SynthesisError("expected counts went negative; baseline headroom violated")
 

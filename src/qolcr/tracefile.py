@@ -356,13 +356,12 @@ def write_json_document(document: dict, path) -> None:
 
 
 def read_json_document(path) -> dict:
-    with open(path, "r") as handle:
-        text = handle.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TraceParseError(f"invalid JSON document: {exc}",
-                              path=path, line=exc.lineno) from exc
+                              path=path, line=getattr(exc, "lineno", None)) from exc
 
 
 def write_plot_data(path, names: list, columns: list, comment: str = "") -> None:

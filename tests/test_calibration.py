@@ -19,6 +19,7 @@ from qolcr.calibration import (
     PhaseTrace,
     _kernel_spectrum,
     _phase_from_crossings,
+    _unwrap,
     analytic_from_spectrum,
     build_calibration,
     design_bandpass,
@@ -280,6 +281,40 @@ def test_analytic_from_spectrum_matches_hilbert_on_default_carrier():
     carrier = extract_tpi(synthesize(config), config.pipeline.bandpass)
     x = carrier.values
     assert np.array_equal(analytic_from_spectrum(rfft(x), len(x)), hilbert(x))
+
+
+def test_unwrap_bit_identical_to_numpy_on_default_carrier():
+    config = default_config()
+    x = extract_tpi(synthesize(config), config.pipeline.bandpass).values
+    phase = np.angle(analytic_from_spectrum(rfft(x), len(x)))
+    # the carrier wraps at a few percent of its steps
+    wraps = np.count_nonzero(np.abs(np.diff(phase)) >= math.pi)
+    assert 0 < wraps < len(phase) // 10
+    assert np.array_equal(_unwrap(phase), np.unwrap(phase))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unwrap_bit_identical_to_numpy_at_and_near_pi_steps(seed):
+    rng = np.random.default_rng(seed)
+    below, above = np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)
+    steps = rng.choice([math.pi, below, above, 0.5, 2.0, 7.0], 2000)
+    walk = np.cumsum(steps * rng.choice([-1.0, 1.0], 2000))
+    # multiples of pi / 2 step by exactly +-pi at many samples, where
+    # np.unwrap's tie rule (keep the sign of the step) decides
+    ties = (0.5 * math.pi) * rng.integers(-4, 5, 2000)
+    assert np.any(np.diff(ties) == math.pi) and np.any(np.diff(ties) == -math.pi)
+    for phase in (walk, ties, np.angle(np.exp(1j * walk))):
+        assert np.array_equal(_unwrap(phase), np.unwrap(phase))
+
+
+def test_unwrap_matches_numpy_across_nan_and_on_short_input():
+    phase = np.array([0.0, 3.0, -3.0, np.nan, 1.0, -2.5, 2.5])
+    assert np.array_equal(_unwrap(phase), np.unwrap(phase), equal_nan=True)
+    for n in (0, 1, 2):
+        phase = np.array([3.0, -3.0])[:n]
+        got = _unwrap(phase)
+        assert got.shape == (n,) and np.array_equal(got, np.unwrap(phase))
+        assert not np.shares_memory(got, phase)
 
 
 def test_phase_slope_matches_carrier_frequency():

@@ -123,6 +123,7 @@ def test_autocorrelogram_normalized_bounded():
     vals = acorr.values
     assert vals[0] == 1.0
     assert np.max(np.abs(vals)) <= 1.0 + 1e-9
+    assert np.array_equal(acorr.envelope, np.abs(acorr.analytic))
 
 
 def test_autocorrelate_rejects_short_and_flat_records():

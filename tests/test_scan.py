@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from qolcr.scan import (
     CoincidenceTerms,
     NoiseModel,
     StageModel,
+    _seed_free_trajectory,
     coincidence_components,
-    coincidence_rate,
     intensity_baseline,
     intensity_rate,
     simulate_scan,
@@ -108,6 +109,41 @@ def test_non_monotone_stage_rejected():
 def test_stage_walk_reproducible():
     stage = default_stage(drift_step=0.3e-9, seed=99)
     assert np.array_equal(true_positions(stage, 4000), true_positions(stage, 4000))
+
+
+def test_seed_free_trajectory_is_cached_read_only_and_keyed_by_spec_and_length():
+    stage = default_stage(scale_error=1e-3, periodic_amplitude=100e-9, periodic_phase=0.4)
+    cached = _seed_free_trajectory(stage, 4000)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+    assert _seed_free_trajectory(replace(stage), 4000) is cached
+    # oracle: the scale term plus the lead-screw sine, evaluated afresh
+    for spec, n in ((stage, 4000), (stage, 5000),
+                    (replace(stage, periodic_phase=0.5), 4000),
+                    (replace(stage, scale_error=2e-3), 4000),
+                    (replace(stage, periodic_amplitude=0.0), 4000)):
+        traveled = spec.spacing * np.arange(n)
+        expected = traveled * (1.0 + spec.scale_error) + spec.periodic_amplitude * np.sin(
+            2.0 * math.pi * traveled / spec.periodic_period + spec.periodic_phase)
+        assert np.array_equal(_seed_free_trajectory(spec, n), expected)
+        assert np.array_equal(true_positions(spec, n), expected)
+
+
+@pytest.mark.parametrize("drift_step", [0.0, 0.5e-9])
+def test_true_positions_returns_a_fresh_writable_array(drift_step):
+    stage = default_stage(scale_error=1e-3, periodic_amplitude=100e-9,
+                          drift_step=drift_step, seed=1)
+    first = true_positions(stage, 4000)
+    expected = first.copy()
+    first[:] = 0.0  # writable, and the write must not reach the cache
+    again = true_positions(stage, 4000)
+    assert again.flags.writeable
+    assert np.array_equal(again, expected)
+    # runs that differ only in the seed share one seed-free trajectory
+    hits = _seed_free_trajectory.cache_info().hits
+    true_positions(replace(stage, seed=2), 4000)
+    assert _seed_free_trajectory.cache_info().hits == hits + 1
 
 
 # --- intensity channel -----------------------------------------------------
@@ -207,13 +243,15 @@ def test_pair_carrier_amplitude_constant_over_scan():
 
 
 def test_coincidence_truth_decomposition_is_consistent():
+    # noise=None keeps the synthesized rate in model units
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
     terms = CoincidenceTerms.from_sample(sample, spec)
-    d = np.arange(0, 300e-6, 25e-9)
-    rate = coincidence_rate(sample, spec, pump, terms, d)
-    parts = coincidence_components(sample, spec, pump, terms, d)
+    trace = simulate_scan(sample, spec, pump, default_stage(sample_rate=20.0), None,
+                          (0.0, 300e-6))
+    rate = trace.coincidence
+    parts = coincidence_components(sample, spec, pump, terms, trace.truth.true_d)
     residual = rate - terms.baseline - parts["hom"] - parts["fringes"]
     assert np.allclose(residual, parts["pair_carrier"], rtol=1e-12,
                        atol=1e-12 * terms.baseline)
@@ -232,11 +270,15 @@ def test_real_kernels_bit_identical_to_complex_form(config):
     tau = 2.0 * true_d / SPEED_OF_LIGHT
     rotor = np.exp(-1j * spec.center_frequency * tau)
     packet = np.zeros(tau.shape, dtype=complex)
+    intensity = np.full(tau.shape, intensity_baseline(sample, spec))
     for r, tau_j in zip(sample.reflectivities, sample.delays):
         env = coherence_envelope(spec, tau - tau_j).astype(complex)
         kernel = 2.0 * np.real(env * np.exp(-1j * spec.center_frequency * (tau - tau_j)))
         assert np.array_equal(response_function(spec, tau - tau_j), kernel)
         packet += r * env
+        intensity += r * kernel
+    # the intensity channel reuses each envelope the coincidence channel sums
+    assert np.array_equal(intensity_rate(sample, spec, true_d), intensity)
     terms = CoincidenceTerms.from_sample(sample, spec)
     fringes = coincidence_components(sample, spec, config.pump, terms, true_d)["fringes"]
     assert np.array_equal(fringes, 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor))
@@ -246,9 +288,9 @@ def test_coincidence_rate_nonnegative_model_units():
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
-    terms = CoincidenceTerms.from_sample(sample, spec)
-    d = np.arange(0, 300e-6, 5e-9)
-    assert coincidence_rate(sample, spec, pump, terms, d).min() > 0.0
+    trace = simulate_scan(sample, spec, pump, default_stage(), None, (0.0, 300e-6))
+    assert trace.n_samples == 60000
+    assert trace.coincidence.min() > 0.0
 
 
 # --- full synthesis --------------------------------------------------------
@@ -295,8 +337,9 @@ def test_poisson_sample_mean_matches_rate():
 
 
 def test_scan_truth_matches_separate_rate_evaluation():
-    # synthesis evaluates the coincidence parts once; the truth it keeps
-    # must equal a fresh evaluation of the public rate and components
+    # synthesis shares each surface envelope between both channels; the
+    # truth it keeps must equal a fresh evaluation of the public rates and
+    # components, scaled to counts as NoiseModel documents
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
@@ -306,9 +349,12 @@ def test_scan_truth_matches_separate_rate_evaluation():
                           (0.0, 300e-6))
     terms = CoincidenceTerms.from_sample(sample, spec)
     true_d = trace.truth.true_d
-    expected = coincidence_rate(sample, spec, pump, terms, true_d, noise)
     parts = coincidence_components(sample, spec, pump, terms, true_d)
+    rate = terms.baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
+    expected = noise.coincidence_scale * rate / terms.baseline + noise.background
     assert np.array_equal(trace.truth.coincidence_rate, expected)
+    assert np.array_equal(trace.truth.intensity_rate,
+                          intensity_rate(sample, spec, true_d, noise))
     assert np.array_equal(trace.truth.pair_carrier, parts["pair_carrier"])
 
 

@@ -705,6 +705,16 @@ def test_json_document_parse_error(tmp_path):
         read_json_document(path)
 
 
+def test_json_document_non_utf8_bytes_are_a_parse_error(tmp_path):
+    data = np.random.default_rng(300).integers(0, 256, 300, dtype=np.uint8).tobytes()
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "binary.json"
+    path.write_bytes(data)
+    with pytest.raises(TraceParseError, match="can't decode byte"):
+        read_json_document(path)
+
+
 def test_plot_data_round_trip(tmp_path):
     x = np.linspace(0.0, 1.0, 17)
     y = np.sin(x)
