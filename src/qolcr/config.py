@@ -78,7 +78,7 @@ class RunConfig:
     spectrum: Spectrum
     pump: PumpReference
     stage: StageModel            # seedless template; see stage_for_run
-    noise: NoiseModel | None     # seedless template; see noise_for_run
+    noise: NoiseModel            # seedless template; see noise_for_run
     scan_range: tuple[float, float]
     pipeline: PipelineParams
     master_seed: int
@@ -94,9 +94,7 @@ class RunConfig:
         stage_seed, _ = self.seeds_for_run(run_index)
         return replace(self.stage, seed=stage_seed)
 
-    def noise_for_run(self, run_index: int) -> NoiseModel | None:
-        if self.noise is None:
-            return None
+    def noise_for_run(self, run_index: int) -> NoiseModel:
         _, noise_seed = self.seeds_for_run(run_index)
         return replace(self.noise, seed=noise_seed)
 
@@ -114,11 +112,9 @@ class RunConfig:
         return json.dumps(self.effective, sort_keys=True)
 
 
-def _section(raw: dict, name: str, defaults: dict, allow_null=False) -> dict:
+def _section(raw: dict, name: str, defaults: dict) -> dict:
     got = raw.get(name, {})
     if got is None:
-        if allow_null:
-            return None
         raise ConfigError(f"section '{name}' must be an object, not null")
     if not isinstance(got, dict):
         raise ConfigError(f"section '{name}' must be an object")
@@ -221,19 +217,16 @@ def parse_config(raw: dict) -> RunConfig:
         drift_smoothing=_integer(stage_raw, "stage", "drift_smoothing_samples", minimum=1),
     )
 
-    noise_raw = _section(raw, "noise", DEFAULT_CONFIG["noise"], allow_null=True)
-    if noise_raw is None:
-        noise = None
-    else:
-        enabled = noise_raw["enabled"]
-        if not isinstance(enabled, bool):
-            raise ConfigError("noise.enabled must be true or false")
-        noise = NoiseModel(
-            singles_scale=_number(noise_raw, "noise", "singles_scale", positive=True),
-            coincidence_scale=_number(noise_raw, "noise", "coincidence_scale", positive=True),
-            background=_number(noise_raw, "noise", "background", nonnegative=True),
-            poisson_enabled=enabled,
-        )
+    noise_raw = _section(raw, "noise", DEFAULT_CONFIG["noise"])
+    enabled = noise_raw["enabled"]
+    if not isinstance(enabled, bool):
+        raise ConfigError("noise.enabled must be true or false")
+    noise = NoiseModel(
+        singles_scale=_number(noise_raw, "noise", "singles_scale", positive=True),
+        coincidence_scale=_number(noise_raw, "noise", "coincidence_scale", positive=True),
+        background=_number(noise_raw, "noise", "background", nonnegative=True),
+        poisson_enabled=enabled,
+    )
 
     scan_raw = _section(raw, "scan", DEFAULT_CONFIG["scan"])
     start = _number(scan_raw, "scan", "start_um", nonnegative=True) * 1e-6
@@ -262,7 +255,7 @@ def parse_config(raw: dict) -> RunConfig:
     pipeline = PipelineParams(
         bandpass=bandpass,
         grid_step=None if grid_step_nm is None else grid_step_nm * 1e-9,
-        expected_peaks=_integer(pipe_raw, "pipeline", "expected_peaks", minimum=0),
+        expected_peaks=_integer(pipe_raw, "pipeline", "expected_peaks", minimum=1),
         phase_method=method,
     )
 

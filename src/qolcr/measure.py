@@ -105,7 +105,9 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
 
     nfft = next_fast_len(2 * n - 1)
     spec = rfft(x, nfft)
-    analytic = analytic_from_spectrum(spec * np.conj(spec), nfft)[: k_cap + 1]
+    power = np.conj(spec)
+    power *= spec    # conj(spec) * spec, whatever numpy's temporary elision picks
+    analytic = analytic_from_spectrum(power, nfft)[: k_cap + 1]
     if analytic[0].real <= 0:
         raise ConfigError("record has zero variance")
     analytic /= analytic[0].real
@@ -228,12 +230,8 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
     envelope vertex; nonzero values force the one-fringe ambiguity and are
     used to exercise the outlier flag.
     """
-    if expected_count < 0:
-        raise ConfigError("expected_count must be nonnegative")
-    report = MeasurementReport(
-        peaks=[], metadata=dict(acorr.metadata), quality=dict(acorr.quality))
-    if expected_count == 0:
-        return report
+    if expected_count < 1:
+        raise ConfigError("expected_count must be at least 1")
 
     params = _cluster_parameters(acorr)
     env = acorr.envelope
@@ -263,15 +261,15 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
     estimates.sort(key=lambda p: p.separation)
     if any(p.separation <= params["zero_guard"] for p in estimates):
         raise PeakFitError("a refined separation fell inside the zero-lag guard")
-    report.peaks = estimates
-    report.quality["cluster_search"] = {
+    quality = dict(acorr.quality)
+    quality["cluster_search"] = {
         "w_half": params["w_half"],
         "zero_guard": params["zero_guard"],
         "min_separation": params["min_separation"],
         "noise_floor": floor,
         "n_candidates": int(len(peaks_idx)),
     }
-    return report
+    return MeasurementReport(peaks=estimates, metadata=dict(acorr.metadata), quality=quality)
 
 
 def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,

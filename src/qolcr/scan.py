@@ -146,24 +146,16 @@ def _delays(sample: Sample, spectrum: Spectrum, d):
     return tau, [(x, coherence_envelope(spectrum, x)) for x in shifted]
 
 
-def intensity_rate(sample: Sample, spectrum: Spectrum, d,
-                   noise: NoiseModel | None = None):
-    """Classical interferogram I(d) = I0 + sum_j r_j f(2 d / c - tau_j).
-
-    With `noise` given, rescales so the fringe-free pedestal equals
-    singles_scale counts per bin and adds the background.
-    """
-    return _intensity_rate(sample, spectrum, *_delays(sample, spectrum, d), noise)
+def intensity_rate(sample: Sample, spectrum: Spectrum, d):
+    """Classical interferogram I(d) = I0 + sum_j r_j f(2 d / c - tau_j), model units."""
+    return _intensity_rate(sample, spectrum, *_delays(sample, spectrum, d))
 
 
-def _intensity_rate(sample: Sample, spectrum: Spectrum, tau, surfaces, noise):
-    baseline = intensity_baseline(sample, spectrum)
-    rate = np.full(tau.shape, baseline)
+def _intensity_rate(sample: Sample, spectrum: Spectrum, tau, surfaces):
+    rate = np.full(tau.shape, intensity_baseline(sample, spectrum))
     for r, (x, env) in zip(sample.reflectivities, surfaces):
         rate += r * response_function(spectrum, x, env)
-    if noise is None:
-        return rate
-    return noise.singles_scale * rate / baseline + noise.background
+    return rate
 
 
 def tpi_constant(sample: Sample, spectrum: Spectrum) -> complex:
@@ -179,52 +171,40 @@ def tpi_constant(sample: Sample, spectrum: Spectrum) -> complex:
     return complex(spectrum.total_power * np.sum(refl ** 2 * phases))
 
 
-@dataclass(frozen=True)
-class CoincidenceTerms:
-    """Sample-dependent constants of the coincidence rate.
+def coincidence_baseline(sample: Sample, spectrum: Spectrum) -> float:
+    """Constant pedestal M0 of the coincidence channel.
 
-    The pair-interference constant is fixed by the sample and spectrum;
-    the dip/packet visibilities are HOM_AMPLITUDE and FRINGE_AMPLITUDE.
+    Sized with headroom over the worst-case swing of the HOM envelopes,
+    the single-photon packets and the pair carrier, so the modeled rate
+    can never go negative.
     """
-
-    baseline: float           # M0 pedestal, model units
-    pair_constant: complex    # S0 sum_j r_j^2 e^{-2i omega0 tau_j}
-
-    @classmethod
-    def from_sample(cls, sample: Sample, spectrum: Spectrum) -> "CoincidenceTerms":
-        refl = sample.reflectivities
-        pair_constant = tpi_constant(sample, spectrum)
-        env_peak = spectrum.total_power / (2.0 * math.pi)  # |s(0)|
-        cross = float(sum(
-            refl[i] * refl[j]
-            for i in range(len(refl)) for j in range(i + 1, len(refl))
-        ))
-        swing = (
-            2.0 * HOM_AMPLITUDE * env_peak * cross
-            + 4.0 * FRINGE_AMPLITUDE * env_peak * float(np.sum(refl))
-            + 2.0 * abs(pair_constant)
-        )
-        return cls(
-            baseline=BASELINE_HEADROOM * swing,
-            pair_constant=pair_constant,
-        )
+    refl = sample.reflectivities
+    env_peak = spectrum.total_power / (2.0 * math.pi)  # |s(0)|
+    cross = float(sum(
+        refl[i] * refl[j]
+        for i in range(len(refl)) for j in range(i + 1, len(refl))
+    ))
+    swing = (
+        2.0 * HOM_AMPLITUDE * env_peak * cross
+        + 4.0 * FRINGE_AMPLITUDE * env_peak * float(np.sum(refl))
+        + 2.0 * abs(tpi_constant(sample, spectrum))
+    )
+    return BASELINE_HEADROOM * swing
 
 
-def coincidence_components(sample: Sample, spectrum: Spectrum,
-                           pump: PumpReference, terms: CoincidenceTerms, d):
-    """The three position-dependent coincidence terms, separately.
+def coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpReference, d):
+    """The three position-dependent coincidence terms, separately, in model units.
 
     Returns a dict with keys 'hom', 'fringes', 'pair_carrier'; the total
-    rate is terms.baseline plus their sum. The pair carrier is evaluated
-    against the pump frequency, which for exact degeneracy equals the
-    2 omega0 form bit for bit.
+    rate is coincidence_baseline plus their sum. The pair carrier is
+    evaluated against the pump frequency, which for exact degeneracy
+    equals the 2 omega0 form bit for bit.
     """
-    return _coincidence_components(sample, spectrum, pump, terms,
-                                   *_delays(sample, spectrum, d))
+    return _coincidence_components(sample, spectrum, pump, *_delays(sample, spectrum, d))
 
 
 def _coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpReference,
-                            terms: CoincidenceTerms, tau, surfaces):
+                            tau, surfaces):
     taus = sample.delays
     refl = sample.reflectivities
     env_scale = spectrum.total_power / (2.0 * math.pi)
@@ -243,7 +223,7 @@ def _coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpRefere
     fringes = 4.0 * FRINGE_AMPLITUDE * (packet * np.cos(spectrum.center_frequency * tau))
 
     pair_carrier = 2.0 * np.real(
-        terms.pair_constant * np.exp(-1j * pump.angular_frequency * tau)
+        tpi_constant(sample, spectrum) * np.exp(-1j * pump.angular_frequency * tau)
     )
     return {"hom": hom, "fringes": fringes, "pair_carrier": pair_carrier}
 
@@ -287,13 +267,12 @@ def scan_sample_count(stage: StageModel, scan_range: tuple[float, float]) -> int
 
 
 def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
-                  stage: StageModel, noise: NoiseModel | None,
+                  stage: StageModel, noise: NoiseModel,
                   scan_range: tuple[float, float]) -> ScanTrace:
     """Synthesize one scan over [start, stop) of the reported axis.
 
     Expected per-bin counts are evaluated at the true mirror positions and,
     when noise.poisson_enabled, each bin is an independent Poisson draw.
-    noise=None records the raw physical rates with no detector scaling.
     """
     pump.check_degenerate(spectrum)
     start, stop = scan_range
@@ -315,20 +294,22 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
             f"{MIN_GAP_COHERENCE_LENGTHS:g} coherence lengths"
         )
 
-    terms = CoincidenceTerms.from_sample(sample, spectrum)
     reported = stage.reported_grid(n, start)
     true_d = true_positions(stage, n, start)
 
     tau, surfaces = _delays(sample, spectrum, true_d)
-    expected_i = _intensity_rate(sample, spectrum, tau, surfaces, noise)
-    parts = _coincidence_components(sample, spectrum, pump, terms, tau, surfaces)
-    expected_m = terms.baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
-    if noise is not None:  # to counts per bin, as in the intensity channel
-        expected_m = noise.coincidence_scale * expected_m / terms.baseline + noise.background
+    rate_i = _intensity_rate(sample, spectrum, tau, surfaces)
+    parts = _coincidence_components(sample, spectrum, pump, tau, surfaces)
+    baseline_m = coincidence_baseline(sample, spectrum)
+    rate_m = baseline_m + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
+    # model units to counts per bin: each pedestal becomes its channel's scale
+    expected_i = (noise.singles_scale * rate_i / intensity_baseline(sample, spectrum)
+                  + noise.background)
+    expected_m = noise.coincidence_scale * rate_m / baseline_m + noise.background
     if expected_i.min() < 0.0 or expected_m.min() < 0.0:
         raise SynthesisError("expected counts went negative; baseline headroom violated")
 
-    if noise is not None and noise.poisson_enabled:
+    if noise.poisson_enabled:
         rng = np.random.default_rng(noise.seed)
         intensity = rng.poisson(expected_i).astype(float)
         coincidence = rng.poisson(expected_m).astype(float)
@@ -343,9 +324,9 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
         "spacing": stage.spacing,
         "velocity": stage.velocity,
         "sample_rate": stage.sample_rate,
-        "poisson": bool(noise is not None and noise.poisson_enabled),
+        "poisson": bool(noise.poisson_enabled),
         "stage_seed": stage.seed,
-        "noise_seed": None if noise is None else noise.seed,
+        "noise_seed": noise.seed,
     }
     return ScanTrace(
         reported_d=reported,

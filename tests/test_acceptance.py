@@ -38,7 +38,7 @@ def config_variant(identity_stage=False, noise=True):
         raw["stage"].update(scale_error=0.0, periodic_amplitude_nm=0.0,
                             drift_step_nm=0.0)
     if not noise:
-        raw["noise"] = None
+        raw["noise"]["enabled"] = False
     return parse_config(raw)
 
 

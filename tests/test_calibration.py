@@ -32,7 +32,7 @@ from qolcr.config import default_config, load_config
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.experiments import synthesize
 from qolcr.model import PumpReference, Sample, Spectrum
-from qolcr.scan import ScanTrace, StageModel, simulate_scan
+from qolcr.scan import ScanTrace, StageModel, coincidence_baseline, simulate_scan
 
 LAMBDA_0 = 810e-9
 LAMBDA_P = 405e-9
@@ -40,6 +40,8 @@ SPACING = 5e-9
 CARRIER_FREQ = 2.0 / LAMBDA_P       # cycles per meter of mirror travel
 PUMP = PumpReference(LAMBDA_P)
 BANDPASS = default_config().pipeline.bandpass   # the carrier filter the pipeline runs
+# the default count scales with noise.enabled false: expected counts per bin
+NOISE_OFF = replace(default_config().noise, poisson_enabled=False)
 MULTILAYER = Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"
 
 
@@ -61,13 +63,14 @@ def carrier_trace(n=60000, amplitude=500.0, baseline=4000.0, phi0=0.3,
     )
 
 
-def simulate(stage=None, noise=None, sample=None):
-    if sample is None:
-        sample = Sample.from_pairs([(0.6, 9.886e-6), (0.6, 290.114e-6)])
-    spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
+SAMPLE = Sample.from_pairs([(0.6, 9.886e-6), (0.6, 290.114e-6)])
+SPECTRUM = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
+
+
+def simulate(stage=None):
     if stage is None:
         stage = StageModel(velocity=500e-9, sample_rate=100.0)
-    return simulate_scan(sample, spectrum, PUMP, stage, noise=noise,
+    return simulate_scan(SAMPLE, SPECTRUM, PUMP, stage, noise=NOISE_OFF,
                          scan_range=(0.0, 300e-6))
 
 
@@ -243,7 +246,9 @@ def test_extract_tpi_passes_pure_carrier():
 
 def test_extract_tpi_from_full_coincidence_model(identity_trace):
     carrier = extract_tpi(identity_trace, BANDPASS)
-    truth = identity_trace.truth.pair_carrier
+    # the truth's pair carrier is in model units, the trace in counts per bin
+    truth = (identity_trace.truth.pair_carrier * NOISE_OFF.coincidence_scale
+             / coincidence_baseline(SAMPLE, SPECTRUM))
     sel = carrier.valid
     resid = carrier.values[sel] - truth[sel]
     rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth[sel] ** 2)))

@@ -28,7 +28,7 @@ def config_file(tmp_path, name="config.json", surfaces=((0.6, 30.0), (0.6, 90.0)
         raw["stage"].update(scale_error=0.0, periodic_amplitude_nm=0.0,
                             drift_step_nm=0.0)
     if not noise:
-        raw["noise"] = None
+        raw["noise"]["enabled"] = False
     raw["pipeline"].update(pipeline or {})
     path = tmp_path / name
     path.write_text(json.dumps(raw))

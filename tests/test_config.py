@@ -31,7 +31,7 @@ def test_default_config_parses_to_si():
     assert cfg.pump.wavelength == pytest.approx(405e-9)
     assert cfg.stage.spacing == pytest.approx(5e-9)
     assert cfg.stage.scale_error == 1e-3
-    assert cfg.noise is not None and cfg.noise.poisson_enabled
+    assert cfg.noise.poisson_enabled
     assert cfg.scan_range == (0.0, 300e-6)
     assert cfg.pipeline.expected_peaks == 1
     assert cfg.pipeline.grid_step is None
@@ -83,6 +83,7 @@ def test_invalid_json_raises_config_error(tmp_path):
      "pipeline.grid_step_nm must be a finite number"),
     (tweaked(stage={"scale_error": float("-inf")}), "stage.scale_error must be a finite number"),
     (tweaked(scan={"stop_um": 10 ** 400}), "scan.stop_um must be a finite number"),
+    (tweaked(pipeline={"expected_peaks": 0}), "pipeline.expected_peaks must be at least 1"),
 ])
 def test_field_level_messages(raw, needle):
     with pytest.raises(ConfigError) as err:
@@ -123,9 +124,11 @@ def test_unknown_top_level_section():
 
 
 def test_noise_section_variants():
-    assert parse_config(tweaked(noise=None)).noise is None
+    # enabled: false is the one noise-off switch; a null section is rejected
+    with pytest.raises(ConfigError, match="section 'noise' must be an object"):
+        parse_config(tweaked(noise=None))
     cfg = parse_config(tweaked(noise={"enabled": False}))
-    assert cfg.noise is not None and not cfg.noise.poisson_enabled
+    assert not cfg.noise.poisson_enabled
 
 
 def test_seed_derivation_is_deterministic_and_spread():

@@ -30,7 +30,7 @@ def make_config(identity_stage=True, noise=False, **pipeline):
             drift_step_nm=0.0,
         )
     if not noise:
-        raw["noise"] = None
+        raw["noise"]["enabled"] = False
     if pipeline:
         raw["pipeline"].update(pipeline)
     return parse_config(raw)
@@ -178,7 +178,7 @@ def test_linearity_deviations_invariant_under_global_shift(clean_config):
     # geometry, different absolute positions and carrier phases
     raw = copy.deepcopy(DEFAULT_CONFIG)
     raw["stage"].update(scale_error=0.0, periodic_amplitude_nm=0.0, drift_step_nm=0.0)
-    raw["noise"] = None
+    raw["noise"]["enabled"] = False
     for surf in raw["sample"]["surfaces"]:
         surf["position_um"] += 5.0
     raw["scan"] = {"start_um": 5.0, "stop_um": 305.0}

@@ -5,15 +5,18 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len, rfft
 from scipy.signal import hilbert
 
 from qolcr.calibration import (
     CalibratedRecord,
+    analytic_from_spectrum,
     build_calibration,
     extract_phase,
     extract_tpi,
@@ -39,6 +42,8 @@ LAMBDA_P = 405e-9
 TRUE_SEPARATION = 290.114e-6 - 9.886e-6
 GRID = 5e-9
 BANDPASS = default_config().pipeline.bandpass   # the carrier filter the pipeline runs
+# the default count scales with noise.enabled false: expected counts per bin
+NOISE_OFF = replace(default_config().noise, poisson_enabled=False)
 
 
 def synthetic_record(n=4096, step=GRID, seed=11, packets=((3e-6, 900.0), (15e-6, 700.0))):
@@ -52,12 +57,12 @@ def synthetic_record(n=4096, step=GRID, seed=11, packets=((3e-6, 900.0), (15e-6,
     return CalibratedRecord(positions=pos, intensity=intensity, grid_step=step)
 
 
-def run_pipeline(sample_rate=100.0, noise=None, grid_step=None):
+def run_pipeline(sample_rate=100.0, grid_step=None):
     sample = Sample.from_pairs([(0.6, 9.886e-6), (0.6, 290.114e-6)])
     spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
     pump = PumpReference(LAMBDA_P)
     stage = StageModel(velocity=500e-9, sample_rate=sample_rate)
-    trace = simulate_scan(sample, spectrum, pump, stage, noise=noise,
+    trace = simulate_scan(sample, spectrum, pump, stage, noise=NOISE_OFF,
                           scan_range=(0.0, 300e-6))
     carrier = extract_tpi(trace, BANDPASS)
     phase = extract_phase(carrier)
@@ -93,6 +98,21 @@ def test_autocorrelate_matches_direct_sum_oracle():
 
     assert len(acorr.values) == k_max + 1
     assert np.max(np.abs(acorr.values - direct)) < 1e-10
+
+
+def test_autocorrelate_power_spectrum_operand_order():
+    # oracle: |X|^2 formed as conj(X) * X; the imaginary parts of X * conj(X)
+    # differ in the last bit, and numpy's temporary elision would pick either
+    # order depending on the array size (this record is below its threshold)
+    record = synthetic_record(n=4000)
+    x = record.intensity - record.intensity.mean()
+    nfft = next_fast_len(2 * len(x) - 1)
+    spec = rfft(x, nfft)
+    analytic = analytic_from_spectrum(np.multiply(np.conj(spec), spec), nfft)
+    analytic = analytic[: len(x) - MIN_OVERLAP + 1]
+    analytic /= analytic[0].real
+    analytic[0] = 1.0
+    assert np.array_equal(autocorrelate(record).analytic, analytic)
 
 
 def test_autocorrelate_pure_cosine_preserves_period():
@@ -301,10 +321,10 @@ def test_forced_half_fringe_offset_is_flagged(standard_acorr):
     assert abs(abs(shift) - LAMBDA_0 / 2) < 2e-9
 
 
-def test_expected_count_zero_returns_empty(standard_acorr):
-    report = estimate_separations(standard_acorr, expected_count=0)
-    assert report.peaks == []
-    assert report.separations == []
+def test_expected_count_below_one_is_rejected(standard_acorr):
+    for count in (0, -1):
+        with pytest.raises(ConfigError, match="expected_count must be at least 1"):
+            estimate_separations(standard_acorr, expected_count=count)
 
 
 def test_single_surface_record_has_no_cluster():
@@ -312,7 +332,7 @@ def test_single_surface_record_has_no_cluster():
     spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
     pump = PumpReference(LAMBDA_P)
     stage = StageModel(velocity=500e-9, sample_rate=100.0)
-    trace = simulate_scan(sample, spectrum, pump, stage, noise=None,
+    trace = simulate_scan(sample, spectrum, pump, stage, noise=NOISE_OFF,
                           scan_range=(0.0, 300e-6))
     carrier = extract_tpi(trace, BANDPASS)
     calibration = build_calibration(extract_phase(carrier), pump)

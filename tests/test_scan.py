@@ -22,10 +22,10 @@ from qolcr.model import (
 )
 from qolcr.scan import (
     FRINGE_AMPLITUDE,
-    CoincidenceTerms,
     NoiseModel,
     StageModel,
     _seed_free_trajectory,
+    coincidence_baseline,
     coincidence_components,
     intensity_baseline,
     intensity_rate,
@@ -220,9 +220,8 @@ def test_pair_carrier_period_is_half_pump_wavelength():
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
-    terms = CoincidenceTerms.from_sample(sample, spec)
     d = np.linspace(100e-6, 110e-6, 200001)
-    carrier = coincidence_components(sample, spec, pump, terms, d)["pair_carrier"]
+    carrier = coincidence_components(sample, spec, pump, d)["pair_carrier"]
     signs = np.sign(carrier)
     idx = np.nonzero(np.diff(signs) != 0)[0]
     crossings = d[idx] - carrier[idx] * (d[idx + 1] - d[idx]) / (carrier[idx + 1] - carrier[idx])
@@ -233,9 +232,8 @@ def test_pair_carrier_amplitude_constant_over_scan():
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
-    terms = CoincidenceTerms.from_sample(sample, spec)
     d = np.arange(0, 300e-6, 5e-9)
-    carrier = coincidence_components(sample, spec, pump, terms, d)["pair_carrier"]
+    carrier = coincidence_components(sample, spec, pump, d)["pair_carrier"]
     # envelope probed blockwise: every 2000-sample block spans many fringes
     blocks = carrier[: len(carrier) // 2000 * 2000].reshape(-1, 2000)
     peaks = np.abs(blocks).max(axis=1)
@@ -243,18 +241,19 @@ def test_pair_carrier_amplitude_constant_over_scan():
 
 
 def test_coincidence_truth_decomposition_is_consistent():
-    # noise=None keeps the synthesized rate in model units
+    # the noise-free counts, taken back to model units
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
-    terms = CoincidenceTerms.from_sample(sample, spec)
-    trace = simulate_scan(sample, spec, pump, default_stage(sample_rate=20.0), None,
+    noise = default_noise(poisson_enabled=False)
+    baseline = coincidence_baseline(sample, spec)
+    trace = simulate_scan(sample, spec, pump, default_stage(sample_rate=20.0), noise,
                           (0.0, 300e-6))
-    rate = trace.coincidence
-    parts = coincidence_components(sample, spec, pump, terms, trace.truth.true_d)
-    residual = rate - terms.baseline - parts["hom"] - parts["fringes"]
+    rate = (trace.coincidence - noise.background) * baseline / noise.coincidence_scale
+    parts = coincidence_components(sample, spec, pump, trace.truth.true_d)
+    residual = rate - baseline - parts["hom"] - parts["fringes"]
     assert np.allclose(residual, parts["pair_carrier"], rtol=1e-12,
-                       atol=1e-12 * terms.baseline)
+                       atol=1e-12 * baseline)
 
 
 @pytest.mark.parametrize("config", [
@@ -279,8 +278,7 @@ def test_real_kernels_bit_identical_to_complex_form(config):
         intensity += r * kernel
     # the intensity channel reuses each envelope the coincidence channel sums
     assert np.array_equal(intensity_rate(sample, spec, true_d), intensity)
-    terms = CoincidenceTerms.from_sample(sample, spec)
-    fringes = coincidence_components(sample, spec, config.pump, terms, true_d)["fringes"]
+    fringes = coincidence_components(sample, spec, config.pump, true_d)["fringes"]
     assert np.array_equal(fringes, 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor))
 
 
@@ -288,9 +286,13 @@ def test_coincidence_rate_nonnegative_model_units():
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
-    trace = simulate_scan(sample, spec, pump, default_stage(), None, (0.0, 300e-6))
+    trace = simulate_scan(sample, spec, pump, default_stage(),
+                          default_noise(poisson_enabled=False), (0.0, 300e-6))
     assert trace.n_samples == 60000
-    assert trace.coincidence.min() > 0.0
+    parts = coincidence_components(sample, spec, pump, trace.truth.true_d)
+    baseline = coincidence_baseline(sample, spec)
+    rate = baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
+    assert rate.min() > 0.0
 
 
 # --- full synthesis --------------------------------------------------------
@@ -347,14 +349,15 @@ def test_scan_truth_matches_separate_rate_evaluation():
     trace = simulate_scan(sample, spec, pump,
                           default_stage(drift_step=0.3e-9, seed=2), noise,
                           (0.0, 300e-6))
-    terms = CoincidenceTerms.from_sample(sample, spec)
+    baseline = coincidence_baseline(sample, spec)
     true_d = trace.truth.true_d
-    parts = coincidence_components(sample, spec, pump, terms, true_d)
-    rate = terms.baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
-    expected = noise.coincidence_scale * rate / terms.baseline + noise.background
+    parts = coincidence_components(sample, spec, pump, true_d)
+    rate = baseline + parts["hom"] + parts["fringes"] + parts["pair_carrier"]
+    expected = noise.coincidence_scale * rate / baseline + noise.background
     assert np.array_equal(trace.truth.coincidence_rate, expected)
-    assert np.array_equal(trace.truth.intensity_rate,
-                          intensity_rate(sample, spec, true_d, noise))
+    expected = (noise.singles_scale * intensity_rate(sample, spec, true_d)
+                / intensity_baseline(sample, spec) + noise.background)
+    assert np.array_equal(trace.truth.intensity_rate, expected)
     assert np.array_equal(trace.truth.pair_carrier, parts["pair_carrier"])
 
 

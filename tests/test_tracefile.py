@@ -34,7 +34,7 @@ def small_config(noise=True):
     raw["sample"]["surfaces"] = [{"reflectivity": 0.6, "position_um": 25.0}]
     raw["scan"] = {"start_um": 0.0, "stop_um": 50.0}
     if not noise:
-        raw["noise"] = None
+        raw["noise"]["enabled"] = False
     return parse_config(raw)
 
 
