@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qolcr.config import default_config, load_config
+from qolcr import scan
+from qolcr.config import default_config, load_config, parse_config
 from qolcr.errors import SynthesisError
 from qolcr.experiments import synthesize
 from qolcr.model import (
@@ -22,6 +23,8 @@ from qolcr.model import (
 )
 from qolcr.scan import (
     FRINGE_AMPLITUDE,
+    HOM_AMPLITUDE,
+    SUPPORT_COHERENCE_LENGTHS,
     NoiseModel,
     StageModel,
     _seed_free_trajectory,
@@ -263,7 +266,12 @@ def test_coincidence_truth_decomposition_is_consistent():
 def test_real_kernels_bit_identical_to_complex_form(config):
     # oracle: the complex expressions the real-valued kernels replaced,
     # evaluated on run 0's true positions; any last-bit difference would
-    # change the synthesized artifacts
+    # change the synthesized artifacts. The fringes are formed on each
+    # surface's coherence support only and are exactly zero elsewhere,
+    # where the complex form is below 1e-40 of its peak. On a support, a
+    # tail dropped from another surface's packet (at most 5e-44 of the
+    # peak) can move the packet's last bit only where the packet is below
+    # 2**54 * 5e-44 ~ 1e-27 of its peak; everywhere else the match is exact
     spec, sample = config.spectrum, config.sample
     true_d = synthesize(config, 0).truth.true_d
     tau = 2.0 * true_d / SPEED_OF_LIGHT
@@ -279,7 +287,35 @@ def test_real_kernels_bit_identical_to_complex_form(config):
     # the intensity channel reuses each envelope the coincidence channel sums
     assert np.array_equal(intensity_rate(sample, spec, true_d), intensity)
     fringes = coincidence_components(sample, spec, config.pump, true_d)["fringes"]
-    assert np.array_equal(fringes, 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor))
+    complex_form = 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor)
+    half = SUPPORT_COHERENCE_LENGTHS * spec.coherence_time
+    inside = np.zeros(tau.shape, dtype=bool)
+    for tau_j in sample.delays:
+        inside |= (tau >= tau_j - half) & (tau < tau_j + half)
+    assert 0 < np.count_nonzero(inside) < tau.size
+    exact = inside & (np.abs(packet.real) >= 1e-26 * np.abs(packet.real).max())
+    assert np.array_equal(fringes[exact], complex_form[exact])
+    peak = np.abs(complex_form).max()
+    assert np.abs(fringes[inside] - complex_form[inside]).max() < 1e-40 * peak
+    assert not np.any(fringes[~inside])
+    assert np.abs(complex_form[~inside]).max() < 1e-40 * peak
+
+
+def test_rate_functions_take_a_scalar_or_an_ascending_1d_d():
+    sample = two_surface_sample()
+    spec = default_spectrum()
+    pump = PumpReference(LAMBDA_P)
+    assert intensity_rate(sample, spec, 10e-6).shape == ()
+    parts = coincidence_components(sample, spec, pump, 10e-6)
+    assert all(part.shape == () for part in parts.values())
+    d = np.linspace(0.0, 20e-6, 401)
+    assert intensity_rate(sample, spec, list(d)).shape == d.shape
+    # the support slices of an unsorted grid would be wrong, so it is refused
+    for bad in (d[::-1], d.reshape(1, -1), np.array([1e-6, np.nan]), np.inf):
+        with pytest.raises(ValueError, match="^d must"):
+            intensity_rate(sample, spec, bad)
+        with pytest.raises(ValueError, match="^d must"):
+            coincidence_components(sample, spec, pump, bad)
 
 
 def test_coincidence_rate_nonnegative_model_units():
@@ -391,3 +427,85 @@ def test_scan_rejects_nondegenerate_pump():
     with pytest.raises(ValueError):
         simulate_scan(two_surface_sample(), default_spectrum(), PumpReference(410e-9),
                       default_stage(), default_noise(), (0.0, 300e-6))
+
+
+# --- coherence-support synthesis ---------------------------------------------
+# oracle: the full-grid synthesis that evaluated every surface term on all
+# samples; synthesis on each term's coherence support must reproduce it bit
+# for bit, or the artifacts would change
+
+def _full_grid_delays(sample, spectrum, d):
+    tau = 2.0 * np.asarray(d, dtype=float) / SPEED_OF_LIGHT
+    shifted = [tau - tau_j for tau_j in sample.delays]
+    return tau, [(x, coherence_envelope(spectrum, x)) for x in shifted]
+
+
+def _full_grid_intensity_rate(sample, spectrum, tau, surfaces):
+    rate = np.full(tau.shape, intensity_baseline(sample, spectrum))
+    for r, (x, env) in zip(sample.reflectivities, surfaces):
+        rate += r * response_function(spectrum, x, env)
+    return rate
+
+
+def _full_grid_coincidence_components(sample, spectrum, pump, tau, surfaces):
+    taus = sample.delays
+    refl = sample.reflectivities
+    env_scale = spectrum.total_power / (2.0 * math.pi)
+    sig = spectrum.sigma
+
+    hom = np.zeros(tau.shape)
+    for i in range(len(refl)):
+        for j in range(i + 1, len(refl)):
+            center = taus[i] + taus[j]
+            hom += refl[i] * refl[j] * np.exp(-0.5 * (sig * (2.0 * tau - center)) ** 2)
+    hom = 2.0 * HOM_AMPLITUDE * env_scale * hom
+
+    packet = np.zeros(tau.shape)
+    for r, (_, env) in zip(refl, surfaces):
+        packet += r * env
+    fringes = 4.0 * FRINGE_AMPLITUDE * (packet * np.cos(spectrum.center_frequency * tau))
+
+    pair_carrier = 2.0 * np.real(
+        tpi_constant(sample, spectrum) * np.exp(-1j * pump.angular_frequency * tau)
+    )
+    return {"hom": hom, "fringes": fringes, "pair_carrier": pair_carrier}
+
+
+def _close_surfaces_config():
+    # overlapping supports, the first clipped at the scan start
+    return parse_config({"sample": {"surfaces": [
+        {"reflectivity": 0.6, "position_um": 10.0},
+        {"reflectivity": 0.05, "position_um": 40.0},
+        {"reflectivity": 0.6, "position_um": 70.0},
+    ]}})
+
+
+def _narrow_band_config():
+    # one surface whose support is wider than the whole scan
+    return parse_config({
+        "sample": {"surfaces": [{"reflectivity": 0.6, "position_um": 150.0}]},
+        "spectrum": {"bandwidth_fwhm_nm": 3.0},
+    })
+
+
+@pytest.mark.parametrize("config, run_index", [
+    (default_config(), 0),
+    (default_config(), 1),
+    (default_config(), 2),
+    (load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"), 0),
+    (parse_config({"noise": {"enabled": False}}), 0),
+    (_close_surfaces_config(), 0),
+    (_narrow_band_config(), 0),
+], ids=["default-0", "default-1", "default-2", "multilayer-0", "noise-off",
+        "close-surfaces", "narrow-band"])
+def test_support_synthesis_bit_identical_to_full_grid(config, run_index, monkeypatch):
+    trace = synthesize(config, run_index)
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_delays", _full_grid_delays)
+        m.setattr(scan, "_intensity_rate", _full_grid_intensity_rate)
+        m.setattr(scan, "_coincidence_components", _full_grid_coincidence_components)
+        full = synthesize(config, run_index)
+    assert np.array_equal(trace.intensity, full.intensity)
+    assert np.array_equal(trace.coincidence, full.coincidence)
+    for name in ("intensity_rate", "coincidence_rate", "pair_carrier"):
+        assert np.array_equal(getattr(trace.truth, name), getattr(full.truth, name)), name
