@@ -45,13 +45,11 @@ MIN_GAP_COHERENCE_LENGTHS = 3.0
 # required clearance between the outermost surfaces and the scan ends
 MIN_MARGIN_COHERENCE_LENGTHS = 1.0
 
-# surface terms (envelopes, fringes, HOM dips) are evaluated only this many
-# coherence lengths around their centers, bit for bit as on the full grid. A
-# dropped tail is at most exp(-4 ln2 * 36) ~ 5e-44 of its peak: far below half
-# an ulp of every partial intensity sum, which the 1.2 headroom keeps at or
-# above baseline / 6. hom and packet accumulate from zero, so a tail changes
-# them only where they are below 2**53 * 5e-44 ~ 4e-28 of the peak, and there
-# they vanish against the coincidence baseline.
+# surface terms (envelopes, fringes, HOM dips) are evaluated only this many coherence
+# lengths around their centers, bit for bit as on the full grid: a dropped tail is at most
+# exp(-4 ln2 * 36) ~ 5e-44 of its peak, below half an ulp of every partial intensity sum
+# (>= baseline / 6 by the 1.2 headroom); hom and packet start from zero, so a tail moves
+# them only below 2**53 * 5e-44 ~ 4e-28 of the peak, where they vanish against the baseline.
 SUPPORT_COHERENCE_LENGTHS = 6.0
 
 
@@ -156,12 +154,15 @@ def _ascending(d) -> np.ndarray:
     return grid
 
 
+def _support(tau: np.ndarray, center: float, half: float) -> slice:
+    return slice(*np.searchsorted(tau, (center - half, center + half)))
+
+
 def _delays(sample: Sample, spectrum: Spectrum, d):
     """tau = 2 d / c (d ascending) and per surface its support slice, x = tau[sl] - tau_j, s(x)."""
     tau = 2.0 * d / SPEED_OF_LIGHT
     half = SUPPORT_COHERENCE_LENGTHS * spectrum.coherence_time
-    slices = [slice(*np.searchsorted(tau, (tau_j - half, tau_j + half)))
-              for tau_j in sample.delays]
+    slices = [_support(tau, tau_j, half) for tau_j in sample.delays]
     shifted = [(sl, tau[sl] - tau_j) for sl, tau_j in zip(slices, sample.delays)]
     return tau, [(sl, x, coherence_envelope(spectrum, x)) for sl, x in shifted]
 
@@ -216,11 +217,10 @@ def coincidence_baseline(sample: Sample, spectrum: Spectrum) -> float:
 def coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpReference, d):
     """The three position-dependent coincidence terms, separately, in model units.
 
-    Returns a dict with keys 'hom', 'fringes', 'pair_carrier'; the total
-    rate is coincidence_baseline plus their sum. The pair carrier is
-    evaluated against the pump frequency, which for exact degeneracy
-    equals the 2 omega0 form bit for bit. d is a scalar or an ascending
-    1-D array; anything else raises ValueError.
+    Returns a dict with keys 'hom', 'fringes', 'pair_carrier'; the total rate is
+    coincidence_baseline plus their sum. The pair carrier is evaluated against the pump
+    frequency, which for exact degeneracy equals the 2 omega0 form bit for bit. d is a
+    scalar or an ascending 1-D array; anything else raises ValueError.
     """
     parts = _coincidence_components(sample, spectrum, pump,
                                     *_delays(sample, spectrum, _ascending(d)))
@@ -239,15 +239,16 @@ def _coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpRefere
     for i in range(len(refl)):
         for j in range(i + 1, len(refl)):
             center = taus[i] + taus[j]
-            sl = slice(*np.searchsorted(tau, (0.5 * center - half, 0.5 * center + half)))
+            sl = _support(tau, 0.5 * center, half)
             hom[sl] += refl[i] * refl[j] * np.exp(-0.5 * (sig * (2.0 * tau[sl] - center)) ** 2)
     hom = 2.0 * HOM_AMPLITUDE * env_scale * hom
 
     packet = np.zeros(tau.shape)
     for r, (sl, _, env) in zip(refl, surfaces):
         packet[sl] += r * env
-    fringes = np.zeros(tau.shape)
-    for sl, _, _ in surfaces:  # overlapping supports recompute identical values
+    fringes, done = np.zeros(tau.shape), 0
+    for sl, _, _ in surfaces:  # the supports ascend with the surfaces: form each sample once
+        sl, done = slice(max(sl.start, done), sl.stop), sl.stop
         fringes[sl] = 4.0 * FRINGE_AMPLITUDE * (
             packet[sl] * np.cos(spectrum.center_frequency * tau[sl]))
 

@@ -266,39 +266,36 @@ def test_coincidence_truth_decomposition_is_consistent():
 def test_real_kernels_bit_identical_to_complex_form(config):
     # oracle: the complex expressions the real-valued kernels replaced,
     # evaluated on run 0's true positions; any last-bit difference would
-    # change the synthesized artifacts. The fringes are formed on each
-    # surface's coherence support only and are exactly zero elsewhere,
-    # where the complex form is below 1e-40 of its peak. On a support, a
-    # tail dropped from another surface's packet (at most 5e-44 of the
-    # peak) can move the packet's last bit only where the packet is below
-    # 2**54 * 5e-44 ~ 1e-27 of its peak; everywhere else the match is exact
+    # change the synthesized artifacts. The complex packet is summed on the
+    # same coherence supports as the synthesis, so the fringes must match it
+    # on every sample; off the supports the full-grid complex form is below
+    # 1e-40 of its peak, which is what dropping it costs
     spec, sample = config.spectrum, config.sample
     true_d = synthesize(config, 0).truth.true_d
     tau = 2.0 * true_d / SPEED_OF_LIGHT
     rotor = np.exp(-1j * spec.center_frequency * tau)
+    half = SUPPORT_COHERENCE_LENGTHS * spec.coherence_time
     packet = np.zeros(tau.shape, dtype=complex)
+    full_packet = np.zeros(tau.shape, dtype=complex)
+    inside = np.zeros(tau.shape, dtype=bool)
     intensity = np.full(tau.shape, intensity_baseline(sample, spec))
     for r, tau_j in zip(sample.reflectivities, sample.delays):
         env = coherence_envelope(spec, tau - tau_j).astype(complex)
         kernel = 2.0 * np.real(env * np.exp(-1j * spec.center_frequency * (tau - tau_j)))
         assert np.array_equal(response_function(spec, tau - tau_j), kernel)
-        packet += r * env
+        sl = scan._support(tau, tau_j, half)
+        packet[sl] += r * env[sl]
+        full_packet += r * env
+        inside[sl] = True
         intensity += r * kernel
     # the intensity channel reuses each envelope the coincidence channel sums
     assert np.array_equal(intensity_rate(sample, spec, true_d), intensity)
     fringes = coincidence_components(sample, spec, config.pump, true_d)["fringes"]
-    complex_form = 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor)
-    half = SUPPORT_COHERENCE_LENGTHS * spec.coherence_time
-    inside = np.zeros(tau.shape, dtype=bool)
-    for tau_j in sample.delays:
-        inside |= (tau >= tau_j - half) & (tau < tau_j + half)
+    assert np.array_equal(fringes, 4.0 * FRINGE_AMPLITUDE * np.real(packet * rotor))
     assert 0 < np.count_nonzero(inside) < tau.size
-    exact = inside & (np.abs(packet.real) >= 1e-26 * np.abs(packet.real).max())
-    assert np.array_equal(fringes[exact], complex_form[exact])
-    peak = np.abs(complex_form).max()
-    assert np.abs(fringes[inside] - complex_form[inside]).max() < 1e-40 * peak
     assert not np.any(fringes[~inside])
-    assert np.abs(complex_form[~inside]).max() < 1e-40 * peak
+    full_form = 4.0 * FRINGE_AMPLITUDE * np.real(full_packet * rotor)
+    assert np.abs(full_form[~inside]).max() < 1e-40 * np.abs(full_form).max()
 
 
 def test_rate_functions_take_a_scalar_or_an_ascending_1d_d():
@@ -480,6 +477,13 @@ def _close_surfaces_config():
     ]}})
 
 
+def _dense_stack_config():
+    # nine surfaces 31 um (3.2 coherence lengths) apart: a sample lies in up to four supports
+    return parse_config({"sample": {"surfaces": [
+        {"reflectivity": 0.1, "position_um": 20.0 + 31.0 * k} for k in range(9)
+    ]}})
+
+
 def _narrow_band_config():
     # one surface whose support is wider than the whole scan
     return parse_config({
@@ -495,9 +499,10 @@ def _narrow_band_config():
     (load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"), 0),
     (parse_config({"noise": {"enabled": False}}), 0),
     (_close_surfaces_config(), 0),
+    (_dense_stack_config(), 0),
     (_narrow_band_config(), 0),
 ], ids=["default-0", "default-1", "default-2", "multilayer-0", "noise-off",
-        "close-surfaces", "narrow-band"])
+        "close-surfaces", "dense-stack", "narrow-band"])
 def test_support_synthesis_bit_identical_to_full_grid(config, run_index, monkeypatch):
     trace = synthesize(config, run_index)
     with monkeypatch.context() as m:
