@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 configuration or parse error, 2 pipeline-quality
 failure, 3 I/O error.  Batch commands (repeat, linearity) record per-run
-failures inside the results document and only exit nonzero when the whole
-batch is unusable.
+failures inside the results document and exit 2 only when fewer than two
+runs are left to compute a spread or a deviation from.
 
 File-producing commands take --output; calibrate and the batch commands
 emit several artifacts and treat --output as a prefix (e.g. --output run1
@@ -131,11 +131,11 @@ def cmd_repeat(args) -> int:
     print(f"{result.n_runs} runs: {result.included_count} included, "
           f"{result.outlier_count} ambiguity outliers, "
           f"{len(result.failures)} failures")
-    if result.estimates:
-        print(f"std_dev {result.std_dev * 1e9:.3f} nm over included runs")
-        return 0
-    print("batch failure: no usable runs")
-    return 2
+    if result.std_dev is None:
+        raise PipelineQualityError(
+            f"{result.included_count} included run(s); a spread needs at least 2")
+    print(f"std_dev {result.std_dev * 1e9:.3f} nm over included runs")
+    return 0
 
 
 def cmd_linearity(args) -> int:
@@ -158,7 +158,7 @@ def cmd_linearity(args) -> int:
         comment="linearity sweep: deviation from the unit-slope line "
                 "through the first point")
     print(f"wrote {results_path}, {measured_path}, {deviations_path}")
-    print(f"{len(result.measured_separations)} steps of {args.step_size:g} nm: "
+    print(f"{len(result.ledger)} steps of {args.step_size:g} nm: "
           f"max |deviation| {result.max_abs_deviation * 1e9:.3f} nm, "
           f"{len(result.failures)} failures")
     return 0

@@ -10,7 +10,7 @@ a forced-ambiguity list exists to exercise exactly that bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,37 +89,29 @@ class RepeatabilityResult:
         return len(self.estimates)
 
     @property
-    def std_dev(self) -> float:
-        """Sample (n-1) standard deviation over the estimates, m; 0 below two."""
+    def std_dev(self) -> float | None:
+        """Sample (n-1) standard deviation over the estimates, m; None below two."""
         estimates = self.estimates
-        return float(np.std(estimates, ddof=1)) if len(estimates) >= 2 else 0.0
+        return float(np.std(estimates, ddof=1)) if len(estimates) >= 2 else None
 
     def to_dict(self) -> dict:
-        """Results document; a "summary" block is added when any run is included."""
+        """Results document: the ledger and its summary, where a statistic
+        is None when too few runs are included to compute it."""
         estimates = self.estimates
-        doc = {
-            "n_runs": self.n_runs,
-            "included_count": len(estimates),
-            "outlier_count": self.outlier_count,
-            "failure_count": len(self.failures),
-            "estimates_m": estimates,
-            "std_dev_m": self.std_dev,
-            "mean_m": float(np.mean(estimates)) if estimates else None,
+        return {
             "seed_ledger": list(self.seed_ledger),
-            "failures": self.failures,
-            "std_convention": "sample (n-1)",
-        }
-        if estimates:
-            doc["summary"] = {
-                "n": len(estimates),
-                "mean_m": doc["mean_m"],
-                "std_dev_m": doc["std_dev_m"],
-                "min_m": min(estimates),
-                "max_m": max(estimates),
-                "outliers_excluded": doc["outlier_count"],
+            "summary": {
+                "n_runs": self.n_runs,
+                "included_count": len(estimates),
+                "outlier_count": self.outlier_count,
+                "failure_count": len(self.failures),
+                "mean_m": float(np.mean(estimates)) if estimates else None,
+                "std_dev_m": self.std_dev,
+                "min_m": min(estimates, default=None),
+                "max_m": max(estimates, default=None),
                 "std_convention": "sample (n-1)",
-            }
-        return doc
+            },
+        }
 
 
 def repeatability_experiment(config: RunConfig, n_runs: int,
@@ -167,41 +159,37 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
 class LinearityResult:
     """Measured separations against commanded sub-fringe surface shifts."""
 
-    first_position: float        # unshifted first-surface position, m
     step_size: float
-    measured_separations: list   # one per step, m (nan for failed runs)
-    failures: list = field(default_factory=list)
+    ledger: list     # per-step dict: commanded position, then separation and deviation, or error
 
     @property
     def commanded_positions(self) -> list:
         """Commanded first-surface positions, m."""
-        return [self.first_position + k * self.step_size
-                for k in range(len(self.measured_separations))]
+        return [e["commanded_position_m"] for e in self.ledger]
+
+    @property
+    def measured_separations(self) -> list:
+        """One per step, m (nan where the step failed)."""
+        return [e.get("separation_m", math.nan) for e in self.ledger]
 
     @property
     def deviations(self) -> list:
-        """Measured minus the unit-slope line through the first finite step, m."""
-        measured = self.measured_separations
-        base_k, baseline = next((k, m) for k, m in enumerate(measured) if not math.isnan(m))
-        return [m - (baseline - (k - base_k) * self.step_size)
-                if not math.isnan(m) else math.nan
-                for k, m in enumerate(measured)]
+        """Measured minus the unit-slope line through the first measured step, m."""
+        return [e.get("deviation_m", math.nan) for e in self.ledger]
+
+    @property
+    def failures(self) -> list:
+        return [e for e in self.ledger if "error" in e]
 
     @property
     def max_abs_deviation(self) -> float:
-        return max(abs(d) for d in self.deviations if not math.isnan(d))
+        return max(abs(e["deviation_m"]) for e in self.ledger if "deviation_m" in e)
 
     def to_dict(self) -> dict:
-        def _null_if_nan(values):
-            return [None if math.isnan(v) else v for v in values]
-
         return {
             "step_size_m": self.step_size,
-            "commanded_positions_m": self.commanded_positions,
-            "measured_separations_m": _null_if_nan(self.measured_separations),
-            "deviations_m": _null_if_nan(self.deviations),
+            "ledger": list(self.ledger),
             "max_abs_deviation_m": self.max_abs_deviation,
-            "failures": list(self.failures),
         }
 
 
@@ -210,10 +198,11 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
 
     The first surface moves toward the second, so the set separation
     decreases by exactly step per shift; deviations compare each measured
-    separation to the unit-slope line through the first run's value.
+    separation to the unit-slope line through the first measured value, so
+    at least two steps must succeed.
     """
-    if step <= 0:
-        raise ConfigError("linearity step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"linearity step must be finite and positive, got {step!r} m")
     if n_steps < 2:
         raise ConfigError("linearity needs at least 2 steps")
     if config.pipeline.expected_peaks != 1:
@@ -226,20 +215,24 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
             f"the smallest surface gap of {gap * 1e6:.3f} um"
         )
 
-    measured = []
-    failures = []
+    ledger = []
     for k in range(n_steps):
-        shifted = config.with_sample(config.sample.shifted(0, k * step))
+        sample = config.sample.shifted(0, k * step)
+        entry = {"step": k, "commanded_position_m": sample.surfaces[0].position}
         try:
-            report = run_pipeline(shifted, run_index=k)
-            measured.append(float(report.peaks[0].separation))
+            report = run_pipeline(config.with_sample(sample), run_index=k)
         except QolcrError as exc:
-            failures.append({"step": k, "error": str(exc)})
-            measured.append(math.nan)
+            entry["error"] = str(exc)
+        else:
+            entry["separation_m"] = float(report.peaks[0].separation)
+        ledger.append(entry)
 
-    if all(math.isnan(m) for m in measured):
-        raise PipelineQualityError("every linearity run failed")
-    return LinearityResult(
-        first_position=float(config.sample.positions[0]), step_size=step,
-        measured_separations=measured, failures=failures,
-    )
+    measured = [e for e in ledger if "separation_m" in e]
+    if len(measured) < 2:
+        raise PipelineQualityError(
+            f"{len(measured)} of {n_steps} linearity steps succeeded; "
+            "a deviation from the unit-slope line needs at least 2")
+    base_k, baseline = measured[0]["step"], measured[0]["separation_m"]
+    for e in measured:
+        e["deviation_m"] = e["separation_m"] - (baseline - (e["step"] - base_k) * step)
+    return LinearityResult(step_size=step, ledger=ledger)

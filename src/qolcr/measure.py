@@ -180,12 +180,10 @@ class MeasurementReport:
 
     def to_dict(self) -> dict:
         return {
-            "expected_count": len(self.peaks),
             "peaks": [
                 {
                     "separation_m": p.separation,
                     "envelope_vertex_m": p.envelope_vertex,
-                    "carrier_refined_m": p.separation,
                     "uncertainty_m": p.uncertainty,
                     "outlier": bool(p.outlier_flag),
                     "diagnostics": dict(p.diagnostics),

@@ -313,8 +313,8 @@ def test_repeat_command_smoke(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "std_dev" in printed
     doc = read_json_document(tmp_path / "rep.results.json")
-    assert doc["n_runs"] == 2
-    assert doc["included_count"] == 2
+    assert doc["summary"]["n_runs"] == 2
+    assert doc["summary"]["included_count"] == 2
     assert doc["summary"]["std_convention"] == "sample (n-1)"
     plot = np.loadtxt(tmp_path / "rep.separations.txt")
     assert plot.shape == (2, 2)
@@ -324,13 +324,36 @@ def test_repeat_command_smoke(tmp_path, capsys):
     assert main(["repeat", "--config", str(cfg), "--runs", "3",
                  "--force-ambiguity", "1", "--output", str(forced)]) == 0
     doc = read_json_document(tmp_path / "forced.results.json")
-    assert doc["outlier_count"] == 1
+    assert doc["summary"]["outlier_count"] == 1
     assert [e["outlier"] for e in doc["seed_ledger"]] == [False, True, False]
     assert [e["forced_ambiguity"] for e in doc["seed_ledger"]] == [False, True, False]
     capsys.readouterr()
     assert main(["repeat", "--config", str(cfg), "--runs", "3",
                  "--force-ambiguity", "9", "--output", str(forced)]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_repeat_with_one_included_run_exits_2(tmp_path, capsys):
+    # with one of two runs flagged there is no spread to report
+    cfg = config_file(tmp_path)
+    assert main(["repeat", "--config", str(cfg), "--runs", "2",
+                 "--force-ambiguity", "1", "--output", str(tmp_path / "rep")]) == 2
+    captured = capsys.readouterr()
+    assert "std_dev" not in captured.out
+    assert "1 included run(s); a spread needs at least 2" in captured.err
+    summary = read_json_document(tmp_path / "rep.results.json")["summary"]
+    assert summary["included_count"] == 1
+    assert summary["std_dev_m"] is None
+
+
+@pytest.mark.parametrize("step_size", ["nan", "inf"])
+def test_linearity_rejects_a_non_finite_step_size(tmp_path, capsys, step_size):
+    cfg = config_file(tmp_path)
+    assert main(["linearity", "--config", str(cfg), "--steps", "2",
+                 "--step-size", step_size, "--output", str(tmp_path / "lin")]) == 1
+    err = capsys.readouterr().err
+    assert f"linearity step must be finite and positive, got {step_size}" in err
+    assert not (tmp_path / "lin.results.json").exists()
 
 
 def test_linearity_command_smoke(tmp_path, capsys):

@@ -146,12 +146,26 @@ def test_repeatability_failed_run_is_kept_in_the_ledger(clean_config, monkeypatc
     assert res.included_count == 2
     assert res.estimates == [res.seed_ledger[0]["separation_m"],
                              res.seed_ledger[3]["separation_m"]]
-    doc = res.to_dict()
-    assert doc["failure_count"] == 1
-    assert doc["failures"] == [failed]
-    assert doc["summary"]["n"] == 2
-    assert doc["summary"]["outliers_excluded"] == 1
+    doc = json.loads(json.dumps(res.to_dict()))
+    assert doc["seed_ledger"][2] == failed
+    assert doc["summary"]["failure_count"] == 1
+    assert doc["summary"]["included_count"] == 2
+    assert doc["summary"]["outlier_count"] == 1
     assert doc["summary"]["mean_m"] == pytest.approx(TRUE_SEPARATION, abs=0.1e-9)
+    assert set(doc) == {"seed_ledger", "summary"}
+    assert set(doc["summary"]) == {
+        "n_runs", "included_count", "outlier_count", "failure_count",
+        "mean_m", "std_dev_m", "min_m", "max_m", "std_convention"}
+    ledger, summary = doc["seed_ledger"], doc["summary"]
+    # the summary counts are those of the ledger, which holds each run once
+    assert summary["n_runs"] == len(ledger) == 4
+    assert summary["included_count"] == sum(e.get("outlier") is False for e in ledger)
+    assert summary["outlier_count"] == sum(e.get("outlier") is True for e in ledger)
+    assert summary["failure_count"] == sum("error" in e for e in ledger)
+    seeds = {"run", "stage_seed", "noise_seed", "forced_ambiguity"}
+    assert set(ledger[2]) == seeds | {"error"}
+    assert set(ledger[1]) == seeds | {"separation_m", "outlier"}
+    assert ledger[1]["outlier"] is True
 
 
 def test_linearity_noise_free_identity(clean_config):
@@ -209,22 +223,37 @@ def test_linearity_needs_an_expected_peak():
 def test_linearity_failed_step_is_null_and_baseline_moves(clean_config, monkeypatch):
     fail_runs(monkeypatch, {0})
     res = linearity_experiment(clean_config, step=50e-9, n_steps=3)
-    assert res.failures == [{"step": 0, "error": "injected failure in run 0"}]
+    z1 = clean_config.sample.surfaces[0].position
+    assert res.failures == [{"step": 0, "commanded_position_m": z1,
+                             "error": "injected failure in run 0"}]
     assert np.isnan(res.measured_separations[0])
     # the unit-slope line runs through the first finite step
     assert res.deviations[1] == 0.0
     assert abs(res.deviations[2]) < 0.1e-9
     assert res.max_abs_deviation == abs(res.deviations[2])
-    doc = res.to_dict()
-    assert doc["measured_separations_m"][0] is None
-    assert doc["deviations_m"][0] is None
-    assert len(doc["commanded_positions_m"]) == 3
+    doc = json.loads(json.dumps(res.to_dict()))
+    assert doc["ledger"][0] == res.failures[0]
+    assert [e["step"] for e in doc["ledger"]] == [0, 1, 2]
+    assert set(doc) == {"step_size_m", "ledger", "max_abs_deviation_m"}
+    for k in (1, 2):
+        assert set(doc["ledger"][k]) == {
+            "step", "commanded_position_m", "separation_m", "deviation_m"}
+    assert doc["max_abs_deviation_m"] == max(
+        abs(e["deviation_m"]) for e in doc["ledger"] if "deviation_m" in e)
+    assert res.commanded_positions == [e["commanded_position_m"] for e in doc["ledger"]]
 
 
 def test_linearity_all_steps_failed_raises(clean_config, monkeypatch):
     fail_runs(monkeypatch, {0, 1})
-    with pytest.raises(PipelineQualityError, match="every linearity run failed"):
+    with pytest.raises(PipelineQualityError, match="0 of 2 linearity steps succeeded"):
         linearity_experiment(clean_config, step=50e-9, n_steps=2)
+
+
+def test_linearity_one_surviving_step_raises(clean_config, monkeypatch):
+    # a deviation from a line drawn through its only point is 0 by construction
+    fail_runs(monkeypatch, {0, 2})
+    with pytest.raises(PipelineQualityError, match="1 of 3 linearity steps succeeded"):
+        linearity_experiment(clean_config, step=50e-9, n_steps=3)
 
 
 def test_linearity_to_dict_round_trip(clean_config):
@@ -232,7 +261,8 @@ def test_linearity_to_dict_round_trip(clean_config):
     doc = res.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert doc["step_size_m"] == 50e-9
-    assert len(doc["deviations_m"]) == 2
+    assert [e["step"] for e in doc["ledger"]] == [0, 1]
+    assert all("deviation_m" in e for e in doc["ledger"])
 
 
 def ledger_of(estimates, outlier_count=0):
@@ -243,13 +273,13 @@ def ledger_of(estimates, outlier_count=0):
 
 def summary_of(estimates, outlier_count=0):
     result = RepeatabilityResult(seed_ledger=ledger_of(estimates, outlier_count))
-    return result.to_dict().get("summary")
+    return result.to_dict()["summary"]
 
 
 def test_summarize_conventions():
     single = summary_of([1.0e-6])
-    assert single["std_dev_m"] == 0.0
-    assert single["n"] == 1
+    assert single["std_dev_m"] is None
+    assert single["included_count"] == 1
     two = summary_of([100.0e-9, 102.0e-9])
     assert two["std_dev_m"] == pytest.approx(np.sqrt(2.0) * 1e-9, rel=1e-12)
     assert two["mean_m"] == pytest.approx(101.0e-9)
@@ -257,12 +287,14 @@ def test_summarize_conventions():
     assert two["max_m"] == 102.0e-9
     assert two["std_convention"] == "sample (n-1)"
     stats = summary_of([1.0, 2.0, 3.0], outlier_count=2)
-    assert stats["outliers_excluded"] == 2
-    assert summary_of([], outlier_count=2) is None
+    assert stats["outlier_count"] == 2
+    empty = summary_of([], outlier_count=2)
+    assert empty["included_count"] == 0
+    assert [empty[k] for k in ("mean_m", "std_dev_m", "min_m", "max_m")] == [None] * 4
 
 
 def test_std_dev_follows_estimates():
     result = RepeatabilityResult(seed_ledger=ledger_of([100.0e-9, 102.0e-9, 104.0e-9]))
     assert result.std_dev == pytest.approx(2.0e-9, rel=1e-12)
     doc = result.to_dict()
-    assert doc["std_dev_m"] == doc["summary"]["std_dev_m"] == result.std_dev
+    assert doc["summary"]["std_dev_m"] == result.std_dev

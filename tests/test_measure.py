@@ -362,9 +362,11 @@ def test_report_is_sorted_and_json_ready(standard_acorr):
     assert report.separations == sorted(report.separations)
     doc = json.dumps(report.to_dict(), sort_keys=True)
     parsed = json.loads(doc)
-    assert parsed["expected_count"] == 1
+    assert set(parsed) == {"peaks", "quality", "metadata"}
+    assert len(parsed["peaks"]) == 1
+    assert set(parsed["peaks"][0]) == {
+        "separation_m", "envelope_vertex_m", "uncertainty_m", "outlier", "diagnostics"}
     assert parsed["peaks"][0]["outlier"] is False
-    assert parsed["peaks"][0]["carrier_refined_m"] == parsed["peaks"][0]["separation_m"]
 
 
 # ---------------------------------------------------------------------------
