@@ -127,16 +127,17 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     the convolution small; the pedestal carries no carrier information.
     """
     taps = design_bandpass(spec, trace.spacing)
-    x = trace.coincidence - trace.coincidence.mean()
-    filtered = zero_phase_apply(taps, x)
+    n = trace.n_samples
     half = (len(taps) - 1) // 2
-    valid = np.zeros(len(filtered), dtype=bool)
-    if len(filtered) <= 2 * half:
+    if n <= 2 * half:
         raise CalibrationQualityError(
-            f"trace of {len(filtered)} samples shorter than the filter "
+            f"trace of {n} samples shorter than the filter "
             f"edge exclusion of 2 x {half}"
         )
-    valid[half:len(filtered) - half] = True
+    x = trace.coincidence - trace.coincidence.mean()
+    filtered = zero_phase_apply(taps, x)
+    valid = np.zeros(n, dtype=bool)
+    valid[half:n - half] = True
     return FilteredCarrier(values=filtered, valid=valid, reported_d=trace.reported_d)
 
 

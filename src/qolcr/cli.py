@@ -156,7 +156,7 @@ def cmd_linearity(args) -> int:
         deviations_path, ["commanded_um", "deviation_nm"],
         [commanded_um, [d * 1e9 for d in result.deviations]],
         comment="linearity sweep: deviation from the unit-slope line "
-                "through the first point")
+                "through the first measured step")
     print(f"wrote {results_path}, {measured_path}, {deviations_path}")
     print(f"{len(result.ledger)} steps of {args.step_size:g} nm: "
           f"max |deviation| {result.max_abs_deviation * 1e9:.3f} nm, "

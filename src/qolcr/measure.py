@@ -97,10 +97,10 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     every bin nonnegative, |A(k)| <= A(0) = 1. Only lags 0 .. k_cap are
     kept, with k_cap capped so at least MIN_OVERLAP samples contribute.
     """
-    x = record.intensity - record.intensity.mean()
-    n = len(x)
+    n = len(record.intensity)
     if n < 2 * MIN_OVERLAP:
         raise ConfigError(f"record of {n} samples too short to autocorrelate")
+    x = record.intensity - record.intensity.mean()
     k_cap = n - MIN_OVERLAP
 
     nfft = next_fast_len(2 * n - 1)

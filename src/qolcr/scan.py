@@ -265,7 +265,7 @@ class ScanTruth:
     true_d: np.ndarray
     intensity_rate: np.ndarray       # expected counts per bin
     coincidence_rate: np.ndarray     # expected counts per bin
-    pair_carrier: np.ndarray         # pair-interference part, model units
+    pair_carrier: np.ndarray         # pair-interference part, counts per bin
 
 
 @dataclass
@@ -368,6 +368,6 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
             true_d=true_d,
             intensity_rate=expected_i,
             coincidence_rate=expected_m,
-            pair_carrier=parts["pair_carrier"],
+            pair_carrier=noise.coincidence_scale * parts["pair_carrier"] / baseline_m,
         ),
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibration import EDGE_FIT_KNOTS, CalibratedRecord, CalibrationMap
 from .errors import ConfigError, TraceParseError
-from .scan import ScanTrace, ScanTruth
+from .scan import ScanTrace
 
 FORMAT_VERSION = 2
 TRACE_FORMAT = "qolcr-trace"
@@ -32,7 +32,6 @@ CALIBRATION_FORMAT = "qolcr-calibration"
 TABLE_FORMATS = (TRACE_FORMAT, RECORD_FORMAT, CALIBRATION_FORMAT)
 
 TRACE_COLUMNS = ["reported_d_m", "intensity", "coincidence"]
-TRUTH_COLUMNS = ["true_d_m", "intensity_rate", "coincidence_rate", "pair_carrier"]
 RECORD_COLUMNS = ["position_m", "intensity"]
 CALIBRATION_COLUMNS = ["reported_d_m", "calibrated_d_m"]
 
@@ -69,13 +68,16 @@ def _header_json(value) -> str:
 
 def atomic_write(path, parts) -> None:
     """Write the byte strings `parts` to path via a temp file and rename in
-    the same directory."""
+    the same directory, with the mode open() would give a new file."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qolcr-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(parts)
+        umask = os.umask(0o077)   # read by swapping: stricter, never looser
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -243,45 +245,32 @@ def _header_float(table: _Table, key: str) -> float:
 
 
 def write_trace(trace: ScanTrace, path, config=None) -> None:
-    """Write a scan trace, with truth columns when the trace carries truth."""
+    """Write the recorded channels of a scan trace; its truth stays in memory."""
     if np.any(np.diff(trace.reported_d) <= 0):
         raise ConfigError("reported_d must be strictly increasing")
-    columns = list(TRACE_COLUMNS)
-    arrays = [trace.reported_d, trace.intensity, trace.coincidence]
-    if trace.truth is not None:
-        columns += TRUTH_COLUMNS
-        arrays += [trace.truth.true_d, trace.truth.intensity_rate,
-                   trace.truth.coincidence_rate, trace.truth.pair_carrier]
     header = {
         "spacing": repr(float(trace.spacing)),
         "metadata": _header_json(trace.metadata),
     }
-    _write_table(path, TRACE_FORMAT, header, columns, arrays, config)
+    _write_table(path, TRACE_FORMAT, header, TRACE_COLUMNS,
+                 [trace.reported_d, trace.intensity, trace.coincidence], config)
 
 
 def read_trace(path) -> ScanTrace:
-    """Read a scan trace; reconstructs truth channels when present."""
+    """Read a scan trace; other columns, such as the truth columns older
+    traces hold, are checked but not kept, so the result holds no truth."""
     table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS)
     reported = table.data["reported_d_m"]
     bad = np.flatnonzero(~(np.diff(reported) > 0))
     if bad.size:
         raise TraceParseError(f"reported_d must be strictly increasing "
                               f"(first fault at row {bad[0] + 1})", path=path)
-    truth = None
-    if all(name in table.data for name in TRUTH_COLUMNS):
-        truth = ScanTruth(
-            true_d=table.data["true_d_m"],
-            intensity_rate=table.data["intensity_rate"],
-            coincidence_rate=table.data["coincidence_rate"],
-            pair_carrier=table.data["pair_carrier"],
-        )
     return ScanTrace(
         reported_d=reported,
         intensity=table.data["intensity"],
         coincidence=table.data["coincidence"],
         spacing=_header_float(table, "spacing"),
         metadata=table.json_fields.get("metadata", {}),
-        truth=truth,
     )
 
 

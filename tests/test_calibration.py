@@ -32,7 +32,7 @@ from qolcr.config import default_config, load_config
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.experiments import synthesize
 from qolcr.model import PumpReference, Sample, Spectrum
-from qolcr.scan import ScanTrace, StageModel, coincidence_baseline, simulate_scan
+from qolcr.scan import ScanTrace, StageModel, simulate_scan
 
 LAMBDA_0 = 810e-9
 LAMBDA_P = 405e-9
@@ -246,9 +246,7 @@ def test_extract_tpi_passes_pure_carrier():
 
 def test_extract_tpi_from_full_coincidence_model(identity_trace):
     carrier = extract_tpi(identity_trace, BANDPASS)
-    # the truth's pair carrier is in model units, the trace in counts per bin
-    truth = (identity_trace.truth.pair_carrier * NOISE_OFF.coincidence_scale
-             / coincidence_baseline(SAMPLE, SPECTRUM))
+    truth = identity_trace.truth.pair_carrier
     sel = carrier.valid
     resid = carrier.values[sel] - truth[sel]
     rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth[sel] ** 2)))

@@ -8,8 +8,12 @@ import json
 import numpy as np
 import pytest
 
+from qolcr import calibration, measure, tracefile
+from qolcr.calibration import CalibratedRecord
 from qolcr.cli import main
-from qolcr.config import DEFAULT_CONFIG
+from qolcr.config import DEFAULT_CONFIG, load_config
+from qolcr.experiments import synthesize
+from qolcr.scan import ScanTrace
 from qolcr.tracefile import (
     read_calibrated_record,
     read_calibration_table,
@@ -60,7 +64,37 @@ def test_simulate_writes_readable_trace(tmp_path, capsys):
     assert "seed" in printed
     trace = read_trace(out)
     assert trace.n_samples == 24000
-    assert trace.truth is not None
+    assert trace.truth is None
+
+
+def test_trace_with_truth_columns_still_reads_and_calibrates(tmp_path):
+    # the format's earlier trace layout also held four noise-free truth
+    # columns after the three recorded channels; a reader skips them
+    cfg_path = config_file(tmp_path, noise=True, identity=False)
+    config = load_config(cfg_path)
+    trace = synthesize(config, run_index=0)
+    truth = trace.truth
+    old = tmp_path / "old.txt"
+    tracefile._write_table(
+        old, tracefile.TRACE_FORMAT,
+        {"spacing": repr(float(trace.spacing)),
+         "metadata": tracefile._header_json(trace.metadata)},
+        [*tracefile.TRACE_COLUMNS, "true_d_m", "intensity_rate", "coincidence_rate",
+         "pair_carrier"],
+        [trace.reported_d, trace.intensity, trace.coincidence, truth.true_d,
+         truth.intensity_rate, truth.coincidence_rate, truth.pair_carrier], config)
+    back = read_trace(old)
+    for name in ("reported_d", "intensity", "coincidence"):
+        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+    assert back.truth is None
+
+    new = tmp_path / "new.txt"
+    assert main(["simulate", "--config", str(cfg_path), "--output", str(new)]) == 0
+    for prefix, path in (("old", old), ("new", new)):
+        assert main(["calibrate", str(path), "--output", str(tmp_path / prefix)]) == 0
+    for suffix in (".calibration.txt", ".record.txt"):
+        assert ((tmp_path / f"old{suffix}").read_bytes()
+                == (tmp_path / f"new{suffix}").read_bytes()), suffix
 
 
 def test_simulate_default_config_is_full_size(tmp_path):
@@ -205,8 +239,37 @@ def test_calibrate_truncated_trace_names_line(artifact_chain, tmp_path, capsys):
     assert "parse error" in err
     lines, payload = split_table(broken)
     rows_line = next(i for i, l in enumerate(lines, start=1) if l.startswith("# rows "))
-    assert (f"line {rows_line}: 24000 rows of 7 columns need {24000 * 56} payload bytes, "
+    assert (f"line {rows_line}: 24000 rows of 3 columns need {24000 * 24} payload bytes, "
             f"file has {len(payload)}") in err
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_short_inputs_fail_with_their_length(tmp_path, capsys, monkeypatch, rows):
+    # the length is checked before any arithmetic on the samples
+    def refuse(*args, **kwargs):
+        raise AssertionError("a too short input reached its FFT")
+
+    monkeypatch.setattr(calibration, "zero_phase_apply", refuse)
+    monkeypatch.setattr(measure, "rfft", refuse)
+    config = load_config(config_file(tmp_path))
+    ones, axis = np.ones(rows), np.arange(rows) * 5e-9
+    trace_path, record_path = tmp_path / "scan.txt", tmp_path / "run.record.txt"
+    tracefile.write_trace(ScanTrace(reported_d=axis, intensity=ones, coincidence=ones,
+                                    spacing=5e-9), trace_path, config=config)
+    tracefile.write_calibrated_record(CalibratedRecord(positions=axis, intensity=ones,
+                                                       grid_step=5e-9),
+                                      record_path, config=config)
+    capsys.readouterr()
+    assert main(["calibrate", str(trace_path), "--output", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"qolcr: quality failure: trace of {rows} samples shorter than the filter "
+        f"edge exclusion of 2 x 1000\n")
+    assert main(["measure", str(record_path), "--output", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"qolcr: invalid configuration: record of {rows} samples too short "
+        f"to autocorrelate\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "run.record.txt", "scan.txt"]
 
 
 def test_measure_rejects_non_finite_record(artifact_chain, tmp_path, capsys):

@@ -391,7 +391,8 @@ def test_scan_truth_matches_separate_rate_evaluation():
     expected = (noise.singles_scale * intensity_rate(sample, spec, true_d)
                 / intensity_baseline(sample, spec) + noise.background)
     assert np.array_equal(trace.truth.intensity_rate, expected)
-    assert np.array_equal(trace.truth.pair_carrier, parts["pair_carrier"])
+    assert np.array_equal(trace.truth.pair_carrier,
+                          noise.coincidence_scale * parts["pair_carrier"] / baseline)
 
 
 def test_scan_reproducible_with_seeds():

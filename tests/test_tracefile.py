@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from qolcr.config import DEFAULT_CONFIG, parse_config
 from qolcr.errors import ConfigError, TraceParseError
 from qolcr.experiments import calibrate_trace, synthesize
-from qolcr.scan import ScanTrace, ScanTruth
+from qolcr.scan import ScanTrace
 from qolcr.tracefile import (
     read_calibrated_record,
     read_calibration_table,
@@ -83,21 +85,18 @@ def assert_payload_matches_reference(path, columns, arrays):
     assert payload == reference_payload(arrays)
 
 
-TRACE_WITH_TRUTH_COLUMNS = ["reported_d_m", "intensity", "coincidence",
-                            "true_d_m", "intensity_rate", "coincidence_rate", "pair_carrier"]
+TRACE_COLUMNS = ["reported_d_m", "intensity", "coincidence"]
 
 
 def trace_arrays(trace):
-    truth = trace.truth
-    return [trace.reported_d, trace.intensity, trace.coincidence, truth.true_d,
-            truth.intensity_rate, truth.coincidence_rate, truth.pair_carrier]
+    return [trace.reported_d, trace.intensity, trace.coincidence]
 
 
 def test_writer_matches_per_value_reference(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    assert_payload_matches_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
+    assert_payload_matches_reference(path, TRACE_COLUMNS, trace_arrays(trace))
 
     calibration, record = calibrate_trace(cfg, trace)
     table_path = tmp_path / "calibration.txt"
@@ -117,21 +116,17 @@ AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-300, -5e-9, 1e-6, 1e-14, -1.797693134862
 
 
 def awkward_trace(values):
-    """A trace whose truth columns hold `values` in both a position column
-    (true_d_m) and a plain column (intensity_rate)."""
+    """A trace whose intensity column holds `values` and whose coincidence
+    column holds their negatives."""
     values = np.asarray(values, dtype=float)
-    n = values.size
-    reported = np.arange(n) * 5e-9
-    return ScanTrace(reported_d=reported, intensity=np.ones(n),
-                     coincidence=np.ones(n), spacing=5e-9,
-                     truth=ScanTruth(true_d=values, intensity_rate=values,
-                                     coincidence_rate=-values, pair_carrier=reported))
+    return ScanTrace(reported_d=np.arange(values.size) * 5e-9, intensity=values,
+                     coincidence=-values, spacing=5e-9)
 
 
 def assert_awkward_round_trip(path, values):
     trace = awkward_trace(values)
     write_trace(trace, path)
-    assert_payload_matches_reference(path, TRACE_WITH_TRUTH_COLUMNS, trace_arrays(trace))
+    assert_payload_matches_reference(path, TRACE_COLUMNS, trace_arrays(trace))
     back = read_trace(path)
     for got, want in zip(trace_arrays(back), trace_arrays(trace)):
         assert got.tobytes() == want.tobytes()   # bit-exact, including -0.0
@@ -177,11 +172,9 @@ def test_trace_round_trip_is_exact(tmp_path, trace_and_config):
     assert np.array_equal(back.coincidence, trace.coincidence)
     assert back.spacing == trace.spacing
     assert back.metadata["poisson"] is True
-    assert back.truth is not None
-    assert np.array_equal(back.truth.true_d, trace.truth.true_d)
-    assert np.array_equal(back.truth.intensity_rate, trace.truth.intensity_rate)
-    assert np.array_equal(back.truth.coincidence_rate, trace.truth.coincidence_rate)
-    assert np.array_equal(back.truth.pair_carrier, trace.truth.pair_carrier)
+    # the noise-free truth stays with the simulated trace, not in its file
+    assert trace.truth is not None
+    assert back.truth is None
 
 
 def test_embedded_config_round_trip(tmp_path, trace_and_config):
@@ -231,6 +224,9 @@ def test_trace_without_truth_or_config(tmp_path, trace_and_config):
     back = read_trace(path)
     assert back.truth is None
     assert read_embedded_config(path) is None
+    # a trace's truth never reaches its file
+    write_trace(trace, tmp_path / "full.txt")
+    assert (tmp_path / "full.txt").read_bytes() == path.read_bytes()
 
 
 def rows_line_number(path):
@@ -248,8 +244,8 @@ def test_truncated_file_names_the_line(tmp_path, trace_and_config):
         read_trace(path)
     n = trace.n_samples
     assert err.value.line == rows_line_number(path)
-    assert (f"scan.txt: line {err.value.line}: {n} rows of 7 columns need "
-            f"{n * 56} payload bytes, file has {n * 56 - 100}") in str(err.value)
+    assert (f"scan.txt: line {err.value.line}: {n} rows of 3 columns need "
+            f"{n * 24} payload bytes, file has {n * 24 - 100}") in str(err.value)
 
 
 @pytest.mark.parametrize("edit, change", [
@@ -412,17 +408,16 @@ ROW_DEFECTS = {
     "unparseable value": (lambda path, row: set_payload_bits(
         path, "intensity", row, 0xFFFF_FFFF_FFFF_FFFF), "column intensity"),
     "unparseable exponent": (lambda path, row: set_payload_bits(
-        path, "true_d_m", row, 0x7FF0_0000_0000_0001), "column true_d_m"),
+        path, "coincidence", row, 0x7FF0_0000_0000_0001), "column coincidence"),
     "header after data": (lambda path, row: insert_payload_bytes(path, row, b"# note\n"),
                           "payload bytes"),
     "nan value": (lambda path, row: set_payload_value(path, "coincidence", row, np.nan),
                   "column coincidence"),
-    "infinite value": (lambda path, row: set_payload_value(path, "pair_carrier", row,
-                                                           -np.inf),
-                       "column pair_carrier"),
+    "infinite value": (lambda path, row: set_payload_value(path, "intensity", row, -np.inf),
+                       "column intensity"),
     # a value past the largest double, as stored once it has overflowed
     "overflowing value": (lambda path, row: set_payload_value(
-        path, "intensity_rate", row, MAX_FLOAT.item() * 10.0), "column intensity_rate"),
+        path, "coincidence", row, MAX_FLOAT.item() * 10.0), "column coincidence"),
 }
 
 
@@ -453,7 +448,7 @@ def test_corrupt_row_names_the_line(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
     write_trace(trace, path, config=cfg)
-    for column in TRACE_WITH_TRUTH_COLUMNS:
+    for column in TRACE_COLUMNS:
         set_payload_bits(path, column, 3, 0xFFFF_FFFF_FFFF_FFFF)
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
@@ -463,7 +458,7 @@ def test_corrupt_row_names_the_line(tmp_path, trace_and_config):
 
 @pytest.mark.parametrize("row", [1, 4100, 9998])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("column", TRACE_WITH_TRUTH_COLUMNS)
+@pytest.mark.parametrize("column", TRACE_COLUMNS)
 def test_non_finite_payload_value_names_its_column(tmp_path, trace_and_config,
                                                    column, value, row):
     trace, cfg = trace_and_config
@@ -487,8 +482,8 @@ def test_rows_beyond_the_declared_count_are_rejected(tmp_path, trace_and_config)
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
     assert err.value.line == rows_line
-    assert (f"{n - 1} rows of 7 columns need {(n - 1) * 56} payload bytes, "
-            f"file has {n * 56}") in str(err.value)
+    assert (f"{n - 1} rows of 3 columns need {(n - 1) * 24} payload bytes, "
+            f"file has {n * 24}") in str(err.value)
 
 
 def test_non_finite_record_value_names_its_column(tmp_path, trace_and_config):
@@ -525,7 +520,7 @@ def test_negative_row_count_names_its_line(tmp_path, trace_and_config):
 
 
 def test_row_count_beyond_the_file_is_a_mismatch(tmp_path, trace_and_config):
-    # 10**12 rows of 7 columns would need 56 TB if a buffer were sized from
+    # 10**12 rows of 3 columns would need 24 TB if a buffer were sized from
     # the header; the payload length is checked first
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
@@ -534,8 +529,8 @@ def test_row_count_beyond_the_file_is_a_mismatch(tmp_path, trace_and_config):
     with pytest.raises(TraceParseError) as err:
         read_trace(path)
     assert err.value.line == rows_line
-    assert (f"{10**12} rows of 7 columns need {56 * 10**12} payload bytes, "
-            f"file has {trace.n_samples * 56}") in str(err.value)
+    assert (f"{10**12} rows of 3 columns need {24 * 10**12} payload bytes, "
+            f"file has {trace.n_samples * 24}") in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +610,6 @@ VALUE_COLUMNS = [
         ("trace", "reported_d_m", "reported_d"),
         ("trace", "intensity", "intensity"),
         ("trace", "coincidence", "coincidence"),
-        ("trace", "true_d_m", "truth.true_d"),
-        ("trace", "intensity_rate", "truth.intensity_rate"),
-        ("trace", "coincidence_rate", "truth.coincidence_rate"),
-        ("trace", "pair_carrier", "truth.pair_carrier"),
         ("record", "position_m", "positions"),
         ("record", "intensity", "intensity"),
         ("calibration", "reported_d_m", "reported"),
@@ -628,16 +619,12 @@ VALUE_COLUMNS = [
 
 
 def _with_last_value(obj, attribute, value):
-    """A shallow copy of obj whose array `attribute` (dotted for a nested
-    object) ends in `value`; the copy skips the objects' own validation."""
-    head, _, rest = attribute.partition(".")
+    """A shallow copy of obj whose array `attribute` ends in `value`; the
+    copy skips the objects' own validation."""
     out = copy.copy(obj)
-    if rest:
-        setattr(out, head, _with_last_value(getattr(obj, head), rest, value))
-    else:
-        values = np.array(getattr(obj, head), dtype=float)
-        values[-1] = value
-        setattr(out, head, values)
+    values = np.array(getattr(obj, attribute), dtype=float)
+    values[-1] = value
+    setattr(out, attribute, values)
     return out
 
 
@@ -745,3 +732,25 @@ def test_plot_data_matches_per_value_reference(tmp_path):
     rows = [" ".join(f"{a[i]:>24.16e}" for a in (x, y)) for i in range(x.size)]
     expected = "\n".join(["# two", "# lines", "# columns a_um b"] + rows) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_the_mode_of_a_plain_open(tmp_path, written_objects, umask,
+                                                     mode):
+    writes = {
+        "table.txt": lambda path: write_trace(written_objects["trace"], path),
+        "doc.json": lambda path: write_json_document({"a": 1}, path),
+        "plot.txt": lambda path: write_plot_data(path, ["x"], [np.arange(3.0)]),
+    }
+    (tmp_path / "doc.json").write_text("{}")
+    os.chmod(tmp_path / "doc.json", 0o640)   # an overwritten file takes the new mode too
+    previous = os.umask(umask)
+    try:
+        for name, write in writes.items():
+            write(tmp_path / name)
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    for name in [*writes, "plain.txt"]:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
