@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import ifft, irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
-from scipy.signal import firwin, freqz
 
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.model import BandpassSpec, PumpReference
@@ -60,6 +58,7 @@ def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
             f"band edge {f2:.4g} cyc/m reaches Nyquist {fs / 2:.4g}; "
             "spacing too coarse for the requested band"
         )
+    from scipy.signal import firwin, freqz  # loaded on first use; designs are cached
     taps = firwin(spec.num_taps, [f1, f2], window=("kaiser", _KAISER_BETA),
                   pass_zero=False, fs=fs)
 
@@ -382,6 +381,7 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     if last - first < 15:
         raise CalibrationQualityError("calibrated span too short to resample")
     grid = np.arange(first, last + 1) * grid_step
+    from scipy.interpolate import CubicSpline  # loaded on first use
     spline = CubicSpline(positions, trace.intensity)
     values = spline(grid)
     quality = dict(calibration.quality)

@@ -49,10 +49,13 @@ def _resolve_config(args, data_path=None) -> RunConfig:
         return load_config(args.config)
     if data_path is None:
         return default_config()
-    embedded = tracefile.read_embedded_config(data_path)
+    try:
+        embedded = tracefile.read_embedded_config(data_path)
+    except ConfigError as exc:
+        raise ConfigError(f"the config embedded in {data_path} is invalid ({exc}); "
+                          "--config overrides it") from exc
     if embedded is None:
-        raise ConfigError(
-            f"{data_path} has no embedded config; pass --config")
+        raise ConfigError(f"{data_path} has no embedded config; pass --config")
     return embedded
 
 

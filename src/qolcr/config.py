@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qolcr.errors import ConfigError
-from qolcr.model import BandpassSpec, PumpReference, Sample, Spectrum
-from qolcr.scan import NoiseModel, StageModel
+from qolcr.model import BandpassSpec, NoiseModel, PumpReference, Sample, Spectrum, StageModel
 
 DEFAULT_CONFIG = {
     "sample": {

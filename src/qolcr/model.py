@@ -200,6 +200,54 @@ class BandpassSpec:
         return (self.center_frequency - half, self.center_frequency + half)
 
 
+@dataclass(frozen=True)
+class StageModel:
+    """Commanded motion plus deterministic and stochastic position errors."""
+
+    velocity: float              # commanded speed, m/s
+    sample_rate: float           # detector binning rate, Hz
+    scale_error: float = 0.0     # fractional scale error of the drive
+    periodic_amplitude: float = 0.0   # lead-screw wobble amplitude, m
+    periodic_period: float = 50e-6    # lead-screw wobble period, m
+    periodic_phase: float = 0.0       # wobble phase at the scan start, rad
+    drift_step: float = 0.0      # random-walk step per sample, m
+    drift_smoothing: int = 1500  # boxcar length applied to the walk, samples
+    seed: int | None = None      # RNG seed for the walk
+
+    def __post_init__(self):
+        if self.velocity <= 0 or self.sample_rate <= 0:
+            raise ValueError("stage velocity and sample rate must be positive")
+        if self.periodic_period <= 0:
+            raise ValueError("periodic_period must be positive")
+        if self.drift_step < 0 or self.drift_smoothing < 1:
+            raise ValueError("drift parameters out of range")
+
+    @property
+    def spacing(self) -> float:
+        """Reported grid spacing in meters."""
+        return self.velocity / self.sample_rate
+
+    def reported_grid(self, n_samples: int, start: float = 0.0) -> np.ndarray:
+        return start + self.spacing * np.arange(n_samples)
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Counting statistics of the two detector channels."""
+
+    singles_scale: float        # mean intensity counts per bin at the fringe-free baseline
+    coincidence_scale: float    # mean coincidence counts per bin at the baseline
+    background: float = 0.0     # uncorrelated counts per bin added to both channels
+    poisson_enabled: bool = True
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.singles_scale <= 0 or self.coincidence_scale <= 0:
+            raise ValueError("count scales must be positive")
+        if self.background < 0:
+            raise ValueError("background must be nonnegative")
+
+
 def spectrum_density(spectrum: Spectrum, detuning):
     """Spectral density S(Omega) at detuning Omega from the center frequency."""
     det = np.asarray(detuning, dtype=float)

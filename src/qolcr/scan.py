@@ -22,14 +22,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from qolcr.errors import SynthesisError
-from qolcr.model import (
-    SPEED_OF_LIGHT,
-    PumpReference,
-    Sample,
-    Spectrum,
-    coherence_envelope,
-    response_function,
-)
+from qolcr.model import (SPEED_OF_LIGHT, NoiseModel, PumpReference, Sample, Spectrum,
+                         StageModel, coherence_envelope, response_function)
 
 # baselines sit this factor above the worst-case interference swing
 BASELINE_HEADROOM = 1.2
@@ -51,37 +45,6 @@ MIN_MARGIN_COHERENCE_LENGTHS = 1.0
 # (>= baseline / 6 by the 1.2 headroom); hom and packet start from zero, so a tail moves
 # them only below 2**53 * 5e-44 ~ 4e-28 of the peak, where they vanish against the baseline.
 SUPPORT_COHERENCE_LENGTHS = 6.0
-
-
-@dataclass(frozen=True)
-class StageModel:
-    """Commanded motion plus deterministic and stochastic position errors."""
-
-    velocity: float              # commanded speed, m/s
-    sample_rate: float           # detector binning rate, Hz
-    scale_error: float = 0.0     # fractional scale error of the drive
-    periodic_amplitude: float = 0.0   # lead-screw wobble amplitude, m
-    periodic_period: float = 50e-6    # lead-screw wobble period, m
-    periodic_phase: float = 0.0       # wobble phase at the scan start, rad
-    drift_step: float = 0.0      # random-walk step per sample, m
-    drift_smoothing: int = 1500  # boxcar length applied to the walk, samples
-    seed: int | None = None      # RNG seed for the walk
-
-    def __post_init__(self):
-        if self.velocity <= 0 or self.sample_rate <= 0:
-            raise ValueError("stage velocity and sample rate must be positive")
-        if self.periodic_period <= 0:
-            raise ValueError("periodic_period must be positive")
-        if self.drift_step < 0 or self.drift_smoothing < 1:
-            raise ValueError("drift parameters out of range")
-
-    @property
-    def spacing(self) -> float:
-        """Reported grid spacing in meters."""
-        return self.velocity / self.sample_rate
-
-    def reported_grid(self, n_samples: int, start: float = 0.0) -> np.ndarray:
-        return start + self.spacing * np.arange(n_samples)
 
 
 def true_positions(stage: StageModel, n_samples: int, start: float = 0.0) -> np.ndarray:
@@ -117,23 +80,6 @@ def _seed_free_trajectory(stage: StageModel, n_samples: int) -> np.ndarray:
         )
     positions.flags.writeable = False  # shared by every run of this stage
     return positions
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Counting statistics of the two detector channels."""
-
-    singles_scale: float        # mean intensity counts per bin at the fringe-free baseline
-    coincidence_scale: float    # mean coincidence counts per bin at the baseline
-    background: float = 0.0     # uncorrelated counts per bin added to both channels
-    poisson_enabled: bool = True
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.singles_scale <= 0 or self.coincidence_scale <= 0:
-            raise ValueError("count scales must be positive")
-        if self.background < 0:
-            raise ValueError("background must be nonnegative")
 
 
 def intensity_baseline(sample: Sample, spectrum: Spectrum) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import EDGE_FIT_KNOTS, CalibratedRecord, CalibrationMap
+from .config import parse_config
 from .errors import ConfigError, TraceParseError
 from .scan import ScanTrace
 
@@ -279,8 +280,6 @@ def read_embedded_config(path):
 
     Only the header, up to its '# payload' line, is read.
     """
-    from .config import parse_config
-
     with open(path, "rb") as handle:
         _, json_fields, _ = _read_header(path, handle)
     raw = json_fields.get("config")

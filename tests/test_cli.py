@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +358,30 @@ def test_measure_needs_config_source(tmp_path, capsys):
     code = main(["measure", str(path), "--output", str(tmp_path / "r.json")])
     assert code == 1
     assert "embedded config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("calibrate", "scan.txt"),
+    ("measure", "cal.record.txt"),
+])
+def test_invalid_embedded_config_names_its_file(artifact_chain, tmp_path, capsys,
+                                                command, artifact):
+    lines, payload = split_table(artifact_chain / artifact)
+    index = next(i for i, l in enumerate(lines) if l.startswith("# config "))
+    lines[index] = lines[index].replace('"phase_method": "analytic"',
+                                        '"phase_method": "analytik"')
+    broken = tmp_path / artifact
+    broken.write_bytes(("\n".join(lines) + "\n").encode() + payload)
+    out = tmp_path / "out"
+    code = main([command, str(broken), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qolcr: invalid configuration: the config embedded in {broken} "
+                          "is invalid (pipeline.phase_method must be 'analytic' or "
+                          "'crossings'); --config overrides it")
+    assert list(tmp_path.iterdir()) == [broken]
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert main([command, str(broken), "--config", str(bundled), "--output", str(out)]) == 0
 
 
 def test_usage_errors_exit_1():
