@@ -357,22 +357,76 @@ class CalibratedRecord:
         return len(self.positions)
 
 
+def _not_a_knot_spline(x: np.ndarray, dx: np.ndarray, y: np.ndarray,
+                       grid: np.ndarray) -> np.ndarray:
+    """CubicSpline(x, y)(grid) bit for bit, for n >= 4 finite knots x with normal steps dx.
+
+    The knot slopes s solve CubicSpline's not-a-knot system by the LAPACK gtsv
+    that solve_banded((1, 1), ...) calls; on [x_i, x_i+1) PPoly sums
+    ((y + s u) + c1 u^2) + c0 u^3 in u = grid - x_i (CubicHermiteSpline's c0, c1).
+    """
+    from scipy.linalg.lapack import dgtsv  # loaded on first use
+    out = np.empty_like(grid)       # first, so the temporaries below free as one block
+    slope = np.diff(y)
+    slope /= dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]))
+    s, info = dgtsv(np.concatenate((dx[1:], [d1])),
+                    np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])),
+                    np.concatenate(([d0], dx[:-1])), rhs, 1, 1, 1, 1)[3:]
+    if info:
+        raise CalibrationQualityError(
+            f"spline slope system singular (LAPACK gtsv info {info}); "
+            "calibrated sample positions too close to resolve")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c1 = (slope - s[:-1]) / dx - t
+    c0 = np.divide(t, dx, out=t)
+    # PPoly's interval x_i <= g < x_i+1, clamped to the end ones: np.interp's
+    # search is exact and its floored index (1/dx finite) is i or, rounded up, i + 1
+    idx = np.interp(grid, x, np.arange(len(x), dtype=float)).astype(np.intp)
+    np.minimum(idx, len(x) - 2, out=idx)
+    idx -= grid < x[idx]
+    np.maximum(idx, 0, out=idx)
+    u = np.take(x, idx)
+    np.subtract(grid, u, out=u)
+    np.take(y, idx, out=out)
+    out += 0.0                      # PPoly sums from 0.0, so -0.0 becomes 0.0
+    power, term = np.ones_like(u), np.empty_like(u)
+    for coef in (s, c1, c0):
+        power *= u
+        np.take(coef, idx, out=term)
+        term *= power
+        out += term
+    return out
+
+
 def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
                        grid_step: float | None = None) -> CalibratedRecord:
     """Cubic resampling of the intensity onto a uniform calibrated grid.
 
     Every intensity sample is placed at its calibrated position (linear
     extrapolation of the map covers the filter-excluded edges; the
-    extrapolated fraction is recorded in the quality block) and a cubic
-    spline through those points is evaluated on a uniform grid.
+    extrapolated fraction is recorded in the quality block) and the
+    not-a-knot cubic spline through those points is evaluated on a uniform
+    grid.
     """
     if grid_step is None:
         grid_step = trace.spacing
     if grid_step <= 0:
         raise ConfigError("grid step must be positive")
+    if trace.n_samples < 4:
+        raise CalibrationQualityError(f"trace of {trace.n_samples} samples; the spline needs 4")
+    if not np.isfinite(trace.intensity).all():
+        raise CalibrationQualityError("intensity channel holds non-finite samples")
     positions = calibration(trace.reported_d)
-    if np.any(np.diff(positions) <= 0):
-        raise CalibrationQualityError("calibrated sample positions not increasing")
+    if not np.isfinite(positions).all():
+        raise CalibrationQualityError("trace holds non-finite reported positions")
+    dx = np.diff(positions)
+    if dx.min() < np.finfo(float).tiny:  # the spline's interval search needs a finite 1 / dx
+        raise CalibrationQualityError("calibrated sample positions not increasing by a normal step")
     lo, hi = calibration.domain
     extrapolated = float(np.mean((trace.reported_d < lo) | (trace.reported_d > hi)))
 
@@ -381,9 +435,7 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     if last - first < 15:
         raise CalibrationQualityError("calibrated span too short to resample")
     grid = np.arange(first, last + 1) * grid_step
-    from scipy.interpolate import CubicSpline  # loaded on first use
-    spline = CubicSpline(positions, trace.intensity)
-    values = spline(grid)
+    values = _not_a_knot_spline(positions, dx, trace.intensity, grid)
     quality = dict(calibration.quality)
     quality["extrapolated_fraction"] = extrapolated
     quality["grid_step"] = float(grid_step)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len, rfft
+from scipy.interpolate import CubicSpline  # the oracle of the resampling spline
 from scipy.signal import fftconvolve, hilbert
 
 from qolcr.calibration import (
@@ -18,6 +19,7 @@ from qolcr.calibration import (
     FilteredCarrier,
     PhaseTrace,
     _kernel_spectrum,
+    _not_a_knot_spline,
     _phase_from_crossings,
     _unwrap,
     analytic_from_spectrum,
@@ -558,3 +560,101 @@ def test_resample_grid_step_override(identity_trace):
     assert record.quality["grid_step"] == 2.5e-9
     with pytest.raises(ConfigError):
         resample_intensity(identity_trace, cal, grid_step=-1.0)
+
+
+def _assert_same_bytes(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config, run, grid_step", [
+    (default_config(), 0, None),
+    (default_config(), 1, None),
+    (default_config(), 2, None),
+    (load_config(MULTILAYER), 0, None),
+    (replace(default_config(), noise=NOISE_OFF), 0, None),
+    (default_config(), 0, 2.5e-9),
+])
+def test_resample_bit_identical_to_cubic_spline_on_pipeline_records(config, run, grid_step):
+    trace = synthesize(config, run)
+    phase = extract_phase(extract_tpi(trace, config.pipeline.bandpass),
+                          method=config.pipeline.phase_method)
+    cal = build_calibration(phase, config.pump)
+    record = resample_intensity(trace, cal, grid_step=grid_step)
+    want = CubicSpline(cal(trace.reported_d), trace.intensity)(record.positions)
+    _assert_same_bytes(record.intensity, want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 3001])
+@pytest.mark.parametrize("seed", range(3))
+def test_not_a_knot_spline_bit_identical_to_cubic_spline_on_random_knots(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    x = 1e-4 * rng.normal() + np.cumsum(rng.uniform(1e-9, 2e-8, n))
+    y = rng.normal(1000.0, 300.0, n)
+    step = (x[-1] - x[0]) / (2 * n + 7)
+    grid = np.concatenate((
+        x,                                            # on every knot, both ends included
+        np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        [x[0] - 1e-9 * step, x[-1] + 1e-9 * step],    # the uniform grid's overhang
+        np.arange(math.ceil(x[0] / step), math.floor(x[-1] / step) + 1) * step,
+    ))
+    grid.sort()
+    _assert_same_bytes(_not_a_knot_spline(x, np.diff(x), y, grid), CubicSpline(x, y)(grid))
+
+
+def test_not_a_knot_spline_sums_from_zero_as_ppoly_does():
+    # every term at knot 0 is -0.0; PPoly's 0.0 + ... makes the value +0.0
+    x = np.arange(5.0)
+    y = np.array([-0.0, -0.2, -0.8, -1.5, 0.0])
+    want = CubicSpline(x, y)(x)
+    assert not np.signbit(want[0])
+    _assert_same_bytes(_not_a_knot_spline(x, np.diff(x), y, x), want)
+
+
+def _identity_map(start, stop):
+    knots = np.linspace(start, stop, 8)
+    return CalibrationMap(reported=knots, calibrated=knots.copy())
+
+
+def _bare_trace(reported_d, intensity):
+    return ScanTrace(reported_d=reported_d, intensity=intensity,
+                     coincidence=np.zeros(len(reported_d)), spacing=1e-8)
+
+
+def test_resample_rejects_non_finite_intensity():
+    d = np.arange(100) * 1e-8
+    intensity = np.full(100, 1000.0)
+    intensity[40] = np.nan
+    with pytest.raises(CalibrationQualityError, match="intensity channel holds non-finite"):
+        resample_intensity(_bare_trace(d, intensity), _identity_map(0.0, 1e-6))
+
+
+def test_resample_rejects_non_finite_reported_position():
+    d = np.arange(100) * 1e-8
+    d[40] = np.inf
+    with pytest.raises(CalibrationQualityError, match="trace holds non-finite reported positions"):
+        resample_intensity(_bare_trace(d, np.full(100, 1000.0)), _identity_map(0.0, 1e-6))
+
+
+def test_resample_rejects_fewer_than_four_samples():
+    # three samples span 200 grid steps; the spline would be a bare parabola
+    d = np.array([0.0, 1e-6, 2e-6])
+    with pytest.raises(CalibrationQualityError, match="trace of 3 samples; the spline needs 4"):
+        resample_intensity(_bare_trace(d, np.full(3, 1000.0)), _identity_map(0.0, 2e-6))
+
+
+def test_resample_rejects_subnormal_position_steps():
+    d = np.arange(100) * 1e-8
+    d[1] = d[0] + 5e-324
+    with pytest.raises(CalibrationQualityError, match="not increasing by a normal step"):
+        resample_intensity(_bare_trace(d, np.full(100, 1000.0)), _identity_map(0.0, 1e-6))
+
+
+def test_not_a_knot_spline_reports_a_singular_slope_system():
+    # spacings 180 decades apart: gtsv's elimination meets an exact zero pivot
+    x = np.array([0.0, 8.616615443758085e-112, 8.616615443758087e-112, 2.9677676711576695e+71])
+    y = np.ones(4)
+    with pytest.raises(np.linalg.LinAlgError):
+        CubicSpline(x, y)
+    with pytest.raises(CalibrationQualityError, match="singular"):
+        _not_a_knot_spline(x, np.diff(x), y, x)
