@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft
 from scipy.signal import find_peaks
 
-from qolcr.calibration import CalibratedRecord, _unwrap, analytic_from_spectrum
+from qolcr.calibration import CalibratedRecord, _unwrap
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 
 # smallest sample overlap allowed between the shifted record copies; lags
@@ -90,24 +90,33 @@ class Autocorrelogram:
 def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     """Analytic autocorrelation of the mean-subtracted record.
 
-    Zero-padded FFT gives the linear (non-circular) lag sums, and the
-    analytic signal of the one-sided |X|^2 (analytic_from_spectrum) gives
-    their analytic signal over the whole lag range in one inverse FFT, so no
-    window edge leaves artifacts. Normalized once by the zero-lag sum, and
-    every bin nonnegative, |A(k)| <= A(0) = 1. Only lags 0 .. k_cap are
-    kept, with k_cap capped so at least MIN_OVERLAP samples contribute.
+    Zero-padded FFT gives the linear (non-circular) lag sums. Their analytic
+    signal over the whole lag range comes from the one-sided spectrum W:
+    |X|^2 at DC (and at Nyquist for even nfft), 2 |X|^2 in between, zero
+    above. W is real, so its inverse FFT is conj(rfft(W)) / nfft at every
+    lag up to nfft / 2, beyond k_cap: one forward real FFT, and no window
+    edge leaves artifacts. Normalized once by the zero-lag sum, and every
+    bin nonnegative, |A(k)| <= A(0) = 1. Only lags 0 .. k_cap are kept,
+    with k_cap capped so at least MIN_OVERLAP samples contribute.
     """
     n = len(record.intensity)
     if n < 2 * MIN_OVERLAP:
         raise ConfigError(f"record of {n} samples too short to autocorrelate")
+    if not np.isfinite(record.intensity).all():
+        raise ConfigError("record holds non-finite intensity samples")
     x = record.intensity - record.intensity.mean()
     k_cap = n - MIN_OVERLAP
 
     nfft = next_fast_len(2 * n - 1)
+    weighted = np.empty(nfft)  # first, so the FFT temporaries below free as one block
     spec = rfft(x, nfft)
-    power = np.conj(spec)
-    power *= spec    # conj(spec) * spec, whatever numpy's temporary elision picks
-    analytic = analytic_from_spectrum(power, nfft)[: k_cap + 1]
+    half = len(spec)
+    np.multiply(spec.real, spec.real, out=weighted[:half])
+    weighted[:half] += spec.imag * spec.imag
+    weighted[1: (nfft + 1) // 2] *= 2.0
+    weighted[half:] = 0.0
+    analytic = rfft(weighted, overwrite_x=True)[: k_cap + 1]
+    np.conjugate(analytic, out=analytic)
     if analytic[0].real <= 0:
         raise ConfigError("record has zero variance")
     analytic /= analytic[0].real

@@ -164,9 +164,10 @@ def coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpReferen
     """The three position-dependent coincidence terms, separately, in model units.
 
     Returns a dict with keys 'hom', 'fringes', 'pair_carrier'; the total rate is
-    coincidence_baseline plus their sum. The pair carrier is evaluated against the pump
-    frequency, which for exact degeneracy equals the 2 omega0 form bit for bit. d is a
-    scalar or an ascending 1-D array; anything else raises ValueError.
+    coincidence_baseline plus their sum. The pair carrier 2 Re{C e^{-i omega_p tau}},
+    C = tpi_constant, is one real cosine 2 |C| cos(omega_p tau - arg C), evaluated against
+    the pump frequency, which for exact degeneracy equals the 2 omega0 form bit for bit.
+    d is a scalar or an ascending 1-D array; anything else raises ValueError.
     """
     parts = _coincidence_components(sample, spectrum, pump,
                                     *_delays(sample, spectrum, _ascending(d)))
@@ -198,9 +199,9 @@ def _coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpRefere
         fringes[sl] = 4.0 * FRINGE_AMPLITUDE * (
             packet[sl] * np.cos(spectrum.center_frequency * tau[sl]))
 
-    pair_carrier = 2.0 * np.real(
-        tpi_constant(sample, spectrum) * np.exp(-1j * pump.angular_frequency * tau)
-    )
+    tpi = tpi_constant(sample, spectrum)
+    pair_carrier = 2.0 * abs(tpi) * np.cos(
+        pump.angular_frequency * tau - math.atan2(tpi.imag, tpi.real))
     return {"hom": hom, "fringes": fringes, "pair_carrier": pair_carrier}
 
 

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from qolcr.calibration import (
     extract_tpi,
     resample_intensity,
 )
-from qolcr.config import DEFAULT_CONFIG, default_config, parse_config
+from qolcr.config import DEFAULT_CONFIG, default_config, load_config, parse_config
+from qolcr.experiments import calibrate_trace, synthesize
 from qolcr.experiments import run_pipeline as run_seeded
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 from qolcr.measure import (
@@ -101,18 +103,41 @@ def test_autocorrelate_matches_direct_sum_oracle():
 
 
 def test_autocorrelate_power_spectrum_operand_order():
-    # oracle: |X|^2 formed as conj(X) * X; the imaginary parts of X * conj(X)
-    # differ in the last bit, and numpy's temporary elision would pick either
-    # order depending on the array size (this record is below its threshold)
+    # oracle: |X|^2 formed as Re^2 + Im^2 in a real buffer, weighted one-sided
+    # and taken through one forward real FFT whose kept bins are conjugated
     record = synthetic_record(n=4000)
     x = record.intensity - record.intensity.mean()
     nfft = next_fast_len(2 * len(x) - 1)
     spec = rfft(x, nfft)
-    analytic = analytic_from_spectrum(np.multiply(np.conj(spec), spec), nfft)
-    analytic = analytic[: len(x) - MIN_OVERLAP + 1]
+    weighted = np.zeros(nfft)
+    weighted[: len(spec)] = spec.real * spec.real + spec.imag * spec.imag
+    weighted[1: (nfft + 1) // 2] *= 2.0
+    analytic = np.conj(rfft(weighted)[: len(x) - MIN_OVERLAP + 1])
     analytic /= analytic[0].real
     analytic[0] = 1.0
     assert np.array_equal(autocorrelate(record).analytic, analytic)
+
+
+def _complex_inverse_autocorrelation(intensity):
+    """The analytic autocorrelation by one complex inverse FFT of conj(X) X."""
+    x = intensity - intensity.mean()
+    nfft = next_fast_len(2 * len(x) - 1)
+    spec = rfft(x, nfft)
+    analytic = analytic_from_spectrum(np.conj(spec) * spec, nfft)[: len(x) - MIN_OVERLAP + 1]
+    analytic /= analytic[0].real
+    analytic[0] = 1.0
+    return analytic
+
+
+@pytest.mark.parametrize("config", [
+    default_config(),
+    load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"),
+], ids=["default", "multilayer"])
+@pytest.mark.parametrize("run_index", [0, 1, 2])
+def test_autocorrelate_matches_complex_inverse_on_pipeline_records(config, run_index):
+    _, record = calibrate_trace(config, synthesize(config, run_index))
+    got = autocorrelate(record).analytic
+    assert np.max(np.abs(got - _complex_inverse_autocorrelation(record.intensity))) < 1e-14
 
 
 def test_autocorrelate_pure_cosine_preserves_period():
@@ -161,6 +186,16 @@ def test_autocorrelate_rejects_short_and_flat_records():
     )
     with pytest.raises(ConfigError):
         autocorrelate(flat)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_autocorrelate_rejects_non_finite_intensity(bad):
+    # named before the mean turns one bad sample into a RuntimeWarning and a
+    # malformed zero-lag cluster; the filter setting turns any warning into an error
+    record = synthetic_record()
+    record.intensity[100] = bad
+    with pytest.raises(ConfigError, match="non-finite intensity"):
+        autocorrelate(record)
 
 
 def test_autocorrelogram_validates_normalization():

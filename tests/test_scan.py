@@ -463,9 +463,9 @@ def _full_grid_coincidence_components(sample, spectrum, pump, tau, surfaces):
         packet += r * env
     fringes = 4.0 * FRINGE_AMPLITUDE * (packet * np.cos(spectrum.center_frequency * tau))
 
-    pair_carrier = 2.0 * np.real(
-        tpi_constant(sample, spectrum) * np.exp(-1j * pump.angular_frequency * tau)
-    )
+    tpi = tpi_constant(sample, spectrum)
+    pair_carrier = 2.0 * abs(tpi) * np.cos(
+        pump.angular_frequency * tau - math.atan2(tpi.imag, tpi.real))
     return {"hom": hom, "fringes": fringes, "pair_carrier": pair_carrier}
 
 
@@ -515,3 +515,51 @@ def test_support_synthesis_bit_identical_to_full_grid(config, run_index, monkeyp
     assert np.array_equal(trace.coincidence, full.coincidence)
     for name in ("intensity_rate", "coincidence_rate", "pair_carrier"):
         assert np.array_equal(getattr(trace.truth, name), getattr(full.truth, name)), name
+
+
+# --- the pair carrier as one real cosine ---------------------------------------
+# 2 |C| cos(omega_p tau - arg C) replaced 2 Re{C exp(-i omega_p tau)}; the two differ
+# in the last bits only, well below half a count, so no Poisson draw moves
+
+def _complex_pair_carrier(sample, spectrum, pump, tau):
+    return 2.0 * np.real(
+        tpi_constant(sample, spectrum) * np.exp(-1j * pump.angular_frequency * tau))
+
+
+_SUPPORT_COINCIDENCE_COMPONENTS = scan._coincidence_components
+
+
+def _complex_carrier_components(sample, spectrum, pump, tau, surfaces):
+    parts = _SUPPORT_COINCIDENCE_COMPONENTS(sample, spectrum, pump, tau, surfaces)
+    parts["pair_carrier"] = _complex_pair_carrier(sample, spectrum, pump, tau)
+    return parts
+
+
+@pytest.mark.parametrize("config", [
+    default_config(),
+    load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"),
+    _close_surfaces_config(),
+], ids=["default", "multilayer", "close-surfaces"])
+def test_pair_carrier_cosine_matches_complex_exponential(config):
+    true_d = synthesize(config, 0).truth.true_d
+    tau = 2.0 * true_d / SPEED_OF_LIGHT
+    got = coincidence_components(config.sample, config.spectrum, config.pump, true_d)
+    expected = _complex_pair_carrier(config.sample, config.spectrum, config.pump, tau)
+    amplitude = 2.0 * abs(tpi_constant(config.sample, config.spectrum))
+    assert np.max(np.abs(got["pair_carrier"] - expected)) < 1e-11 * amplitude
+
+
+@pytest.mark.parametrize("config, run_index", [
+    (default_config(), 0),
+    (default_config(), 1),
+    (default_config(), 2),
+    (load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"), 0),
+    (_close_surfaces_config(), 0),
+], ids=["default-0", "default-1", "default-2", "multilayer-0", "close-surfaces"])
+def test_cosine_pair_carrier_moves_no_poisson_draw(config, run_index, monkeypatch):
+    trace = synthesize(config, run_index)
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_coincidence_components", _complex_carrier_components)
+        complex_form = synthesize(config, run_index)
+    assert np.array_equal(trace.intensity, complex_form.intensity)
+    assert np.array_equal(trace.coincidence, complex_form.coincidence)
