@@ -108,7 +108,7 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     k_cap = n - MIN_OVERLAP
 
     nfft = next_fast_len(2 * n - 1)
-    weighted = np.empty(nfft)  # first, so the FFT temporaries below free as one block
+    weighted = np.empty(nfft)  # before the FFT: allocated after it, the stage faults more pages
     spec = rfft(x, nfft)
     half = len(spec)
     np.multiply(spec.real, spec.real, out=weighted[:half])

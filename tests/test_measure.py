@@ -191,7 +191,7 @@ def test_autocorrelate_rejects_short_and_flat_records():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_autocorrelate_rejects_non_finite_intensity(bad):
     # named before the mean turns one bad sample into a RuntimeWarning and a
-    # malformed zero-lag cluster; the filter setting turns any warning into an error
+    # malformed zero-lag cluster; pyproject.toml turns any warning into an error
     record = synthetic_record()
     record.intensity[100] = bad
     with pytest.raises(ConfigError, match="non-finite intensity"):
