@@ -298,10 +298,6 @@ class CalibrationMap:
             y[above] = self.calibrated[-1] + (x[above] - hi) * self._hi_slope
         return y
 
-    def correction(self):
-        """Knot-wise calibrated minus reported, the Fig-style correction curve."""
-        return self.calibrated - self.reported
-
 
 def build_calibration(phase: PhaseTrace, pump: PumpReference) -> CalibrationMap:
     """Scale the unwrapped phase to positions and anchor at the scan midpoint.
@@ -316,11 +312,6 @@ def build_calibration(phase: PhaseTrace, pump: PumpReference) -> CalibrationMap:
         raise CalibrationQualityError("too few valid phase samples to calibrate")
     scale = pump.wavelength / (4.0 * math.pi)
     phi = phase.unwrapped_phase[idx]
-    if np.any(np.diff(phi) <= 0):
-        raise CalibrationQualityError(
-            "unwrapped carrier phase is not strictly increasing; "
-            "stage reversal or phase-extraction failure"
-        )
     dprime = phase.reported_d[idx]
     mid = idx[int(np.argmin(np.abs(idx - len(phase.reported_d) // 2)))]
     anchor = phase.reported_d[mid] - phase.unwrapped_phase[mid] * scale

@@ -77,11 +77,11 @@ def cmd_simulate(args) -> int:
     trace = synthesize(config, run_index=0)
     tracefile.write_trace(trace, args.output, config=config)
     start, stop = config.scan_range
-    stage_seed, noise_seed = config.seeds_for_run(0)
+    meta = trace.metadata
     print(f"wrote {args.output}: {trace.n_samples} samples over "
           f"[{start * 1e6:g} um, {stop * 1e6:g} um)")
-    print(f"stage seed {stage_seed}, noise seed {noise_seed}, "
-          f"poisson {trace.metadata.get('poisson')}")
+    print(f"stage seed {meta['stage_seed']}, noise seed {meta['noise_seed']}, "
+          f"poisson {meta['poisson']}")
     return 0
 
 

@@ -76,8 +76,8 @@ class RunConfig:
     sample: Sample
     spectrum: Spectrum
     pump: PumpReference
-    stage: StageModel            # seedless template; see stage_for_run
-    noise: NoiseModel            # seedless template; see noise_for_run
+    stage: StageModel            # seedless template; synthesize attaches the run's seed
+    noise: NoiseModel            # seedless template; synthesize attaches the run's seed
     scan_range: tuple[float, float]
     pipeline: PipelineParams
     master_seed: int
@@ -88,14 +88,6 @@ class RunConfig:
         seq = np.random.SeedSequence([int(self.master_seed), int(run_index)])
         stage_seed, noise_seed = (int(v) for v in seq.generate_state(2))
         return stage_seed, noise_seed
-
-    def stage_for_run(self, run_index: int) -> StageModel:
-        stage_seed, _ = self.seeds_for_run(run_index)
-        return replace(self.stage, seed=stage_seed)
-
-    def noise_for_run(self, run_index: int) -> NoiseModel:
-        _, noise_seed = self.seeds_for_run(run_index)
-        return replace(self.noise, seed=noise_seed)
 
     def with_sample(self, sample: Sample) -> "RunConfig":
         cfg = replace(self, sample=sample)

@@ -10,7 +10,7 @@ a forced-ambiguity list exists to exercise exactly that bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from qolcr.scan import ScanTrace, simulate_scan
 
 def synthesize(config: RunConfig, run_index: int = 0) -> ScanTrace:
     """One seeded scan synthesis for the given run index."""
+    stage_seed, noise_seed = config.seeds_for_run(run_index)
     return simulate_scan(
         config.sample, config.spectrum, config.pump,
-        config.stage_for_run(run_index), config.noise_for_run(run_index),
+        replace(config.stage, seed=stage_seed), replace(config.noise, seed=noise_seed),
         config.scan_range,
     )
 
@@ -59,6 +60,20 @@ def run_pipeline(config: RunConfig, run_index: int = 0,
     trace = synthesize(config, run_index)
     _, record = calibrate_trace(config, trace)
     return measure_record(config, record, refinement_offset=refinement_offset)
+
+
+def _record_outcome(entry: dict, config: RunConfig, run_index: int,
+                    refinement_offset: float = 0.0) -> dict:
+    """Add the run's separation and fringe-order flag, or its error, to entry; return it."""
+    try:
+        report = run_pipeline(config, run_index=run_index, refinement_offset=refinement_offset)
+    except QolcrError as exc:
+        entry["error"] = str(exc)
+    else:
+        peak = report.peaks[0]
+        entry["separation_m"] = peak.separation
+        entry["outlier"] = bool(peak.outlier_flag)
+    return entry
 
 
 @dataclass
@@ -142,16 +157,7 @@ def repeatability_experiment(config: RunConfig, n_runs: int,
             "noise_seed": noise_seed,
             "forced_ambiguity": i in forced,
         }
-        offset = one_fringe if i in forced else 0.0
-        try:
-            report = run_pipeline(config, run_index=i, refinement_offset=offset)
-        except QolcrError as exc:
-            entry["error"] = str(exc)
-        else:
-            peak = report.peaks[0]
-            entry["separation_m"] = peak.separation
-            entry["outlier"] = bool(peak.outlier_flag)
-        ledger.append(entry)
+        ledger.append(_record_outcome(entry, config, i, one_fringe if i in forced else 0.0))
     return RepeatabilityResult(seed_ledger=ledger)
 
 
@@ -160,7 +166,7 @@ class LinearityResult:
     """Measured separations against commanded sub-fringe surface shifts."""
 
     step_size: float
-    ledger: list     # per-step dict: commanded position, then separation and deviation, or error
+    ledger: list     # per step: commanded position, then separation, flag and deviation, or error
 
     @property
     def commanded_positions(self) -> list:
@@ -174,7 +180,7 @@ class LinearityResult:
 
     @property
     def deviations(self) -> list:
-        """Measured minus the unit-slope line through the first measured step, m."""
+        """Unflagged separations minus the unit-slope line through the first, m; else nan."""
         return [e.get("deviation_m", math.nan) for e in self.ledger]
 
     @property
@@ -197,9 +203,9 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
     """Shift the first surface by k * step per run and track the separation.
 
     The first surface moves toward the second, so the set separation
-    decreases by exactly step per shift; deviations compare each measured
-    separation to the unit-slope line through the first measured value, so
-    at least two steps must succeed.
+    decreases by exactly step per shift; deviations compare each unflagged
+    separation to the unit-slope line through the first, so at least two
+    steps must succeed unflagged. A flagged step keeps only its separation.
     """
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"linearity step must be finite and positive, got {step!r} m")
@@ -219,18 +225,12 @@ def linearity_experiment(config: RunConfig, step: float, n_steps: int) -> Linear
     for k in range(n_steps):
         sample = config.sample.shifted(0, k * step)
         entry = {"step": k, "commanded_position_m": sample.surfaces[0].position}
-        try:
-            report = run_pipeline(config.with_sample(sample), run_index=k)
-        except QolcrError as exc:
-            entry["error"] = str(exc)
-        else:
-            entry["separation_m"] = float(report.peaks[0].separation)
-        ledger.append(entry)
+        ledger.append(_record_outcome(entry, config.with_sample(sample), k))
 
-    measured = [e for e in ledger if "separation_m" in e]
+    measured = [e for e in ledger if e.get("outlier") is False]
     if len(measured) < 2:
         raise PipelineQualityError(
-            f"{len(measured)} of {n_steps} linearity steps succeeded; "
+            f"{len(measured)} of {n_steps} linearity steps succeeded unflagged; "
             "a deviation from the unit-slope line needs at least 2")
     base_k, baseline = measured[0]["step"], measured[0]["separation_m"]
     for e in measured:

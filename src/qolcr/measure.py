@@ -47,6 +47,10 @@ NOISE_FLOOR_FACTOR = 6.0
 # fewest lags a cluster window must hold for the envelope and phase fits
 MIN_CLUSTER_SAMPLES = 64
 
+# in zero-lag half-widths: the guard hiding the zero-lag cluster, the least
+# spacing of two clusters, and the half-widths of a cluster window and its fit
+ZERO_GUARD, MIN_SEPARATION, CLUSTER_WINDOW, FIT_WINDOW = 4, 3, 1.5, 0.3
+
 
 @dataclass
 class Autocorrelogram:
@@ -204,29 +208,21 @@ class MeasurementReport:
         }
 
 
-def _cluster_parameters(acorr: Autocorrelogram):
-    """Window sizes derived from the zero-lag cluster of A itself.
+def _zero_lag_halfwidth(acorr: Autocorrelogram) -> int:
+    """Half-max half-width of the zero-lag cluster of A itself, in lags.
 
     The zero-lag cluster has the same coherence envelope as every other
-    cluster, so its half-max half-width sets the natural length scale
-    without needing the source spectrum.
+    cluster, so its half-width sets the natural length scale of every
+    window without needing the source spectrum.
     """
-    edge = np.argmin(acorr.envelope >= 0.5)  # first index below half max
+    edge = int(np.argmin(acorr.envelope >= 0.5))  # first index below half max
     if edge == 0:
         raise PeakFitError("zero-lag cluster of the autocorrelogram is malformed")
-    # a cluster window spans 2 * 1.5 half-widths (envelope_halfwidth below)
-    if 3 * edge < MIN_CLUSTER_SAMPLES:
+    if 2 * CLUSTER_WINDOW * edge < MIN_CLUSTER_SAMPLES:
         raise PeakFitError(
             f"zero-lag half-width of only {edge} lag(s) leaves a cluster window under "
             f"{MIN_CLUSTER_SAMPLES} lags: uncorrelated counting noise dominates the record")
-    w_half = float(edge) * acorr.grid_step
-    return {
-        "w_half": w_half,
-        "zero_guard": 4.0 * w_half,
-        "min_separation": 3.0 * w_half,
-        "envelope_halfwidth": 1.5 * w_half,
-        "fit_halfwidth": 0.3 * w_half,
-    }
+    return edge
 
 
 def estimate_separations(acorr: Autocorrelogram, expected_count: int,
@@ -240,10 +236,12 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
     if expected_count < 1:
         raise ConfigError("expected_count must be at least 1")
 
-    params = _cluster_parameters(acorr)
+    edge = _zero_lag_halfwidth(acorr)
+    w_half = edge * acorr.grid_step
+    zero_guard = ZERO_GUARD * w_half
     env = acorr.envelope
     search = env.copy()
-    guard_idx = int(round(params["zero_guard"] / acorr.grid_step))
+    guard_idx = ZERO_GUARD * edge
     if guard_idx >= len(search):
         raise PeakCountError("autocorrelogram holds no lags beyond the zero-lag guard")
     search[:guard_idx] = 0.0
@@ -251,8 +249,7 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
         NOISE_FLOOR_FACTOR * float(np.median(env[guard_idx:])),
         MIN_CLUSTER_HEIGHT,
     )
-    distance = max(int(round(params["min_separation"] / acorr.grid_step)), 1)
-    peaks_idx, props = find_peaks(search, height=floor, distance=distance)
+    peaks_idx, props = find_peaks(search, height=floor, distance=MIN_SEPARATION * edge)
     if len(peaks_idx) < expected_count:
         raise PeakCountError(
             f"found {len(peaks_idx)} cluster(s) above the noise floor, "
@@ -264,24 +261,24 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
     estimates = []
     for idx in chosen:
         center = float(idx) * acorr.grid_step
-        estimates.append(_refine_cluster(acorr, center, params, refinement_offset))
+        estimates.append(_refine_cluster(acorr, center, w_half, refinement_offset))
     estimates.sort(key=lambda p: p.separation)
-    if any(p.separation <= params["zero_guard"] for p in estimates):
+    if any(p.separation <= zero_guard for p in estimates):
         raise PeakFitError("a refined separation fell inside the zero-lag guard")
     quality = dict(acorr.quality)
     quality["cluster_search"] = {
-        "w_half": params["w_half"],
-        "zero_guard": params["zero_guard"],
-        "min_separation": params["min_separation"],
+        "w_half": w_half,
+        "zero_guard": zero_guard,
+        "min_separation": MIN_SEPARATION * w_half,
         "noise_floor": floor,
         "n_candidates": int(len(peaks_idx)),
     }
     return MeasurementReport(peaks=estimates, metadata=dict(acorr.metadata), quality=quality)
 
 
-def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
+def _refine_cluster(acorr: Autocorrelogram, center: float, w_half: float,
                     refinement_offset: float) -> PeakEstimate:
-    window = acorr.window(center, params["envelope_halfwidth"])
+    window = acorr.window(center, CLUSTER_WINDOW * w_half)
     analytic = acorr.analytic[window]
     lags = acorr.lags[window]
     if len(analytic) < MIN_CLUSTER_SAMPLES:
@@ -290,7 +287,7 @@ def _refine_cluster(acorr: Autocorrelogram, center: float, params: dict,
     phase = _unwrap(np.angle(analytic))
     peak_lag = float(lags[np.argmax(env)])
 
-    fit_hw = params["fit_halfwidth"]
+    fit_hw = FIT_WINDOW * w_half
     fit_sel = (lags >= peak_lag - fit_hw) & (lags <= peak_lag + fit_hw)
     vertex, sigma, coeffs = parabolic_peak_fit(lags[fit_sel], env[fit_sel])
 

@@ -445,7 +445,7 @@ def test_phase_rejects_unknown_method():
 def test_identity_stage_correction_is_constant(identity_trace):
     phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
     cal = build_calibration(phase, PUMP)
-    corr = cal.correction()
+    corr = cal.calibrated - cal.reported
     assert corr.max() - corr.min() < 0.5e-9
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from qolcr.config import DEFAULT_CONFIG, default_config, load_config, parse_config
 from qolcr.errors import ConfigError
+from qolcr.experiments import synthesize
 from qolcr.model import BandpassSpec
 
 
@@ -84,6 +85,19 @@ def test_invalid_json_raises_config_error(tmp_path):
     (tweaked(stage={"scale_error": float("-inf")}), "stage.scale_error must be a finite number"),
     (tweaked(scan={"stop_um": 10 ** 400}), "scan.stop_um must be a finite number"),
     (tweaked(pipeline={"expected_peaks": 0}), "pipeline.expected_peaks must be at least 1"),
+    ([], "configuration root must be a JSON object"),
+    (dict(tweaked(), noise=[]), "section 'noise' must be an object"),
+    (tweaked(stage={"velocity_nm_per_s": None}), "stage.velocity_nm_per_s is required"),
+    (tweaked(noise={"background": -1.0}), "noise.background must not be negative"),
+    (tweaked(pipeline={"filter_num_taps": 2001.0}), "pipeline.filter_num_taps must be an integer"),
+    (tweaked(sample={"surfaces": [{"reflectivity": 0.6}]}),
+     "sample.surfaces[0] must have exactly the fields"),
+    (tweaked(sample={"surfaces": [{"reflectivity": 0.6, "position_um": 290.114},
+                                  {"reflectivity": 0.6, "position_um": 9.886}]}),
+     "sample.surfaces: surface positions must be strictly increasing"),
+    (tweaked(noise={"enabled": "yes"}), "noise.enabled must be true or false"),
+    (tweaked(scan={"start_um": 200.0, "stop_um": 100.0}),
+     "scan.stop_um must exceed scan.start_um"),
 ])
 def test_field_level_messages(raw, needle):
     with pytest.raises(ConfigError) as err:
@@ -143,10 +157,9 @@ def test_seed_derivation_is_deterministic_and_spread():
 
 def test_stage_and_noise_for_run_attach_seeds():
     cfg = default_config()
-    stage = cfg.stage_for_run(3)
-    noise = cfg.noise_for_run(3)
-    assert (stage.seed, noise.seed) == cfg.seeds_for_run(3)
-    assert cfg.stage.seed != stage.seed
+    meta = synthesize(cfg, 3).metadata
+    assert (meta["stage_seed"], meta["noise_seed"]) == cfg.seeds_for_run(3)
+    assert cfg.stage.seed is None and cfg.noise.seed is None
 
 
 def test_with_sample_updates_effective():

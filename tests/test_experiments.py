@@ -237,7 +237,7 @@ def test_linearity_failed_step_is_null_and_baseline_moves(clean_config, monkeypa
     assert set(doc) == {"step_size_m", "ledger", "max_abs_deviation_m"}
     for k in (1, 2):
         assert set(doc["ledger"][k]) == {
-            "step", "commanded_position_m", "separation_m", "deviation_m"}
+            "step", "commanded_position_m", "separation_m", "outlier", "deviation_m"}
     assert doc["max_abs_deviation_m"] == max(
         abs(e["deviation_m"]) for e in doc["ledger"] if "deviation_m" in e)
     assert res.commanded_positions == [e["commanded_position_m"] for e in doc["ledger"]]
@@ -253,6 +253,44 @@ def test_linearity_one_surviving_step_raises(clean_config, monkeypatch):
     # a deviation from a line drawn through its only point is 0 by construction
     fail_runs(monkeypatch, {0, 2})
     with pytest.raises(PipelineQualityError, match="1 of 3 linearity steps succeeded"):
+        linearity_experiment(clean_config, step=50e-9, n_steps=3)
+
+
+def flag_runs(monkeypatch, indices):
+    """Make run_pipeline shift the carrier refinement of the given runs by one fringe."""
+    real = experiments.run_pipeline
+
+    def run_pipeline(config, run_index=0, refinement_offset=0.0):
+        if run_index in indices:
+            refinement_offset = config.spectrum.center_wavelength / 2.0
+        return real(config, run_index=run_index, refinement_offset=refinement_offset)
+
+    monkeypatch.setattr(experiments, "run_pipeline", run_pipeline)
+
+
+def test_linearity_flagged_step_keeps_its_separation_but_no_deviation(clean_config, monkeypatch):
+    flag_runs(monkeypatch, {0})
+    res = linearity_experiment(clean_config, step=50e-9, n_steps=3)
+    flagged = res.ledger[0]
+    assert flagged["outlier"] is True
+    assert "deviation_m" not in flagged and not res.failures
+    # the refinement landed one fringe (lambda0 / 2 of lag) above the truth
+    one_fringe = clean_config.spectrum.center_wavelength / 2.0
+    assert abs(flagged["separation_m"] - (TRUE_SEPARATION + one_fringe)) < 0.1e-9
+    assert res.measured_separations[0] == flagged["separation_m"]
+    # the unit-slope line runs through the first unflagged step, and the
+    # flagged one neither sets it nor enters the deviations
+    assert np.isnan(res.deviations[0])
+    assert res.deviations[1] == 0.0
+    assert abs(res.deviations[2]) < 0.1e-9
+    assert res.max_abs_deviation == abs(res.deviations[2])
+    assert [e["outlier"] for e in res.ledger] == [True, False, False]
+
+
+def test_linearity_one_unflagged_step_raises(clean_config, monkeypatch):
+    flag_runs(monkeypatch, {0, 2})
+    with pytest.raises(PipelineQualityError,
+                       match="1 of 3 linearity steps succeeded unflagged"):
         linearity_experiment(clean_config, step=50e-9, n_steps=3)
 
 

@@ -30,8 +30,8 @@ from qolcr.errors import ConfigError, PeakCountError, PeakFitError
 from qolcr.measure import (
     MIN_OVERLAP,
     Autocorrelogram,
-    _cluster_parameters,
     _refine_cluster,
+    _zero_lag_halfwidth,
     autocorrelate,
     estimate_separations,
     parabolic_peak_fit,
@@ -278,9 +278,9 @@ def test_envelope_zero_signal_is_zero():
 
 def test_envelope_rejects_window_outside_range():
     acorr, _ = _packet_acorr(n_half=1000)
-    params = _cluster_parameters(acorr)
+    w_half = _zero_lag_halfwidth(acorr) * acorr.grid_step
     with pytest.raises(PeakFitError, match="edge"):
-        _refine_cluster(acorr, 1.0e-3, params, 0.0)
+        _refine_cluster(acorr, 1.0e-3, w_half, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def test_single_surface_record_has_no_cluster():
 def test_white_noise_zero_lag_is_too_narrow_for_a_cluster_window():
     acorr = autocorrelate(synthetic_record(packets=()))
     with pytest.raises(PeakFitError, match="counting noise dominates"):
-        _cluster_parameters(acorr)
+        _zero_lag_halfwidth(acorr)
 
 
 def test_noise_swamped_record_names_the_cause():

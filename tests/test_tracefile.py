@@ -195,6 +195,15 @@ def test_broken_embedded_config_names_its_line(tmp_path):
     assert "bad.txt: line 3: invalid JSON" in str(err.value)
 
 
+def test_embedded_config_that_is_not_an_object_names_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# qolcr-trace 2\n# spacing 5e-09\n# config 5\n")
+    with pytest.raises(TraceParseError) as err:
+        read_embedded_config(path)
+    assert err.value.line == 3
+    assert "header key 'config' must hold a JSON object" in str(err.value)
+
+
 def test_embedded_config_reads_only_the_header(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
@@ -338,6 +347,9 @@ HEADER_DEFECTS = {
                    "missing '# columns'"),
     "no rows": (lambda lines: [l for l in lines if not l.startswith("# rows")], None,
                 "missing '# rows'"),
+    "missing column": (lambda lines: [l.replace(" intensity", " counts")
+                                      if l.startswith("# columns") else l for l in lines],
+                       None, "missing column intensity"),
 }
 
 
@@ -354,6 +366,16 @@ def test_header_defect_is_a_parse_error(tmp_path, written_objects, defect):
         read_calibrated_record(path)
     assert err.value.line == (None if blamed is None else len(lines) + 1 + blamed)
     assert words in str(err.value)
+
+
+def test_trace_without_spacing_is_a_parse_error(tmp_path, trace_and_config):
+    trace, _ = trace_and_config
+    path = tmp_path / "scan.txt"
+    write_trace(trace, path)
+    lines, payload = split_table(path)
+    join_table(path, [l for l in lines if not l.startswith("# spacing ")], payload)
+    with pytest.raises(TraceParseError, match="missing '# spacing' header"):
+        read_trace(path)
 
 
 def test_non_monotone_write_rejected(tmp_path, trace_and_config):
@@ -732,6 +754,15 @@ def test_plot_data_matches_per_value_reference(tmp_path):
     rows = [" ".join(f"{a[i]:>24.16e}" for a in (x, y)) for i in range(x.size)]
     expected = "\n".join(["# two", "# lines", "# columns a_um b"] + rows) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.mkdir()                  # the rename onto a directory fails
+    with pytest.raises(OSError):
+        write_json_document({"a": 1}, target)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
