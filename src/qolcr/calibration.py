@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft, irfft, next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.model import BandpassSpec, PumpReference
@@ -93,30 +93,32 @@ def _kernel_spectrum(taps: bytes, nfft: int) -> np.ndarray:
     return spectrum
 
 
-def zero_phase_apply(taps: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply a symmetric FIR with its group delay removed.
-
-    The len(values) central samples of the full convolution (one real FFT
-    pair, kernel spectrum cached per taps and FFT length) center the odd,
-    symmetric kernel on each sample: the zero-phase response of a
-    linear-phase filter away from the edges.
-    """
+def _filtered_spectrum(taps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rfft(values, nfft) * kernel spectrum, nfft): the full convolution's spectrum."""
     if len(taps) % 2 == 0:
         raise ConfigError("zero-phase application requires an odd tap count")
-    n, m = len(values), len(taps)
-    nfft = next_fast_len(n + m - 1, real=True)
-    kernel = _kernel_spectrum(np.asarray(taps, dtype=float).tobytes(), nfft)
-    start = (m - 1) // 2
-    return irfft(rfft(values, nfft) * kernel, nfft)[start:start + n]
+    nfft = next_fast_len(len(values) + len(taps) - 1, real=True)
+    spectrum = rfft(values, nfft)
+    spectrum *= _kernel_spectrum(np.asarray(taps, dtype=float).tobytes(), nfft)
+    return spectrum, nfft
+
+
+def zero_phase_apply(taps: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Symmetric FIR with its group delay removed: the zero-phase response away from the edges."""
+    start = (len(taps) - 1) // 2
+    return irfft(*_filtered_spectrum(taps, values))[start:start + len(values)]
 
 
 @dataclass
 class FilteredCarrier:
-    """Band-passed coincidence trace with its edge-validity mask."""
+    """Band-passed coincidence trace with its edge-validity mask and spectrum."""
 
-    values: np.ndarray
+    values: np.ndarray           # irfft(spectrum, nfft)[delay:delay + n]
     valid: np.ndarray            # False within half a filter length of the ends
     reported_d: np.ndarray
+    spectrum: np.ndarray         # the full convolution's rfft, kept for the quadrature
+    nfft: int
+    delay: int                   # the filter's group delay in samples
 
 
 def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
@@ -130,26 +132,25 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     half = (len(taps) - 1) // 2
     if n <= 2 * half:
         raise CalibrationQualityError(
-            f"trace of {n} samples shorter than the filter "
-            f"edge exclusion of 2 x {half}"
-        )
+            f"trace of {n} samples shorter than the filter edge exclusion of 2 x {half}")
     x = trace.coincidence - trace.coincidence.mean()
-    filtered = zero_phase_apply(taps, x)
+    spectrum, nfft = _filtered_spectrum(taps, x)
     valid = np.zeros(n, dtype=bool)
     valid[half:n - half] = True
-    return FilteredCarrier(values=filtered, valid=valid, reported_d=trace.reported_d)
+    return FilteredCarrier(values=irfft(spectrum, nfft)[half:half + n], valid=valid,
+                           reported_d=trace.reported_d, spectrum=spectrum, nfft=nfft, delay=half)
 
 
-def analytic_from_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Analytic signal x + i H[x] of a length-n real x whose rfft is `half`.
-
-    Doubles the positive-frequency bins (DC and Nyquist kept) and zeroes the
-    negative ones before one inverse FFT (Marple, IEEE TSP 47(9), 1999).
-    """
-    weighted = np.zeros(n, dtype=complex)
-    weighted[: len(half)] = half
-    weighted[1: (n + 1) // 2] *= 2.0
-    return ifft(weighted, overwrite_x=True)
+def _quadrature(carrier: FilteredCarrier) -> np.ndarray:
+    """Hilbert transform of the full convolution, sliced as `values`: the imaginary
+    part of the analytic signal (Marple, IEEE TSP 47(9), 1999) by one inverse real
+    FFT of -i times the spectrum, with DC and (for even nfft) Nyquist zeroed."""
+    rotated = carrier.spectrum * -1j
+    rotated[0] = 0.0
+    if carrier.nfft % 2 == 0:
+        rotated[-1] = 0.0
+    start = carrier.delay
+    return irfft(rotated, carrier.nfft, overwrite_x=True)[start:start + len(carrier.values)]
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:
@@ -178,25 +179,23 @@ class PhaseTrace:
 def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTrace:
     """Per-sample carrier phase, unwrapped so adjacent steps stay in (-pi, pi].
 
-    method 'analytic' builds the quadrature by one-sided spectral selection
-    (analytic signal); 'crossings' localizes carrier zero crossings and
-    interpolates phase between them, as an independent cross-check.
+    method 'analytic' takes the phase of values + i _quadrature(carrier), the
+    analytic signal of the band-passed carrier; 'crossings' localizes the
+    carrier's zero crossings and interpolates phase between them.
     Samples with amplitude below AMPLITUDE_FLOOR_RATIO times the median are
     masked; more than MAX_BAD_FRACTION of masked valid samples is an error.
     """
     if method == "analytic":
-        analytic = analytic_from_spectrum(rfft(carrier.values), len(carrier.values))
-        amplitude = np.abs(analytic)
-        phase = _unwrap(np.angle(analytic))
+        quad = _quadrature(carrier)
+        amplitude = np.hypot(carrier.values, quad)
+        phase = _unwrap(np.arctan2(quad, carrier.values))
     elif method == "crossings":
         phase, amplitude = _phase_from_crossings(carrier)
     else:
         raise ConfigError(f"unknown phase extraction method {method!r}")
 
-    mask = carrier.valid.copy()
-    inside = amplitude[carrier.valid]
-    floor = AMPLITUDE_FLOOR_RATIO * float(np.median(inside))
-    mask &= amplitude >= floor
+    floor = AMPLITUDE_FLOOR_RATIO * float(np.median(amplitude[carrier.valid]))
+    mask = carrier.valid & (amplitude >= floor)
     bad = 1.0 - mask[carrier.valid].mean()
     if bad > MAX_BAD_FRACTION:
         raise CalibrationQualityError(

@@ -40,9 +40,9 @@ def synthesize(config: RunConfig, run_index: int = 0) -> ScanTrace:
 
 def calibrate_trace(config: RunConfig, trace: ScanTrace) -> tuple[CalibrationMap, CalibratedRecord]:
     """Carrier extraction, phase calibration, and uniform resampling."""
-    carrier = extract_tpi(trace, config.pipeline.bandpass)
-    phase = extract_phase(carrier, method=config.pipeline.phase_method)
-    calibration = build_calibration(phase, config.pump)
+    # nested: the carrier and its phase are freed before resampling's temporaries
+    calibration = build_calibration(extract_phase(
+        extract_tpi(trace, config.pipeline.bandpass), config.pipeline.phase_method), config.pump)
     record = resample_intensity(trace, calibration, grid_step=config.pipeline.grid_step)
     return calibration, record
 

@@ -119,6 +119,7 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     weighted[:half] += spec.imag * spec.imag
     weighted[1: (nfft + 1) // 2] *= 2.0
     weighted[half:] = 0.0
+    del spec  # freed before the second FFT allocates its output
     analytic = rfft(weighted, overwrite_x=True)[: k_cap + 1]
     np.conjugate(analytic, out=analytic)
     if analytic[0].real <= 0:

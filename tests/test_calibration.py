@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline  # the oracle of the resampling spline
 from scipy.signal import fftconvolve, hilbert
 
@@ -18,11 +18,12 @@ from qolcr.calibration import (
     CalibrationMap,
     FilteredCarrier,
     PhaseTrace,
+    _filtered_spectrum,
     _kernel_spectrum,
     _not_a_knot_spline,
     _phase_from_crossings,
+    _quadrature,
     _unwrap,
-    analytic_from_spectrum,
     build_calibration,
     design_bandpass,
     extract_phase,
@@ -275,23 +276,58 @@ def test_extract_tpi_rejects_too_short_trace():
 # phase extraction
 
 
-@pytest.mark.parametrize("n", [1000, 1001, 4096, 7919])
-def test_analytic_from_spectrum_matches_hilbert(n):
-    x = np.random.default_rng(n).normal(size=n)
-    assert np.array_equal(analytic_from_spectrum(rfft(x), n), hilbert(x))
+def _hilbert_of_full_convolution(carrier):
+    """The oracle: H of irfft(spectrum, nfft) by scipy.signal.hilbert, sliced as values."""
+    full = irfft(carrier.spectrum, carrier.nfft)
+    assert np.array_equal(full[carrier.delay:carrier.delay + len(carrier.values)], carrier.values)
+    return hilbert(full)[carrier.delay:carrier.delay + len(carrier.values)].imag
 
 
-def test_analytic_from_spectrum_matches_hilbert_on_default_carrier():
+# n + taps - 1 gives an odd nfft (1125) and even ones (1350, 6144, 10000)
+@pytest.mark.parametrize("n, num_taps", [(1000, 125), (1001, 301), (4096, 2001), (7919, 2001)])
+def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps):
+    rng = np.random.default_rng(n)
+    x, taps = rng.normal(size=n), rng.normal(size=num_taps)
+    spectrum, nfft = _filtered_spectrum(taps, x)
+    delay = (num_taps - 1) // 2
+    carrier = FilteredCarrier(values=irfft(spectrum, nfft)[delay:delay + n],
+                              valid=np.ones(n, dtype=bool), reported_d=np.arange(n) * SPACING,
+                              spectrum=spectrum, nfft=nfft, delay=delay)
+    oracle = _hilbert_of_full_convolution(carrier)
+    assert np.max(np.abs(_quadrature(carrier) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_quadrature_matches_hilbert_on_default_carrier():
     config = default_config()
     carrier = extract_tpi(synthesize(config), config.pipeline.bandpass)
-    x = carrier.values
-    assert np.array_equal(analytic_from_spectrum(rfft(x), len(x)), hilbert(x))
+    assert carrier.nfft % 2 == 0
+    oracle = _hilbert_of_full_convolution(carrier)
+    assert np.max(np.abs(_quadrature(carrier) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("config, run", [("default", 0), ("default", 1), ("default", 2),
+                                         ("multilayer", 0)])
+def test_phase_from_filtered_spectrum_within_5_mrad_of_hilbert_of_values(config, run):
+    # the quadrature is the Hilbert transform of the full convolution; the phase
+    # it replaced took the analytic signal of the sliced carrier, a length-n
+    # circular transform (multilayer's crossings config is forced to analytic)
+    cfg = default_config() if config == "default" else load_config(MULTILAYER)
+    trace = synthesize(cfg, run)
+    carrier = extract_tpi(trace, cfg.pipeline.bandpass)
+    taps = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
+    x = trace.coincidence - trace.coincidence.mean()
+    assert np.array_equal(carrier.values, zero_phase_apply(taps, x))
+    phase = extract_phase(carrier, method="analytic")
+    before = _unwrap(np.angle(hilbert(carrier.values)))
+    sel = phase.quality_mask
+    assert sel.mean() > 0.9
+    assert np.max(np.abs(phase.unwrapped_phase[sel] - before[sel])) <= 5e-3
 
 
 def test_unwrap_bit_identical_to_numpy_on_default_carrier():
     config = default_config()
     x = extract_tpi(synthesize(config), config.pipeline.bandpass).values
-    phase = np.angle(analytic_from_spectrum(rfft(x), len(x)))
+    phase = np.angle(hilbert(x))
     # the carrier wraps at a few percent of its steps
     wraps = np.count_nonzero(np.abs(np.diff(phase)) >= math.pi)
     assert 0 < wraps < len(phase) // 10
@@ -397,8 +433,10 @@ def _reference_crossing_amplitude(x):
 
 
 def _bare_carrier(values):
+    # the crossing path reads only values; the spectrum is that of an identity filter
     return FilteredCarrier(values=values, valid=np.ones(len(values), dtype=bool),
-                           reported_d=np.arange(len(values)) * SPACING)
+                           reported_d=np.arange(len(values)) * SPACING,
+                           spectrum=rfft(values), nfft=len(values), delay=0)
 
 
 @pytest.mark.parametrize("config", ["default", "multilayer"])

@@ -250,7 +250,7 @@ def test_short_inputs_fail_with_their_length(tmp_path, capsys, monkeypatch, rows
     def refuse(*args, **kwargs):
         raise AssertionError("a too short input reached its FFT")
 
-    monkeypatch.setattr(calibration, "zero_phase_apply", refuse)
+    monkeypatch.setattr(calibration, "_filtered_spectrum", refuse)
     monkeypatch.setattr(measure, "rfft", refuse)
     config = load_config(config_file(tmp_path))
     ones, axis = np.ones(rows), np.arange(rows) * 5e-9

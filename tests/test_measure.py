@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import ifft, next_fast_len, rfft
 from scipy.signal import hilbert
 
 from qolcr.calibration import (
     CalibratedRecord,
-    analytic_from_spectrum,
     build_calibration,
     extract_phase,
     extract_tpi,
@@ -119,11 +118,14 @@ def test_autocorrelate_power_spectrum_operand_order():
 
 
 def _complex_inverse_autocorrelation(intensity):
-    """The analytic autocorrelation by one complex inverse FFT of conj(X) X."""
+    """The analytic autocorrelation by one complex inverse FFT of the one-sided conj(X) X."""
     x = intensity - intensity.mean()
     nfft = next_fast_len(2 * len(x) - 1)
     spec = rfft(x, nfft)
-    analytic = analytic_from_spectrum(np.conj(spec) * spec, nfft)[: len(x) - MIN_OVERLAP + 1]
+    one_sided = np.zeros(nfft, dtype=complex)
+    one_sided[: len(spec)] = np.conj(spec) * spec
+    one_sided[1: (nfft + 1) // 2] *= 2.0
+    analytic = ifft(one_sided)[: len(x) - MIN_OVERLAP + 1]
     analytic /= analytic[0].real
     analytic[0] = 1.0
     return analytic
