@@ -127,14 +127,13 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     The channel mean is removed before filtering to keep the edge ramp of
     the convolution small; the pedestal carries no carrier information.
     """
-    taps = design_bandpass(spec, trace.spacing)
     n = trace.n_samples
-    half = (len(taps) - 1) // 2
+    half = (spec.num_taps - 1) // 2
     if n <= 2 * half:
         raise CalibrationQualityError(
             f"trace of {n} samples shorter than the filter edge exclusion of 2 x {half}")
     x = trace.coincidence - trace.coincidence.mean()
-    spectrum, nfft = _filtered_spectrum(taps, x)
+    spectrum, nfft = _filtered_spectrum(design_bandpass(spec, trace.spacing), x)
     valid = np.zeros(n, dtype=bool)
     valid[half:n - half] = True
     return FilteredCarrier(values=irfft(spectrum, nfft)[half:half + n], valid=valid,

@@ -262,15 +262,20 @@ def read_trace(path) -> ScanTrace:
     traces hold, are checked but not kept, so the result holds no truth."""
     table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS)
     reported = table.data["reported_d_m"]
-    bad = np.flatnonzero(~(np.diff(reported) > 0))
+    spacing = _header_float(table, "spacing")
+    # the band-pass is designed for the header spacing, so the axis must step by
+    # it; 1e-6 of a step absorbs the float rounding of any scan position
+    step = np.diff(reported)
+    bad = np.flatnonzero(~(np.abs(step - spacing) <= 1e-6 * spacing))
     if bad.size:
-        raise TraceParseError(f"reported_d must be strictly increasing "
-                              f"(first fault at row {bad[0] + 1})", path=path)
+        raise TraceParseError(
+            f"reported_d must be strictly increasing in steps of '# spacing' {spacing!r}; "
+            f"the step is {float(step[bad[0]])!r} (first fault at row {bad[0] + 1})", path=path)
     return ScanTrace(
         reported_d=reported,
         intensity=table.data["intensity"],
         coincidence=table.data["coincidence"],
-        spacing=_header_float(table, "spacing"),
+        spacing=spacing,
         metadata=table.json_fields.get("metadata", {}),
     )
 

@@ -250,6 +250,7 @@ def test_short_inputs_fail_with_their_length(tmp_path, capsys, monkeypatch, rows
     def refuse(*args, **kwargs):
         raise AssertionError("a too short input reached its FFT")
 
+    monkeypatch.setattr(calibration, "design_bandpass", refuse)
     monkeypatch.setattr(calibration, "_filtered_spectrum", refuse)
     monkeypatch.setattr(measure, "rfft", refuse)
     config = load_config(config_file(tmp_path))
@@ -311,6 +312,21 @@ def test_bad_scalar_header_is_parse_error(artifact_chain, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "parse error" in err
     assert f"line {line}: '# {key}'" in err
+    assert list(tmp_path.iterdir()) == [broken]
+
+
+@pytest.mark.parametrize("value", ["2.5e-09", "1e-08"])
+def test_spacing_header_that_the_axis_does_not_step_by_is_parse_error(
+        artifact_chain, tmp_path, capsys, value):
+    # the band-pass is designed for the header spacing: calibrating with
+    # half the true step would report half the separation
+    step = float(np.diff(read_trace(artifact_chain / "scan.txt").reported_d[:2])[0])
+    broken = tmp_path / "scan.txt"
+    with_header(artifact_chain / "scan.txt", broken, "spacing", value)
+    assert main(["calibrate", str(broken), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"qolcr: parse error: {broken}: reported_d must be strictly increasing in steps "
+        f"of '# spacing' {value}; the step is {step!r} (first fault at row 1)\n")
     assert list(tmp_path.iterdir()) == [broken]
 
 

@@ -177,6 +177,17 @@ def test_trace_round_trip_is_exact(tmp_path, trace_and_config):
     assert back.truth is None
 
 
+def test_trace_a_metre_along_the_stage_reads_back(tmp_path):
+    # a step there differs from the spacing by more than 1e-9 of it through
+    # float rounding alone; the reader must not take that for a wrong spacing
+    reported = 1.0 + 5e-9 * np.arange(1000)
+    assert np.abs(np.diff(reported) - 5e-9).max() > 1e-9 * 5e-9
+    path = tmp_path / "far.txt"
+    write_trace(ScanTrace(reported_d=reported, intensity=np.ones(1000),
+                          coincidence=np.ones(1000), spacing=5e-9), path)
+    assert np.array_equal(read_trace(path).reported_d, reported)
+
+
 def test_embedded_config_round_trip(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
