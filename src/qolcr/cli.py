@@ -97,9 +97,9 @@ def cmd_calibrate(args) -> int:
     print(f"wrote {table_path}: {len(calibration.reported)} knots")
     print(f"wrote {record_path}: {len(record.positions)} samples at "
           f"{record.grid_step * 1e9:g} nm")
-    print(f"rms correction {quality.get('rms_correction', 0.0) * 1e9:.3f} nm, "
-          f"max {quality.get('max_abs_correction', 0.0) * 1e9:.3f} nm, "
-          f"valid fraction {quality.get('valid_fraction', 0.0):.4f}")
+    print(f"rms correction {quality['rms_correction'] * 1e9:.3f} nm, "
+          f"max {quality['max_abs_correction'] * 1e9:.3f} nm, "
+          f"valid fraction {quality['valid_fraction']:.4f}")
     return 0
 
 

@@ -17,13 +17,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import EDGE_FIT_KNOTS, CalibratedRecord, CalibrationMap
 from .config import parse_config
-from .errors import ConfigError, TraceParseError
+from .errors import CalibrationQualityError, ConfigError, TraceParseError
 from .scan import ScanTrace
 
 FORMAT_VERSION = 2
@@ -44,6 +43,28 @@ _POSITIVE_HEADERS = {"spacing": "number", "grid_step": "number", "edge_fit": "in
 
 # how a calibration table is read back; a reader refuses any other value
 _CALIBRATION_READBACK = {"interpolation": "linear", "edge_fit": str(EDGE_FIT_KNOTS)}
+
+# a trace's band-pass is designed for its spacing, a record's lags count grid
+# steps: format -> (axis column, header key of its step, axis name in messages)
+_AXES = {TRACE_FORMAT: ("reported_d_m", "spacing", "reported_d"),
+         RECORD_FORMAT: ("position_m", "grid_step", "position_m")}
+
+
+def _check_axis(format_name: str, data: dict, header: dict, error) -> None:
+    """Raise error(message) unless the axis column in `data` steps by its
+    header: within 1e-6 of the declared step, which absorbs the float
+    rounding of any stage position, and never NaN."""
+    if format_name in _AXES:
+        column, key, name = _AXES[format_name]
+        if key not in header:
+            raise error(f"missing '# {key}' header")
+        declared = float(header[key])
+        step = np.diff(data[column])
+        bad = np.flatnonzero(~(np.abs(step - declared) <= 1e-6 * declared))
+        if bad.size:
+            raise error(f"{name} must be strictly increasing in steps of '# {key}' "
+                        f"{declared!r}; the step is {float(step[bad[0]])!r} "
+                        f"(first fault at row {bad[0] + 1})")
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +114,8 @@ def _write_table(path, format_name: str, header: dict, columns: list,
     """Write one table file: format line, header, optional '# config' line,
     column declaration, row count and payload line, then the payload.
 
-    Every column must be finite and all must share one length; otherwise
-    nothing is written.
+    Every column must be finite and all must share one length, and an axis
+    must step by its header (_check_axis); otherwise nothing is written.
     """
     arrays = [np.asarray(values, dtype=_PAYLOAD_DTYPE) for values in arrays]
     n = len(arrays[0])
@@ -103,6 +124,7 @@ def _write_table(path, format_name: str, header: dict, columns: list,
             raise ConfigError(f"column {name} holds {len(values)} values, not {n}")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"column {name} contains non-finite values")
+    _check_axis(format_name, dict(zip(columns, arrays)), header, ConfigError)
     lines = [f"# {format_name} {FORMAT_VERSION}"]
     lines += [f"# {key} {value}" for key, value in header.items()]
     if config is not None:
@@ -114,14 +136,6 @@ def _write_table(path, format_name: str, header: dict, columns: list,
 
 # ---------------------------------------------------------------------------
 # shared parsing machinery
-
-
-@dataclass
-class _Table:
-    header: dict        # plain '# key value' text
-    json_fields: dict   # header values parsed as JSON objects
-    data: dict          # column name -> array
-    path: str
 
 
 def _read_header(path, handle, formats=TABLE_FORMATS):
@@ -199,9 +213,11 @@ def _is_positive(text: str, kind: str) -> bool:
     return 0 < value < math.inf and (kind != "integer" or text.isdecimal())
 
 
-def _read_table(path, expected_format: str, required_columns) -> _Table:
-    """Read one table file; the payload length is checked against the
-    declared shape before any column is built."""
+def _read_table(path, expected_format: str, required_columns):
+    """Read one table file into (header, json_fields, data): plain '# key
+    value' text, header values parsed as JSON objects, and column name ->
+    array.  The payload length is checked against the declared shape before
+    any column is built, an axis against its header after (_check_axis)."""
     with open(path, "rb") as handle:
         header, json_fields, rows_line = _read_header(path, handle, (expected_format,))
         payload = handle.read()
@@ -231,14 +247,9 @@ def _read_table(path, expected_format: str, required_columns) -> _Table:
     for name in required_columns:
         if name not in data:
             raise TraceParseError(f"missing column {name}", path=path)
-    return _Table(header=header, json_fields=json_fields, data=data,
-                  path=os.fspath(path))
-
-
-def _header_float(table: _Table, key: str) -> float:
-    if key not in table.header:
-        raise TraceParseError(f"missing '# {key}' header", path=table.path)
-    return float(table.header[key])
+    _check_axis(expected_format, data, header,
+                lambda message: TraceParseError(message, path=path))
+    return header, json_fields, data
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +258,6 @@ def _header_float(table: _Table, key: str) -> float:
 
 def write_trace(trace: ScanTrace, path, config=None) -> None:
     """Write the recorded channels of a scan trace; its truth stays in memory."""
-    if np.any(np.diff(trace.reported_d) <= 0):
-        raise ConfigError("reported_d must be strictly increasing")
     header = {
         "spacing": repr(float(trace.spacing)),
         "metadata": _header_json(trace.metadata),
@@ -260,23 +269,13 @@ def write_trace(trace: ScanTrace, path, config=None) -> None:
 def read_trace(path) -> ScanTrace:
     """Read a scan trace; other columns, such as the truth columns older
     traces hold, are checked but not kept, so the result holds no truth."""
-    table = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS)
-    reported = table.data["reported_d_m"]
-    spacing = _header_float(table, "spacing")
-    # the band-pass is designed for the header spacing, so the axis must step by
-    # it; 1e-6 of a step absorbs the float rounding of any scan position
-    step = np.diff(reported)
-    bad = np.flatnonzero(~(np.abs(step - spacing) <= 1e-6 * spacing))
-    if bad.size:
-        raise TraceParseError(
-            f"reported_d must be strictly increasing in steps of '# spacing' {spacing!r}; "
-            f"the step is {float(step[bad[0]])!r} (first fault at row {bad[0] + 1})", path=path)
+    header, json_fields, data = _read_table(path, TRACE_FORMAT, TRACE_COLUMNS)
     return ScanTrace(
-        reported_d=reported,
-        intensity=table.data["intensity"],
-        coincidence=table.data["coincidence"],
-        spacing=spacing,
-        metadata=table.json_fields.get("metadata", {}),
+        reported_d=data["reported_d_m"],
+        intensity=data["intensity"],
+        coincidence=data["coincidence"],
+        spacing=float(header["spacing"]),
+        metadata=json_fields.get("metadata", {}),
     )
 
 
@@ -306,13 +305,13 @@ def write_calibrated_record(record: CalibratedRecord, path, config=None) -> None
 
 
 def read_calibrated_record(path) -> CalibratedRecord:
-    table = _read_table(path, RECORD_FORMAT, RECORD_COLUMNS)
+    header, json_fields, data = _read_table(path, RECORD_FORMAT, RECORD_COLUMNS)
     return CalibratedRecord(
-        positions=table.data["position_m"],
-        intensity=table.data["intensity"],
-        grid_step=_header_float(table, "grid_step"),
-        metadata=table.json_fields.get("metadata", {}),
-        quality=table.json_fields.get("quality", {}),
+        positions=data["position_m"],
+        intensity=data["intensity"],
+        grid_step=float(header["grid_step"]),
+        metadata=json_fields.get("metadata", {}),
+        quality=json_fields.get("quality", {}),
     )
 
 
@@ -327,15 +326,18 @@ def write_calibration_table(calibration: CalibrationMap, path, config=None) -> N
 
 
 def read_calibration_table(path) -> CalibrationMap:
-    table = _read_table(path, CALIBRATION_FORMAT, CALIBRATION_COLUMNS)
+    header, json_fields, data = _read_table(path, CALIBRATION_FORMAT, CALIBRATION_COLUMNS)
     for key, value in _CALIBRATION_READBACK.items():
-        if table.header.get(key) != value:
+        if header.get(key) != value:
             raise TraceParseError(f"expected '# {key} {value}' header", path=path)
-    return CalibrationMap(
-        reported=table.data["reported_d_m"],
-        calibrated=table.data["calibrated_d_m"],
-        quality=table.json_fields.get("quality", {}),
-    )
+    try:
+        return CalibrationMap(
+            reported=data["reported_d_m"],
+            calibrated=data["calibrated_d_m"],
+            quality=json_fields.get("quality", {}),
+        )
+    except (ConfigError, CalibrationQualityError) as exc:  # knots no map accepts
+        raise TraceParseError(str(exc), path=path) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,26 @@ def test_measure_report_recovers_separation(artifact_chain):
     assert peaks[0]["outlier"] is False
 
 
+def test_scan_far_along_the_stage_calibrates_and_measures(tmp_path):
+    # 20 cm along the stage float rounding alone moves a resampled grid step
+    # by more than 1e-9 of grid_step; the record must still be written and read
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    raw["sample"]["surfaces"] = [{"reflectivity": 0.6, "position_um": z}
+                                 for z in (200009.886, 200290.114)]
+    raw["scan"] = {"start_um": 200000.0, "stop_um": 200300.0}
+    cfg = tmp_path / "fs.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "fs.txt")]) == 0
+    assert main(["calibrate", str(tmp_path / "fs.txt"), "--output", str(tmp_path / "fs")]) == 0
+    record = read_calibrated_record(tmp_path / "fs.record.txt")
+    assert np.abs(np.diff(record.positions) - record.grid_step).max() > 1e-9 * record.grid_step
+    assert main(["measure", str(tmp_path / "fs.record.txt"),
+                 "--output", str(tmp_path / "fs.report.json")]) == 0
+    peaks = read_json_document(tmp_path / "fs.report.json")["peaks"]
+    assert len(peaks) == 1
+    assert abs(peaks[0]["separation_m"] - 280.228e-6) < 5e-9
+
+
 def test_measure_rerun_is_identical(artifact_chain, tmp_path):
     again = tmp_path / "again.json"
     assert main(["measure", str(artifact_chain / "cal.record.txt"),
@@ -286,6 +306,22 @@ def test_measure_rejects_non_finite_record(artifact_chain, tmp_path, capsys):
     assert "parse error" in err
     assert "column intensity contains non-finite values (first at row 100)" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_measure_on_a_record_off_its_grid_step_names_file_and_row(artifact_chain,
+                                                                  tmp_path, capsys):
+    lines, payload = split_table(artifact_chain / "cal.record.txt")
+    grid_step = float(next(l for l in lines if l.startswith("# grid_step ")).split()[2])
+    values = np.frombuffer(payload, "<f8").reshape(2, -1).copy()
+    values[0, 100] += 1e-12     # position_m, row 100
+    broken = tmp_path / "bad.record.txt"
+    broken.write_bytes(("\n".join(lines) + "\n").encode() + values.tobytes())
+    assert main(["measure", str(broken), "--output", str(tmp_path / "r.json")]) == 1
+    step = float(values[0, 100] - values[0, 99])
+    assert capsys.readouterr().err == (
+        f"qolcr: parse error: {broken}: position_m must be strictly increasing in steps "
+        f"of '# grid_step' {grid_step!r}; the step is {step!r} (first fault at row 100)\n")
+    assert list(tmp_path.iterdir()) == [broken]
 
 
 @pytest.mark.parametrize("count", ["-1", "1000000000000"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 import stat
@@ -398,6 +399,26 @@ def test_non_monotone_write_rejected(tmp_path, trace_and_config):
         write_trace(bad, tmp_path / "bad.txt")
 
 
+def test_trace_writer_refuses_the_axis_its_reader_refuses(tmp_path):
+    # an axis in 5 nm steps under a '# spacing' of 2.5 nm: written, it would
+    # calibrate to half the true separation, so neither side accepts it
+    ones = np.ones(100)
+    read_back = tmp_path / "read.txt"
+    write_trace(ScanTrace(reported_d=np.arange(100) * 5e-9, intensity=ones,
+                          coincidence=ones, spacing=5e-9), read_back)
+    _with_header(read_back, "spacing", repr(2.5e-9))
+    with pytest.raises(TraceParseError) as read_err:
+        read_trace(read_back)
+    with pytest.raises(ConfigError) as write_err:
+        write_trace(ScanTrace(reported_d=np.arange(100) * 5e-9, intensity=ones,
+                              coincidence=ones, spacing=2.5e-9), tmp_path / "w.txt")
+    assert str(write_err.value) == (
+        "reported_d must be strictly increasing in steps of '# spacing' 2.5e-09; "
+        "the step is 5e-09 (first fault at row 1)")
+    assert str(read_err.value) == f"{read_back}: {write_err.value}"
+    assert list(tmp_path.iterdir()) == [read_back]
+
+
 def test_non_monotone_read_rejected(tmp_path, trace_and_config):
     trace, cfg = trace_and_config
     path = tmp_path / "scan.txt"
@@ -622,6 +643,19 @@ def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_confi
             read_calibration_table(path)
 
 
+def test_calibration_table_with_knots_out_of_order_names_its_file(tmp_path,
+                                                                 trace_and_config):
+    trace, cfg = trace_and_config
+    calibration, _ = calibrate_trace(cfg, trace)
+    path = tmp_path / "calibration.txt"
+    write_calibration_table(calibration, path)
+    set_payload_value(path, "reported_d_m", 100, calibration.reported[101])
+    set_payload_value(path, "reported_d_m", 101, calibration.reported[100])
+    with pytest.raises(TraceParseError) as err:
+        read_calibration_table(path)
+    assert str(err.value) == f"{path}: reported knot positions not strictly increasing"
+
+
 @pytest.fixture(scope="module")
 def written_objects(trace_and_config):
     trace, cfg = trace_and_config
@@ -676,6 +710,20 @@ def test_writer_rejects_columns_of_unequal_length(tmp_path, written_objects):
     record.intensity = record.intensity[:-1]
     with pytest.raises(ConfigError, match="column intensity holds"):
         write_calibrated_record(record, tmp_path / "out.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_writer_refuses_positions_off_the_grid_step(tmp_path, written_objects):
+    record = written_objects["record"]
+    positions = record.positions.copy()
+    positions[100] += 1e-3 * record.grid_step
+    off_grid = dataclasses.replace(record, positions=positions)
+    with pytest.raises(ConfigError) as err:
+        write_calibrated_record(off_grid, tmp_path / "out.txt")
+    step = float(positions[100] - positions[99])
+    assert str(err.value) == (
+        f"position_m must be strictly increasing in steps of '# grid_step' "
+        f"{record.grid_step!r}; the step is {step!r} (first fault at row 100)")
     assert list(tmp_path.iterdir()) == []
 
 
