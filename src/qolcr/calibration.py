@@ -425,7 +425,6 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     values = _not_a_knot_spline(positions, dx, trace.intensity, grid)
     quality = dict(calibration.quality)
     quality["extrapolated_fraction"] = extrapolated
-    quality["grid_step"] = float(grid_step)
     return CalibratedRecord(
         positions=grid, intensity=values, grid_step=float(grid_step),
         metadata=dict(trace.metadata), quality=quality,

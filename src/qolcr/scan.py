@@ -294,23 +294,13 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
         intensity = expected_i.copy()
         coincidence = expected_m.copy()
 
-    metadata = {
-        "n_samples": n,
-        "scan_start": start,
-        "scan_stop": stop,
-        "spacing": stage.spacing,
-        "velocity": stage.velocity,
-        "sample_rate": stage.sample_rate,
-        "poisson": bool(noise.poisson_enabled),
-        "stage_seed": stage.seed,
-        "noise_seed": noise.seed,
-    }
     return ScanTrace(
         reported_d=reported,
         intensity=intensity,
         coincidence=coincidence,
         spacing=stage.spacing,
-        metadata=metadata,
+        metadata={"stage_seed": stage.seed, "noise_seed": noise.seed,
+                  "poisson": bool(noise.poisson_enabled)},
         truth=ScanTruth(
             true_d=true_d,
             intensity_rate=expected_i,

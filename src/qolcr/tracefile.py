@@ -114,8 +114,8 @@ def _write_table(path, format_name: str, header: dict, columns: list,
     """Write one table file: format line, header, optional '# config' line,
     column declaration, row count and payload line, then the payload.
 
-    Every column must be finite and all must share one length, and an axis
-    must step by its header (_check_axis); otherwise nothing is written.
+    Every column must be finite and all must share one length, and the header
+    must pass its reader's checks (_POSITIVE_HEADERS, _check_axis), or nothing is written.
     """
     arrays = [np.asarray(values, dtype=_PAYLOAD_DTYPE) for values in arrays]
     n = len(arrays[0])
@@ -124,6 +124,9 @@ def _write_table(path, format_name: str, header: dict, columns: list,
             raise ConfigError(f"column {name} holds {len(values)} values, not {n}")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"column {name} contains non-finite values")
+    for key, kind in _POSITIVE_HEADERS.items():
+        if key in header and not _is_positive(header[key], kind):
+            raise ConfigError(f"'# {key}' must be a finite positive {kind}, got {header[key]!r}")
     _check_axis(format_name, dict(zip(columns, arrays)), header, ConfigError)
     lines = [f"# {format_name} {FORMAT_VERSION}"]
     lines += [f"# {key} {value}" for key, value in header.items()]

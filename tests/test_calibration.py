@@ -595,7 +595,7 @@ def test_resample_grid_step_override(identity_trace):
     record = resample_intensity(identity_trace, cal, grid_step=2.5e-9)
     steps = np.diff(record.positions)
     assert np.allclose(steps, 2.5e-9, rtol=1e-9)
-    assert record.quality["grid_step"] == 2.5e-9
+    assert record.grid_step == 2.5e-9
     with pytest.raises(ConfigError):
         resample_intensity(identity_trace, cal, grid_step=-1.0)
 

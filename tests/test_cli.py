@@ -70,16 +70,22 @@ def test_simulate_writes_readable_trace(tmp_path, capsys):
 
 def test_trace_with_truth_columns_still_reads_and_calibrates(tmp_path):
     # the format's earlier trace layout also held four noise-free truth
-    # columns after the three recorded channels; a reader skips them
+    # columns after the three recorded channels, which a reader skips, and
+    # a metadata block that also restated the scan's size, range and rates,
+    # which is carried on unread
     cfg_path = config_file(tmp_path, noise=True, identity=False)
     config = load_config(cfg_path)
     trace = synthesize(config, run_index=0)
     truth = trace.truth
+    start, stop = config.scan_range
+    old_metadata = {"n_samples": trace.n_samples, "scan_start": start, "scan_stop": stop,
+                    "spacing": trace.spacing, "velocity": config.stage.velocity,
+                    "sample_rate": config.stage.sample_rate, **trace.metadata}
     old = tmp_path / "old.txt"
     tracefile._write_table(
         old, tracefile.TRACE_FORMAT,
         {"spacing": repr(float(trace.spacing)),
-         "metadata": tracefile._header_json(trace.metadata)},
+         "metadata": tracefile._header_json(old_metadata)},
         [*tracefile.TRACE_COLUMNS, "true_d_m", "intensity_rate", "coincidence_rate",
          "pair_carrier"],
         [trace.reported_d, trace.intensity, trace.coincidence, truth.true_d,
@@ -93,9 +99,25 @@ def test_trace_with_truth_columns_still_reads_and_calibrates(tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--output", str(new)]) == 0
     for prefix, path in (("old", old), ("new", new)):
         assert main(["calibrate", str(path), "--output", str(tmp_path / prefix)]) == 0
-    for suffix in (".calibration.txt", ".record.txt"):
-        assert ((tmp_path / f"old{suffix}").read_bytes()
-                == (tmp_path / f"new{suffix}").read_bytes()), suffix
+    assert ((tmp_path / "old.calibration.txt").read_bytes()
+            == (tmp_path / "new.calibration.txt").read_bytes())
+    old_record, new_record = (split_table(tmp_path / f"{prefix}.record.txt")
+                              for prefix in ("old", "new"))
+    assert old_record[1] == new_record[1]
+    assert read_calibrated_record(tmp_path / "old.record.txt").metadata == old_metadata
+
+
+def test_each_run_fact_is_stated_once(artifact_chain):
+    # a trace's metadata holds only what no other header line or column
+    # states, and a record's grid step lives in its '# grid_step' alone;
+    # the record and the report carry the trace's metadata unchanged
+    trace = read_trace(artifact_chain / "scan.txt")
+    record = read_calibrated_record(artifact_chain / "cal.record.txt")
+    report = read_json_document(artifact_chain / "report.json")
+    assert sorted(trace.metadata) == ["noise_seed", "poisson", "stage_seed"]
+    assert "grid_step" not in record.quality
+    assert record.metadata == trace.metadata
+    assert report["metadata"] == trace.metadata
 
 
 def test_simulate_default_config_is_full_size(tmp_path):

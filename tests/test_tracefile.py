@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import os
 import stat
 import struct
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qolcr.calibration import CalibratedRecord
 from qolcr.config import DEFAULT_CONFIG, parse_config
 from qolcr.errors import ConfigError, TraceParseError
 from qolcr.experiments import calibrate_trace, synthesize
@@ -749,6 +751,21 @@ def test_bad_scalar_header_names_its_line(tmp_path, written_objects, kind, key, 
             reader(path)
         assert err.value.line == line
         assert f"'# {key}' must be a finite positive" in str(err.value)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -5e-9])
+@pytest.mark.parametrize("kind, key", [("trace", "spacing"), ("record", "grid_step")])
+def test_writer_refuses_a_header_step_its_reader_refuses(tmp_path, kind, key, step):
+    # where the step is finite the axis steps by it, so only the header is at fault
+    axis = np.arange(100) * (step if math.isfinite(step) else 5e-9)
+    ones = np.ones(100)
+    table = (ScanTrace(reported_d=axis, intensity=ones, coincidence=ones, spacing=step)
+             if kind == "trace" else
+             CalibratedRecord(positions=axis, intensity=ones, grid_step=step))
+    with pytest.raises(ConfigError) as err:
+        WRITERS[kind](table, tmp_path / "out.txt")
+    assert str(err.value) == f"'# {key}' must be a finite positive number, got {repr(step)!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
