@@ -49,8 +49,8 @@ def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
     DC leakage at most 1e-4, and at least 40 dB of attenuation one octave
     below the center (where the classical lambda0 / 2 fringes sit).
     """
-    if sample_spacing <= 0:
-        raise ConfigError("sample spacing must be positive")
+    if not 0 < sample_spacing < math.inf:
+        raise ConfigError(f"sample spacing must be a finite positive number, got {sample_spacing}")
     fs = 1.0 / sample_spacing
     f1, f2 = spec.band_edges
     if f2 >= fs / 2:
@@ -395,15 +395,15 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     """Cubic resampling of the intensity onto a uniform calibrated grid.
 
     Every intensity sample is placed at its calibrated position (linear
-    extrapolation of the map covers the filter-excluded edges; the
-    extrapolated fraction is recorded in the quality block) and the
+    extrapolation of the map covers the filter-excluded edges) and the
     not-a-knot cubic spline through those points is evaluated on a uniform
-    grid.
+    grid. Returns the record with no metadata and quality
+    {extrapolated_fraction}, the share of samples outside the map's domain.
     """
     if grid_step is None:
         grid_step = trace.spacing
-    if grid_step <= 0:
-        raise ConfigError("grid step must be positive")
+    if not 0 < grid_step < math.inf:
+        raise ConfigError(f"grid step must be a finite positive number, got {grid_step}")
     if trace.n_samples < 4:
         raise CalibrationQualityError(f"trace of {trace.n_samples} samples; the spline needs 4")
     if not np.isfinite(trace.intensity).all():
@@ -423,9 +423,5 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
         raise CalibrationQualityError("calibrated span too short to resample")
     grid = np.arange(first, last + 1) * grid_step
     values = _not_a_knot_spline(positions, dx, trace.intensity, grid)
-    quality = dict(calibration.quality)
-    quality["extrapolated_fraction"] = extrapolated
-    return CalibratedRecord(
-        positions=grid, intensity=values, grid_step=float(grid_step),
-        metadata=dict(trace.metadata), quality=quality,
-    )
+    return CalibratedRecord(positions=grid, intensity=values, grid_step=float(grid_step),
+                            quality={"extrapolated_fraction": extrapolated})

@@ -76,8 +76,8 @@ class RunConfig:
     sample: Sample
     spectrum: Spectrum
     pump: PumpReference
-    stage: StageModel            # seedless template; synthesize attaches the run's seed
-    noise: NoiseModel            # seedless template; synthesize attaches the run's seed
+    stage: StageModel
+    noise: NoiseModel
     scan_range: tuple[float, float]
     pipeline: PipelineParams
     master_seed: int

@@ -10,7 +10,7 @@ a forced-ambiguity list exists to exercise exactly that bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,28 +30,27 @@ from qolcr.scan import ScanTrace, simulate_scan
 
 def synthesize(config: RunConfig, run_index: int = 0) -> ScanTrace:
     """One seeded scan synthesis for the given run index."""
-    stage_seed, noise_seed = config.seeds_for_run(run_index)
-    return simulate_scan(
-        config.sample, config.spectrum, config.pump,
-        replace(config.stage, seed=stage_seed), replace(config.noise, seed=noise_seed),
-        config.scan_range,
-    )
+    return simulate_scan(config.sample, config.spectrum, config.pump, config.stage,
+                         config.noise, config.scan_range, *config.seeds_for_run(run_index))
 
 
 def calibrate_trace(config: RunConfig, trace: ScanTrace) -> tuple[CalibrationMap, CalibratedRecord]:
-    """Carrier extraction, phase calibration, and uniform resampling."""
+    """Carrier calibration and resampling; the record carries the run's provenance."""
     # nested: the carrier and its phase are freed before resampling's temporaries
     calibration = build_calibration(extract_phase(
         extract_tpi(trace, config.pipeline.bandpass), config.pipeline.phase_method), config.pump)
     record = resample_intensity(trace, calibration, grid_step=config.pipeline.grid_step)
+    record.metadata, record.quality = {**trace.metadata}, {**calibration.quality, **record.quality}
     return calibration, record
 
 
 def measure_record(config: RunConfig, record: CalibratedRecord,
                    refinement_offset: float = 0.0) -> MeasurementReport:
-    acorr = autocorrelate(record)
-    return estimate_separations(
-        acorr, config.pipeline.expected_peaks, refinement_offset=refinement_offset)
+    """Autocorrelation and cluster refinement; the report carries the record's provenance."""
+    report = estimate_separations(autocorrelate(record), config.pipeline.expected_peaks,
+                                  refinement_offset=refinement_offset)
+    report.metadata, report.quality = {**record.metadata}, {**record.quality, **report.quality}
+    return report
 
 
 def run_pipeline(config: RunConfig, run_index: int = 0,

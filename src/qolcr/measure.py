@@ -65,8 +65,6 @@ class Autocorrelogram:
     lags: np.ndarray          # k * grid_step for k = 0 .. len - 1, meters
     analytic: np.ndarray      # complex, analytic[0] == 1
     grid_step: float
-    metadata: dict = field(default_factory=dict)
-    quality: dict = field(default_factory=dict)
     envelope: np.ndarray = field(init=False, repr=False)  # |analytic|, set once
 
     def __post_init__(self):
@@ -126,11 +124,8 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
         raise ConfigError("record has zero variance")
     analytic /= analytic[0].real
     analytic[0] = 1.0
-    return Autocorrelogram(
-        lags=np.arange(k_cap + 1) * record.grid_step, analytic=analytic,
-        grid_step=record.grid_step,
-        metadata=dict(record.metadata), quality=dict(record.quality),
-    )
+    return Autocorrelogram(lags=np.arange(k_cap + 1) * record.grid_step, analytic=analytic,
+                           grid_step=record.grid_step)
 
 
 def parabolic_peak_fit(positions, values):
@@ -232,7 +227,8 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
 
     refinement_offset shifts the carrier-fringe seed away from the
     envelope vertex; nonzero values force the one-fringe ambiguity and are
-    used to exercise the outlier flag.
+    used to exercise the outlier flag. Returns the peaks sorted by separation,
+    no metadata, and quality {cluster_search}.
     """
     if expected_count < 1:
         raise ConfigError("expected_count must be at least 1")
@@ -266,15 +262,13 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
     estimates.sort(key=lambda p: p.separation)
     if any(p.separation <= zero_guard for p in estimates):
         raise PeakFitError("a refined separation fell inside the zero-lag guard")
-    quality = dict(acorr.quality)
-    quality["cluster_search"] = {
+    return MeasurementReport(peaks=estimates, quality={"cluster_search": {
         "w_half": w_half,
         "zero_guard": zero_guard,
         "min_separation": MIN_SEPARATION * w_half,
         "noise_floor": floor,
         "n_candidates": int(len(peaks_idx)),
-    }
-    return MeasurementReport(peaks=estimates, metadata=dict(acorr.metadata), quality=quality)
+    }})
 
 
 def _refine_cluster(acorr: Autocorrelogram, center: float, w_half: float,

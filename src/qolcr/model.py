@@ -212,7 +212,6 @@ class StageModel:
     periodic_phase: float = 0.0       # wobble phase at the scan start, rad
     drift_step: float = 0.0      # random-walk step per sample, m
     drift_smoothing: int = 1500  # boxcar length applied to the walk, samples
-    seed: int | None = None      # RNG seed for the walk
 
     def __post_init__(self):
         if self.velocity <= 0 or self.sample_rate <= 0:
@@ -239,7 +238,6 @@ class NoiseModel:
     coincidence_scale: float    # mean coincidence counts per bin at the baseline
     background: float = 0.0     # uncorrelated counts per bin added to both channels
     poisson_enabled: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
         if self.singles_scale <= 0 or self.coincidence_scale <= 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -47,16 +47,17 @@ MIN_MARGIN_COHERENCE_LENGTHS = 1.0
 SUPPORT_COHERENCE_LENGTHS = 6.0
 
 
-def true_positions(stage: StageModel, n_samples: int, start: float = 0.0) -> np.ndarray:
+def true_positions(stage: StageModel, n_samples: int, start: float = 0.0,
+                   seed: int | None = None) -> np.ndarray:
     """Actual mirror positions for an n-sample scan beginning at `start`.
 
-    With all error terms zero this returns the reported grid exactly.
-    Raises SynthesisError if the distorted trajectory is not strictly
-    increasing (the pipeline assumes no stage reversals).
+    `seed` seeds the random walk (None: unseeded). With all error terms zero
+    this returns the reported grid exactly; a trajectory that is not strictly
+    increasing raises SynthesisError (the pipeline assumes no stage reversals).
     """
-    positions = _seed_free_trajectory(replace(stage, seed=None), n_samples)
+    positions = _seed_free_trajectory(stage, n_samples)
     if stage.drift_step > 0.0:
-        rng = np.random.default_rng(stage.seed)
+        rng = np.random.default_rng(seed)
         walk = np.cumsum(rng.normal(0.0, stage.drift_step, n_samples))
         walk = uniform_filter1d(walk, size=stage.drift_smoothing, mode="nearest")
         positions = positions + (walk - walk[0])
@@ -71,7 +72,7 @@ def true_positions(stage: StageModel, n_samples: int, start: float = 0.0) -> np.
 
 @functools.lru_cache(maxsize=8)
 def _seed_free_trajectory(stage: StageModel, n_samples: int) -> np.ndarray:
-    """true_positions' scale term plus lead-screw sine, cached read-only per seed-free stage."""
+    """true_positions' scale term plus lead-screw sine, cached read-only per stage."""
     traveled = stage.spacing * np.arange(n_samples)
     positions = traveled * (1.0 + stage.scale_error)
     if stage.periodic_amplitude != 0.0:
@@ -243,13 +244,15 @@ def scan_sample_count(stage: StageModel, scan_range: tuple[float, float]) -> int
     return int(round((stop - start) / stage.spacing))
 
 
-def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
-                  stage: StageModel, noise: NoiseModel,
-                  scan_range: tuple[float, float]) -> ScanTrace:
+def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference, stage: StageModel,
+                  noise: NoiseModel, scan_range: tuple[float, float],
+                  stage_seed: int | None = None, noise_seed: int | None = None) -> ScanTrace:
     """Synthesize one scan over [start, stop) of the reported axis.
 
     Expected per-bin counts are evaluated at the true mirror positions and,
-    when noise.poisson_enabled, each bin is an independent Poisson draw.
+    when noise.poisson_enabled, each bin is an independent Poisson draw
+    seeded by noise_seed; stage_seed seeds the walk (None: unseeded). Returns
+    the trace with its truth and metadata {stage_seed, noise_seed, poisson}.
     """
     pump.check_degenerate(spectrum)
     start, stop = scan_range
@@ -272,7 +275,7 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
         )
 
     reported = stage.reported_grid(n, start)
-    true_d = true_positions(stage, n, start)
+    true_d = true_positions(stage, n, start, stage_seed)
 
     tau, surfaces = _delays(sample, spectrum, true_d)
     rate_i = _intensity_rate(sample, spectrum, tau, surfaces)
@@ -287,7 +290,7 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
         raise SynthesisError("expected counts went negative; baseline headroom violated")
 
     if noise.poisson_enabled:
-        rng = np.random.default_rng(noise.seed)
+        rng = np.random.default_rng(noise_seed)
         intensity = rng.poisson(expected_i).astype(float)
         coincidence = rng.poisson(expected_m).astype(float)
     else:
@@ -299,7 +302,7 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference,
         intensity=intensity,
         coincidence=coincidence,
         spacing=stage.spacing,
-        metadata={"stage_seed": stage.seed, "noise_seed": noise.seed,
+        metadata={"stage_seed": stage_seed, "noise_seed": noise_seed,
                   "poisson": bool(noise.poisson_enabled)},
         truth=ScanTruth(
             true_d=true_d,

@@ -70,11 +70,11 @@ SAMPLE = Sample.from_pairs([(0.6, 9.886e-6), (0.6, 290.114e-6)])
 SPECTRUM = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
 
 
-def simulate(stage=None):
+def simulate(stage=None, stage_seed=None):
     if stage is None:
         stage = StageModel(velocity=500e-9, sample_rate=100.0)
     return simulate_scan(SAMPLE, SPECTRUM, PUMP, stage, noise=NOISE_OFF,
-                         scan_range=(0.0, 300e-6))
+                         scan_range=(0.0, 300e-6), stage_seed=stage_seed)
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +86,8 @@ def identity_trace():
 def distorted_trace():
     stage = StageModel(velocity=500e-9, sample_rate=100.0,
                        scale_error=1e-3, periodic_amplitude=100e-9,
-                       periodic_period=50e-6, drift_step=2e-10, seed=77)
-    return simulate(stage=stage)
+                       periodic_period=50e-6, drift_step=2e-10)
+    return simulate(stage=stage, stage_seed=77)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,11 @@ def test_design_rejects_impossible_specs():
         replace(BANDPASS, relative_bandwidth=1.5)
     with pytest.raises(ConfigError):
         replace(BANDPASS, center_frequency=-1.0)
+    for spacing in (math.nan, math.inf):
+        # nan taps would pass every response check, since nan > limit is False
+        with pytest.raises(ConfigError, match=f"^sample spacing must be a finite positive "
+                                              f"number, got {spacing}$"):
+            design_bandpass(BANDPASS, spacing)
 
 
 def test_design_is_cached_per_spec_and_spacing():
@@ -159,6 +164,11 @@ def test_design_failure_is_not_cached():
     for _ in range(2):
         with pytest.raises(ConfigError):
             design_bandpass(bad, 150e-9)
+    cached = design_bandpass.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            design_bandpass(BANDPASS, math.nan)
+    assert design_bandpass.cache_info().currsize == cached
 
 
 def test_white_noise_gain_matches_tap_energy():
@@ -596,8 +606,10 @@ def test_resample_grid_step_override(identity_trace):
     steps = np.diff(record.positions)
     assert np.allclose(steps, 2.5e-9, rtol=1e-9)
     assert record.grid_step == 2.5e-9
-    with pytest.raises(ConfigError):
-        resample_intensity(identity_trace, cal, grid_step=-1.0)
+    for step in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"^grid step must be a finite positive number, "
+                                              f"got {step}$"):
+            resample_intensity(identity_trace, cal, grid_step=step)
 
 
 def _assert_same_bytes(got, want):

@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from qolcr import experiments
-from qolcr.config import DEFAULT_CONFIG, parse_config
+from qolcr.calibration import resample_intensity
+from qolcr.config import DEFAULT_CONFIG, default_config, parse_config
 from qolcr.errors import ConfigError, PipelineQualityError
 from qolcr.experiments import (
     RepeatabilityResult,
+    calibrate_trace,
     linearity_experiment,
+    measure_record,
     repeatability_experiment,
     run_pipeline,
+    synthesize,
 )
+from qolcr.measure import autocorrelate, estimate_separations
+from qolcr.model import NoiseModel, StageModel
 
 TRUE_SEPARATION = 290.114e-6 - 9.886e-6
 
@@ -50,6 +57,34 @@ def test_single_run_recovers_separation(clean_config):
     report = run_pipeline(clean_config)
     assert len(report.separations) == 1
     assert abs(report.separations[0] - TRUE_SEPARATION) < 0.1e-9
+
+
+def test_per_run_state_is_attached_once_by_the_pipeline_layer():
+    # the instrument models hold no seed, and each stage returns only its own
+    # figures: synthesize passes the run's seeds, calibrate_trace and
+    # measure_record attach the upstream metadata and quality
+    cfg = default_config()
+    assert not {"seed"} & {f.name for model in (StageModel, NoiseModel) for f in fields(model)}
+    trace = synthesize(cfg, 2)
+    assert (trace.metadata["stage_seed"], trace.metadata["noise_seed"]) == cfg.seeds_for_run(2)
+
+    calibration, record = calibrate_trace(cfg, trace)
+    own = resample_intensity(trace, calibration, grid_step=cfg.pipeline.grid_step)
+    assert own.metadata == {}
+    assert set(own.quality) == {"extrapolated_fraction"}
+    acorr = autocorrelate(record)
+    assert not hasattr(acorr, "metadata") and not hasattr(acorr, "quality")
+    search = estimate_separations(acorr, cfg.pipeline.expected_peaks)
+    assert search.metadata == {}
+    assert set(search.quality) == {"cluster_search"}
+
+    report = measure_record(cfg, record)
+    assert record.metadata == report.metadata == trace.metadata
+    assert record.metadata is not trace.metadata and report.metadata is not record.metadata
+    assert record.quality == {**calibration.quality, **own.quality}
+    assert report.quality == {**record.quality, **search.quality}
+    assert list(report.quality) == [*calibration.quality, "extrapolated_fraction",
+                                    "cluster_search"]
 
 
 def test_noise_free_repeatability_is_exact(clean_repeat):

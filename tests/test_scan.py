@@ -78,9 +78,8 @@ def test_stage_fixture_pinned_values():
         periodic_period=50e-6,
         drift_step=0.5e-9,
         drift_smoothing=1500,
-        seed=4242,
     )
-    d = true_positions(stage, 60000)
+    d = true_positions(stage, 60000, seed=4242)
     assert d[0] == 0.0
     assert d[1] == pytest.approx(5.0811262647512e-09, rel=1e-12)
     assert d[1000] == pytest.approx(5.078074502004358e-06, rel=1e-12)
@@ -96,9 +95,8 @@ def test_stage_corrections_are_sub_micron_for_defaults():
         periodic_amplitude=100e-9,
         periodic_period=50e-6,
         drift_step=0.5e-9,
-        seed=7,
     )
-    d = true_positions(stage, 60000)
+    d = true_positions(stage, 60000, seed=7)
     corr = np.abs(d - stage.reported_grid(60000))
     assert 50e-9 < corr.max() < 1e-6
 
@@ -110,8 +108,9 @@ def test_non_monotone_stage_rejected():
 
 
 def test_stage_walk_reproducible():
-    stage = default_stage(drift_step=0.3e-9, seed=99)
-    assert np.array_equal(true_positions(stage, 4000), true_positions(stage, 4000))
+    stage = default_stage(drift_step=0.3e-9)
+    assert np.array_equal(true_positions(stage, 4000, seed=99),
+                          true_positions(stage, 4000, seed=99))
 
 
 def test_seed_free_trajectory_is_cached_read_only_and_keyed_by_spec_and_length():
@@ -136,16 +135,16 @@ def test_seed_free_trajectory_is_cached_read_only_and_keyed_by_spec_and_length()
 @pytest.mark.parametrize("drift_step", [0.0, 0.5e-9])
 def test_true_positions_returns_a_fresh_writable_array(drift_step):
     stage = default_stage(scale_error=1e-3, periodic_amplitude=100e-9,
-                          drift_step=drift_step, seed=1)
-    first = true_positions(stage, 4000)
+                          drift_step=drift_step)
+    first = true_positions(stage, 4000, seed=1)
     expected = first.copy()
     first[:] = 0.0  # writable, and the write must not reach the cache
-    again = true_positions(stage, 4000)
+    again = true_positions(stage, 4000, seed=1)
     assert again.flags.writeable
     assert np.array_equal(again, expected)
     # runs that differ only in the seed share one seed-free trajectory
     hits = _seed_free_trajectory.cache_info().hits
-    true_positions(replace(stage, seed=2), 4000)
+    true_positions(stage, 4000, seed=2)
     assert _seed_free_trajectory.cache_info().hits == hits + 1
 
 
@@ -331,7 +330,7 @@ def test_coincidence_rate_nonnegative_model_units():
 # --- full synthesis --------------------------------------------------------
 
 def default_noise(**kw):
-    base = dict(singles_scale=5000.0, coincidence_scale=300.0, background=20.0, seed=11)
+    base = dict(singles_scale=5000.0, coincidence_scale=300.0, background=20.0)
     base.update(kw)
     return NoiseModel(**base)
 
@@ -339,7 +338,7 @@ def default_noise(**kw):
 def test_default_scan_has_sixty_thousand_samples():
     trace = simulate_scan(
         two_surface_sample(), default_spectrum(), PumpReference(LAMBDA_P),
-        default_stage(), default_noise(), (0.0, 300e-6),
+        default_stage(), default_noise(), (0.0, 300e-6), noise_seed=11,
     )
     assert trace.n_samples == 60000
     assert trace.spacing == pytest.approx(5e-9, rel=1e-12)
@@ -359,9 +358,9 @@ def test_poisson_sample_mean_matches_rate():
     # law of large numbers on a fringe-free stretch of >= 10^4 bins
     sample = two_surface_sample()
     spec = default_spectrum()
-    noise = default_noise(seed=5)
+    noise = default_noise()
     trace = simulate_scan(sample, spec, PumpReference(LAMBDA_P),
-                          default_stage(), noise, (0.0, 300e-6))
+                          default_stage(), noise, (0.0, 300e-6), noise_seed=5)
     sel = slice(22000, 36000)  # mid-scan, far from both packets
     expected = trace.truth.intensity_rate[sel]
     assert np.ptp(expected) < 1e-6  # fringe-free: constant rate
@@ -378,10 +377,10 @@ def test_scan_truth_matches_separate_rate_evaluation():
     sample = two_surface_sample()
     spec = default_spectrum()
     pump = PumpReference(LAMBDA_P)
-    noise = default_noise(seed=4)
+    noise = default_noise()
     trace = simulate_scan(sample, spec, pump,
-                          default_stage(drift_step=0.3e-9, seed=2), noise,
-                          (0.0, 300e-6))
+                          default_stage(drift_step=0.3e-9), noise,
+                          (0.0, 300e-6), stage_seed=2, noise_seed=4)
     baseline = coincidence_baseline(sample, spec)
     true_d = trace.truth.true_d
     parts = coincidence_components(sample, spec, pump, true_d)
@@ -398,8 +397,8 @@ def test_scan_truth_matches_separate_rate_evaluation():
 def test_scan_reproducible_with_seeds():
     kw = dict(
         sample=two_surface_sample(), spectrum=default_spectrum(),
-        pump=PumpReference(LAMBDA_P), stage=default_stage(drift_step=0.3e-9, seed=3),
-        noise=default_noise(seed=8), scan_range=(0.0, 300e-6),
+        pump=PumpReference(LAMBDA_P), stage=default_stage(drift_step=0.3e-9),
+        noise=default_noise(), scan_range=(0.0, 300e-6), stage_seed=3, noise_seed=8,
     )
     a = simulate_scan(**kw)
     b = simulate_scan(**kw)
