@@ -132,6 +132,8 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     if n <= 2 * half:
         raise CalibrationQualityError(
             f"trace of {n} samples shorter than the filter edge exclusion of 2 x {half}")
+    if not np.isfinite(trace.coincidence).all():
+        raise CalibrationQualityError("coincidence channel holds non-finite samples")
     x = trace.coincidence - trace.coincidence.mean()
     spectrum, nfft = _filtered_spectrum(design_bandpass(spec, trace.spacing), x)
     valid = np.zeros(n, dtype=bool)
@@ -286,6 +288,8 @@ class CalibrationMap:
 
     def __call__(self, positions):
         x = np.asarray(positions, dtype=float)
+        if x.ndim == 0:  # a scalar result takes no masked assignment
+            return self(x[None])[0]
         y = np.interp(x, self.reported, self.calibrated)
         lo, hi = self.domain
         below = x < lo

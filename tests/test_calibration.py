@@ -282,6 +282,16 @@ def test_extract_tpi_rejects_too_short_trace():
         extract_tpi(trace, BANDPASS)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extract_tpi_rejects_non_finite_coincidence(bad):
+    # one bad sample used to poison the mean and read as a weak carrier everywhere
+    trace = carrier_trace()
+    trace.coincidence[1234] = bad
+    with pytest.raises(CalibrationQualityError,
+                       match="^coincidence channel holds non-finite samples$"):
+        extract_tpi(trace, BANDPASS)
+
+
 # ---------------------------------------------------------------------------
 # phase extraction
 
@@ -546,6 +556,18 @@ def test_map_linear_extrapolation():
     probe = np.array([0.5, 2.5])
     out = cal(probe)
     assert np.max(np.abs(out - (2.0 * probe + 3.0))) < 1e-9
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_map_extrapolates_a_scalar_as_a_one_element_array(offset):
+    x = np.linspace(1.0, 2.0, 500)
+    cal = CalibrationMap(reported=x, calibrated=2.0 * x + 3.0)
+    lo, hi = cal.domain
+    probe = (lo if offset < 0 else hi) + offset
+    out = cal(probe)
+    assert np.ndim(out) == 0
+    assert out == cal(np.array([probe]))[0]
+    assert abs(out - (2.0 * probe + 3.0)) < 1e-9
 
 
 def test_build_calibration_rejects_phase_reversal():

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,9 @@ from qolcr.tracefile import (
     read_json_document,
     read_trace,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def config_file(tmp_path, name="config.json", surfaces=((0.6, 30.0), (0.6, 90.0)),
@@ -555,3 +561,24 @@ def test_batch_commands_reject_zero_expected_peaks(tmp_path, capsys, command):
         code = main([*command, "--config", str(cfg), "--output", str(tmp_path / "b")])
         assert code == 1
         assert "pipeline.expected_peaks" in capsys.readouterr().err
+
+
+def test_cli_freezes_the_heap_at_exit():
+    # a command's exit then skips finalization's GC traversal of scipy's objects
+    probe = ("import atexit, gc, qolcr.cli; atexit._run_exitfuncs(); "
+             "print(gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert int(proc.stdout) > 0
+
+
+def test_command_process_loses_no_output_at_exit(tmp_path):
+    out = tmp_path / "scan.txt"
+    proc = subprocess.run([sys.executable, "-m", "qolcr.cli", "simulate",
+                           "--config", str(config_file(tmp_path)), "--output", str(out)],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    wrote, seeds = proc.stdout.splitlines()
+    assert wrote.startswith(f"wrote {out}: 24000 samples")
+    assert seeds.startswith("stage seed ")
+    assert read_trace(out).n_samples == 24000

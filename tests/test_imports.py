@@ -76,3 +76,15 @@ def test_scan_reexports_the_model_dataclasses(name):
     import qolcr.scan
 
     assert getattr(qolcr.scan, name) is getattr(qolcr.model, name)
+
+
+def test_cli_import_profile_lists_scipy_signal_and_ndimage():
+    """The benchmark's import layer indexes both as entries of their own in this
+    profile. ROADMAP item 8 makes it tolerate an absent module; this test goes then."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import qolcr.cli"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+                          timeout=60)
+    entries = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert {"scipy.signal", "scipy.ndimage"} <= entries
