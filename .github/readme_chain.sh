@@ -5,8 +5,10 @@
 # - scan.txt, run1.calibration.txt, run1.record.txt, report.json: the
 #   default chain, whose calibration reads the analytic carrier phase;
 # - ml.txt: the three-surface synthesis (three HOM pairs, three fringe
-#   packets); ml.calibration.txt and ml.record.txt its zero-crossing
-#   phase path; ml.report.json its three cluster refinements;
+#   packets); ml.calibration.txt and ml.record.txt its calibration on
+#   the same analytic phase, read from a config that still names the
+#   retired `total_power` and `phase_method` fields, which are dropped;
+#   ml.report.json its three cluster refinements;
 # - nf.*: the default config with `noise.enabled: false`, the one way to
 #   switch counting noise off: expected counts per bin, no Poisson draw;
 # - cs.txt: synthesis on close surfaces (10/40/70 um), whose coherence
@@ -25,7 +27,7 @@
 # channels; its noise-free truth stays in memory. The reports hold no
 # peak count and no copy of separation_m. A trace's `# metadata` holds
 # the seeds and the Poisson switch, and a record's `# quality` holds no
-# copy of `# grid_step`.
+# copy of `# grid_step`, and no table's `# config` names a retired field.
 #
 # Run it from any directory: bash .github/readme_chain.sh
 # It finds the repository from its own path, runs the chain in a temporary
@@ -60,25 +62,25 @@ python -m qolcr.cli simulate --config fs.json --output fs.txt
 python -m qolcr.cli calibrate fs.txt --output fs
 python -m qolcr.cli measure fs.record.txt --output fs.report.json
 sha256sum -c - <<'EOF'
-f7812e591d1b0f49bc1e3c2a6127d1a740a8871ef83353b9ba2c81448964b035  scan.txt
-352ba79ce75e18b4f5934f250204dfb1139c0147537d77448c883714e661e6f4  ml.txt
-53ba7e3c5720bab7e07c9515da45bdfd3fa6d506839e3acdabfd72b3986ce4a5  ml.calibration.txt
-a54419eaab8f5c26fe61af5718976d3b85550708a2cb332d361c04eb0b4c6010  ml.record.txt
-61edf46f7d016c3dd137014d019e5654143dc48b3e3a141db64832c6bace0e0b  run1.calibration.txt
-84d9a6e1e2f55aaeed94245a0bf317c9b758dd13c55163839cb32ceb18ac4311  run1.record.txt
+d0d9fa5683581a1e62ce20ca8ef8df28cdd41203c17d85b21ffcfccf269aaf5c  scan.txt
+36f62b28aff3bb2f9834e93bb1020dc329036f85dbf4e63867003e327028c77b  ml.txt
+8d62b12f069b342ea57b5e79f35121353aacba85548c49ae098ed187df2b8111  ml.calibration.txt
+b8de73e11c4e7722e9e962b9c0e6dbdfdff9060bbb2d95ec239fb7e051cd6570  ml.record.txt
+0372c2100b9c32999bfaec72efd069920f6a4630c9b20611842f573590df3f42  run1.calibration.txt
+d7a9856c1f9e8caaccf8cc0e2a36616df00deac79524ad4e56c29ced1467f32d  run1.record.txt
 d83e4fc80d2bc3d02864d98b40c7cc46f910722a287941350d98a41e0b6ffaea  report.json
-d6af390272c41198eacb1421c4060df261ee177cd32a932543163f94a5c83165  ml.report.json
+3142ad0853a297b3c7831bf387aa6522eedafce95f4ea22b030495a891d86801  ml.report.json
 1b2221f97b5ca00edfe480e05955b0c8d411c2f93dc429f6946ed841662fafad  rep.results.json
 348f9db1e7e9c15082639dffe19256d778272fc73c6d5f338d74051258d71362  rep.separations.txt
 ef93cd1a2be154ca2e5a589d04eaa0d0caeadc359d2f4601110c5821c130e6e4  lin.results.json
 05a2b2d454a5a8f80686d16126c4c847a2ad383bdccce3bde457ec132a777bdd  lin.measured.txt
 bf0abe79f2d69a4d5057b6317d7b2a8c6b7d890f42e02934dc9bfbf313bcb5b2  lin.deviations.txt
-92297428413609237b5c263b715f5e6b88b594187b2ddd0b311a98cdb159aa83  nf.txt
-ad43d61d22a4e91606a6a63b09d17c2d3e65499480f54f6ac859d07af4526e23  nf.calibration.txt
-bac28c9ad6380ef26adc29c7f45bb94b9c4474ea56afaa7895bedde9f49bfb1c  nf.record.txt
+cc9502b8d53f646f745476e172975acad19e476118bcef18bc3b7e28b6bb9587  nf.txt
+011413b3521ef31ebdf4ecef364b6fe1aa7cd48a12f644de8372750652677e1b  nf.calibration.txt
+8229e4ce876968c44c74844346a8e67de1330a15ccf11dbb208bc48a1bcda6a8  nf.record.txt
 07913c40177f3e1a1c7c2389e6c530d715f8b750d248ff06ce2f212ba1edb46d  nf.report.json
-69d1a041a04743468f6f8e5ec6909c49f350d54fe6b186ebc0395469a5c1141d  cs.txt
-a34d07fd639ba4b286518bc9dbdf85c40de7cd022cc16336a855c89a03d958f3  fs.record.txt
+177f97d6ac75375dd5d8866fa0986e8d32c052acdf4c12c4c6a337fc4365a1df  cs.txt
+277506dd887e87d18c53ef5be48433ff630618895d088acda537c9541a9029f4  fs.record.txt
 07d58338910afeba967a16cdb26142d895e20d8439c16839d7ec306e86d301ab  fs.report.json
 dbcab46f97694621d80bebcb593d06ff30181ce809f2d91543206c8363e8f0ae  repf.results.json
 EOF

@@ -134,6 +134,8 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
             f"trace of {n} samples shorter than the filter edge exclusion of 2 x {half}")
     if not np.isfinite(trace.coincidence).all():
         raise CalibrationQualityError("coincidence channel holds non-finite samples")
+    if not np.isfinite(trace.reported_d).all():
+        raise CalibrationQualityError("trace holds non-finite reported positions")
     x = trace.coincidence - trace.coincidence.mean()
     spectrum, nfft = _filtered_spectrum(design_bandpass(spec, trace.spacing), x)
     valid = np.zeros(n, dtype=bool)
@@ -177,23 +179,16 @@ class PhaseTrace:
     reported_d: np.ndarray
 
 
-def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTrace:
+def extract_phase(carrier: FilteredCarrier) -> PhaseTrace:
     """Per-sample carrier phase, unwrapped so adjacent steps stay in (-pi, pi].
 
-    method 'analytic' takes the phase of values + i _quadrature(carrier), the
-    analytic signal of the band-passed carrier; 'crossings' localizes the
-    carrier's zero crossings and interpolates phase between them.
+    Both phase and amplitude come from the analytic signal values + i _quadrature(carrier).
     Samples with amplitude below AMPLITUDE_FLOOR_RATIO times the median are
     masked; more than MAX_BAD_FRACTION of masked valid samples is an error.
     """
-    if method == "analytic":
-        quad = _quadrature(carrier)
-        amplitude = np.hypot(carrier.values, quad)
-        phase = _unwrap(np.arctan2(quad, carrier.values))
-    elif method == "crossings":
-        phase, amplitude = _phase_from_crossings(carrier)
-    else:
-        raise ConfigError(f"unknown phase extraction method {method!r}")
+    quad = _quadrature(carrier)
+    amplitude = np.hypot(carrier.values, quad)
+    phase = _unwrap(np.arctan2(quad, carrier.values))
 
     floor = AMPLITUDE_FLOOR_RATIO * float(np.median(amplitude[carrier.valid]))
     mask = carrier.valid & (amplitude >= floor)
@@ -205,41 +200,6 @@ def extract_phase(carrier: FilteredCarrier, method: str = "analytic") -> PhaseTr
         )
     return PhaseTrace(unwrapped_phase=phase, amplitude=amplitude, quality_mask=mask,
                       reported_d=carrier.reported_d)
-
-
-def _phase_from_crossings(carrier: FilteredCarrier):
-    """Phase by zero-crossing interpolation; amplitude from extrema blocks."""
-    x = carrier.values
-    signs = np.sign(x)
-    signs[signs == 0] = 1
-    idx = np.nonzero(np.diff(signs) != 0)[0]
-    if len(idx) < 8:
-        raise CalibrationQualityError("too few carrier zero crossings to track phase")
-    frac = x[idx] / (x[idx] - x[idx + 1])
-    pos = idx + frac                       # crossing position in samples
-    # ascending carrier phase passes pi/2 + k pi at successive crossings;
-    # the first crossing's absolute multiple is irrelevant (anchored later)
-    phase_at = 0.5 * math.pi + math.pi * np.arange(len(pos))
-    k = np.arange(len(x), dtype=float)
-    phase = np.interp(k, pos, phase_at)
-    # linear extension beyond the first/last crossing
-    head = k < pos[0]
-    tail = k > pos[-1]
-    slope0 = math.pi / (pos[1] - pos[0])
-    slope1 = math.pi / (pos[-1] - pos[-2])
-    phase[head] = phase_at[0] + (k[head] - pos[0]) * slope0
-    phase[tail] = phase_at[-1] + (k[tail] - pos[-1]) * slope1
-    # block amplitude: peak |x| over block k, from the last sample before
-    # crossing k to the first after crossing k+1 (x[idx[k]:idx[k+1] + 2]);
-    # the reduceat segments stop at idx[k+1], so its two samples are added
-    amp_pos = 0.5 * (pos[:-1] + pos[1:])
-    mag = np.abs(x)
-    ends = idx[1:]
-    amp_val = np.maximum.reduceat(mag[:ends[-1]], idx[:-1])
-    np.maximum(amp_val, mag[ends], out=amp_val)
-    np.maximum(amp_val, mag[ends + 1], out=amp_val)
-    amplitude = np.interp(k, amp_pos, amp_val)
-    return phase, amplitude
 
 
 @dataclass

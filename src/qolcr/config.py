@@ -28,7 +28,6 @@ DEFAULT_CONFIG = {
     "spectrum": {
         "center_wavelength_nm": 810.0,
         "bandwidth_fwhm_nm": 30.0,
-        "total_power": 1.0e6,
     },
     "pump": {"wavelength_nm": 405.0},
     "stage": {
@@ -53,10 +52,15 @@ DEFAULT_CONFIG = {
         "filter_num_taps": 2001,
         "grid_step_nm": None,
         "expected_peaks": 1,
-        "phase_method": "analytic",
     },
     "seeds": {"master": 20260814},
 }
+
+# fields of earlier versions, read and dropped so their configs and table headers still load
+_RETIRED_FIELDS = {"spectrum": {"total_power"}, "pipeline": {"phase_method"}}
+
+# model-unit spectral power: counts are rates over a baseline, so it cancels (1e6 keeps every bit)
+MODEL_POWER = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,6 @@ class PipelineParams:
     bandpass: BandpassSpec       # the carrier filter, built from the filter_* keys
     grid_step: float | None
     expected_peaks: int
-    phase_method: str
 
 
 @dataclass
@@ -109,6 +112,7 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
         raise ConfigError(f"section '{name}' must be an object, not null")
     if not isinstance(got, dict):
         raise ConfigError(f"section '{name}' must be an object")
+    got = {k: v for k, v in got.items() if k not in _RETIRED_FIELDS.get(name, ())}
     unknown = set(got) - set(defaults)
     if unknown:
         raise ConfigError(
@@ -183,7 +187,7 @@ def parse_config(raw: dict) -> RunConfig:
     spectrum = Spectrum.from_wavelength(
         _number(spec_raw, "spectrum", "center_wavelength_nm", positive=True) * 1e-9,
         _number(spec_raw, "spectrum", "bandwidth_fwhm_nm", positive=True) * 1e-9,
-        _number(spec_raw, "spectrum", "total_power", positive=True),
+        MODEL_POWER,
     )
 
     pump_raw = _section(raw, "pump", DEFAULT_CONFIG["pump"])
@@ -232,9 +236,6 @@ def parse_config(raw: dict) -> RunConfig:
         )
 
     pipe_raw = _section(raw, "pipeline", DEFAULT_CONFIG["pipeline"])
-    method = pipe_raw["phase_method"]
-    if method not in ("analytic", "crossings"):
-        raise ConfigError("pipeline.phase_method must be 'analytic' or 'crossings'")
     grid_step_nm = _number(pipe_raw, "pipeline", "grid_step_nm",
                            positive=True, allow_none=True)
     bandwidth = _number(pipe_raw, "pipeline", "filter_relative_bandwidth")
@@ -247,7 +248,6 @@ def parse_config(raw: dict) -> RunConfig:
         bandpass=bandpass,
         grid_step=None if grid_step_nm is None else grid_step_nm * 1e-9,
         expected_peaks=_integer(pipe_raw, "pipeline", "expected_peaks", minimum=1),
-        phase_method=method,
     )
 
     seeds_raw = _section(raw, "seeds", DEFAULT_CONFIG["seeds"])

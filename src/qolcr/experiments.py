@@ -37,8 +37,8 @@ def synthesize(config: RunConfig, run_index: int = 0) -> ScanTrace:
 def calibrate_trace(config: RunConfig, trace: ScanTrace) -> tuple[CalibrationMap, CalibratedRecord]:
     """Carrier calibration and resampling; the record carries the run's provenance."""
     # nested: the carrier and its phase are freed before resampling's temporaries
-    calibration = build_calibration(extract_phase(
-        extract_tpi(trace, config.pipeline.bandpass), config.pipeline.phase_method), config.pump)
+    calibration = build_calibration(
+        extract_phase(extract_tpi(trace, config.pipeline.bandpass)), config.pump)
     record = resample_intensity(trace, calibration, grid_step=config.pipeline.grid_step)
     record.metadata, record.quality = {**trace.metadata}, {**calibration.quality, **record.quality}
     return calibration, record

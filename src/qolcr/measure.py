@@ -29,7 +29,7 @@ from scipy.fft import next_fast_len, rfft
 from scipy.signal import find_peaks
 
 from qolcr.calibration import CalibratedRecord, _unwrap
-from qolcr.errors import ConfigError, PeakCountError, PeakFitError
+from qolcr.errors import ConfigError, PeakCountError, PeakFitError, PipelineQualityError
 
 # smallest sample overlap allowed between the shifted record copies; lags
 # closer to the record length than this are dropped
@@ -103,9 +103,9 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     """
     n = len(record.intensity)
     if n < 2 * MIN_OVERLAP:
-        raise ConfigError(f"record of {n} samples too short to autocorrelate")
+        raise PipelineQualityError(f"record of {n} samples too short to autocorrelate")
     if not np.isfinite(record.intensity).all():
-        raise ConfigError("record holds non-finite intensity samples")
+        raise PipelineQualityError("record holds non-finite intensity samples")
     x = record.intensity - record.intensity.mean()
     k_cap = n - MIN_OVERLAP
 
@@ -121,7 +121,7 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     analytic = rfft(weighted, overwrite_x=True)[: k_cap + 1]
     np.conjugate(analytic, out=analytic)
     if analytic[0].real <= 0:
-        raise ConfigError("record has zero variance")
+        raise PipelineQualityError("record has zero variance")
     analytic /= analytic[0].real
     analytic[0] = 1.0
     return Autocorrelogram(lags=np.arange(k_cap + 1) * record.grid_step, analytic=analytic,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len
 from scipy.interpolate import CubicSpline  # the oracle of the resampling spline
 from scipy.signal import fftconvolve, hilbert
 
@@ -21,7 +21,6 @@ from qolcr.calibration import (
     _filtered_spectrum,
     _kernel_spectrum,
     _not_a_knot_spline,
-    _phase_from_crossings,
     _quadrature,
     _unwrap,
     build_calibration,
@@ -292,6 +291,17 @@ def test_extract_tpi_rejects_non_finite_coincidence(bad):
         extract_tpi(trace, BANDPASS)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extract_tpi_rejects_non_finite_reported_position(bad):
+    # an infinite knot used to surface as a RuntimeWarning and then as a
+    # misordered calibration map; it is named before any arithmetic on the axis
+    trace = carrier_trace()
+    trace.reported_d[30000] = bad
+    with pytest.raises(CalibrationQualityError,
+                       match="^trace holds non-finite reported positions$"):
+        extract_tpi(trace, BANDPASS)
+
+
 # ---------------------------------------------------------------------------
 # phase extraction
 
@@ -330,14 +340,14 @@ def test_quadrature_matches_hilbert_on_default_carrier():
 def test_phase_from_filtered_spectrum_within_5_mrad_of_hilbert_of_values(config, run):
     # the quadrature is the Hilbert transform of the full convolution; the phase
     # it replaced took the analytic signal of the sliced carrier, a length-n
-    # circular transform (multilayer's crossings config is forced to analytic)
+    # circular transform
     cfg = default_config() if config == "default" else load_config(MULTILAYER)
     trace = synthesize(cfg, run)
     carrier = extract_tpi(trace, cfg.pipeline.bandpass)
     taps = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
     x = trace.coincidence - trace.coincidence.mean()
     assert np.array_equal(carrier.values, zero_phase_apply(taps, x))
-    phase = extract_phase(carrier, method="analytic")
+    phase = extract_phase(carrier)
     before = _unwrap(np.angle(hilbert(carrier.values)))
     sel = phase.quality_mask
     assert sel.mean() > 0.9
@@ -423,77 +433,6 @@ def test_phase_raises_when_carrier_mostly_weak():
                       coincidence=coincidence, spacing=SPACING)
     with pytest.raises(CalibrationQualityError):
         extract_phase(extract_tpi(trace, BANDPASS))
-
-
-def test_crossing_phase_agrees_with_analytic():
-    trace = carrier_trace(am=(0.1, 70e-6))
-    carrier = extract_tpi(trace, BANDPASS)
-    analytic = extract_phase(carrier, method="analytic")
-    crossings = extract_phase(carrier, method="crossings")
-    sel = analytic.quality_mask & crossings.quality_mask
-    slope_a = float(np.polyfit(analytic.reported_d[sel], analytic.unwrapped_phase[sel], 1)[0])
-    slope_c = float(np.polyfit(crossings.reported_d[sel], crossings.unwrapped_phase[sel], 1)[0])
-    assert abs(slope_c / slope_a - 1.0) < 1e-4
-    diff = analytic.unwrapped_phase[sel] - crossings.unwrapped_phase[sel]
-    diff -= diff.mean()
-    assert math.sqrt(float(np.mean(diff ** 2))) < 0.05
-
-
-def _reference_crossing_amplitude(x):
-    """The per-block list comprehension the vectorised amplitude replaced."""
-    signs = np.sign(x)
-    signs[signs == 0] = 1
-    idx = np.nonzero(np.diff(signs) != 0)[0]
-    pos = idx + x[idx] / (x[idx] - x[idx + 1])
-    amp_val = np.array([
-        np.abs(x[int(a):max(int(a) + 1, int(b) + 1)]).max()
-        for a, b in zip(idx[:-1], idx[1:] + 1)
-    ])
-    return np.interp(np.arange(len(x), dtype=float), 0.5 * (pos[:-1] + pos[1:]), amp_val)
-
-
-def _bare_carrier(values):
-    # the crossing path reads only values; the spectrum is that of an identity filter
-    return FilteredCarrier(values=values, valid=np.ones(len(values), dtype=bool),
-                           reported_d=np.arange(len(values)) * SPACING,
-                           spectrum=rfft(values), nfft=len(values), delay=0)
-
-
-@pytest.mark.parametrize("config", ["default", "multilayer"])
-@pytest.mark.parametrize("run", range(4))
-def test_crossing_amplitude_matches_block_loop_on_study_carriers(config, run):
-    cfg = default_config() if config == "default" else load_config(MULTILAYER)
-    carrier = extract_tpi(synthesize(cfg, run), cfg.pipeline.bandpass)
-    _, amplitude = _phase_from_crossings(carrier)
-    assert np.array_equal(amplitude, _reference_crossing_amplitude(carrier.values))
-
-
-def test_crossing_amplitude_matches_block_loop_with_exact_zeros():
-    k = np.arange(400)
-    x = np.round(3.0 * (1.0 + k / 400) * np.sin(2.0 * math.pi * k / 20))
-    x[95:106] = 0.0                          # a run of zeros across a whole half-period
-    assert x[-2] < 0 and x[-1] < 0
-    x[-1] = -9.0                             # beyond the last block: no block may reach it
-    assert np.count_nonzero(x == 0) > 40     # zeros take the signs == 0 branch
-    _, amplitude = _phase_from_crossings(_bare_carrier(x))
-    assert np.array_equal(amplitude, _reference_crossing_amplitude(x))
-
-
-def test_crossing_amplitude_matches_block_loop_with_crossing_at_the_end():
-    k = np.arange(300)
-    x = np.sin(2.0 * math.pi * k / 16 + 0.3)
-    x[-1] = -5.0 * np.sign(x[-2])            # the last crossing sits at n - 2
-    assert np.nonzero(np.diff(np.sign(x)))[0][-1] == len(x) - 2
-    _, amplitude = _phase_from_crossings(_bare_carrier(x))
-    assert np.array_equal(amplitude, _reference_crossing_amplitude(x))
-    assert amplitude[-1] == 5.0              # the last block reaches sample n - 1
-
-
-def test_phase_rejects_unknown_method():
-    trace = carrier_trace(n=20000)
-    carrier = extract_tpi(trace, BANDPASS)
-    with pytest.raises(ConfigError):
-        extract_phase(carrier, method="wavelet")
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +580,7 @@ def _assert_same_bytes(got, want):
 ])
 def test_resample_bit_identical_to_cubic_spline_on_pipeline_records(config, run, grid_step):
     trace = synthesize(config, run)
-    phase = extract_phase(extract_tpi(trace, config.pipeline.bandpass),
-                          method=config.pipeline.phase_method)
+    phase = extract_phase(extract_tpi(trace, config.pipeline.bandpass))
     cal = build_calibration(phase, config.pump)
     record = resample_intensity(trace, cal, grid_step=grid_step)
     want = CubicSpline(cal(trace.reported_d), trace.intensity)(record.positions)

@@ -314,12 +314,27 @@ def test_short_inputs_fail_with_their_length(tmp_path, capsys, monkeypatch, rows
     assert capsys.readouterr().err == (
         f"qolcr: quality failure: trace of {rows} samples shorter than the filter "
         f"edge exclusion of 2 x 1000\n")
-    assert main(["measure", str(record_path), "--output", str(tmp_path / "r.json")]) == 1
+    assert main(["measure", str(record_path), "--output", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == (
-        f"qolcr: invalid configuration: record of {rows} samples too short "
+        f"qolcr: quality failure: record of {rows} samples too short "
         f"to autocorrelate\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "config.json", "run.record.txt", "scan.txt"]
+
+
+def test_measure_on_a_flat_record_is_quality_failure(tmp_path, capsys):
+    # a record with no fringes fails as the data's fault, as calibrate's
+    # checks on a trace do, not as a configuration error
+    config = load_config(config_file(tmp_path))
+    record_path = tmp_path / "flat.record.txt"
+    tracefile.write_calibrated_record(CalibratedRecord(positions=np.arange(4000) * 5e-9,
+                                                       intensity=np.full(4000, 7.0),
+                                                       grid_step=5e-9),
+                                      record_path, config=config)
+    capsys.readouterr()
+    assert main(["measure", str(record_path), "--output", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "qolcr: quality failure: record has zero variance\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_measure_rejects_non_finite_record(artifact_chain, tmp_path, capsys):
@@ -448,8 +463,7 @@ def test_invalid_embedded_config_names_its_file(artifact_chain, tmp_path, capsys
                                                 command, artifact):
     lines, payload = split_table(artifact_chain / artifact)
     index = next(i for i, l in enumerate(lines) if l.startswith("# config "))
-    lines[index] = lines[index].replace('"phase_method": "analytic"',
-                                        '"phase_method": "analytik"')
+    lines[index] = lines[index].replace('"expected_peaks": 1', '"expected_peaks": 0')
     broken = tmp_path / artifact
     broken.write_bytes(("\n".join(lines) + "\n").encode() + payload)
     out = tmp_path / "out"
@@ -457,11 +471,28 @@ def test_invalid_embedded_config_names_its_file(artifact_chain, tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"qolcr: invalid configuration: the config embedded in {broken} "
-                          "is invalid (pipeline.phase_method must be 'analytic' or "
-                          "'crossings'); --config overrides it")
+                          "is invalid (pipeline.expected_peaks must be at least 1); "
+                          "--config overrides it")
     assert list(tmp_path.iterdir()) == [broken]
     bundled = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     assert main([command, str(broken), "--config", str(bundled), "--output", str(out)]) == 0
+
+
+def test_trace_naming_the_retired_config_fields_calibrates(artifact_chain, tmp_path):
+    # tables written before spectrum.total_power and pipeline.phase_method were
+    # removed name both in their '# config'; the fields are read and dropped
+    lines, payload = split_table(artifact_chain / "scan.txt")
+    index = next(i for i, l in enumerate(lines) if l.startswith("# config "))
+    raw = json.loads(lines[index][len("# config "):])
+    raw["spectrum"]["total_power"] = 1.0e6
+    raw["pipeline"]["phase_method"] = "crossings"
+    lines[index] = "# config " + json.dumps(raw, sort_keys=True)
+    old = tmp_path / "old.txt"
+    old.write_bytes(("\n".join(lines) + "\n").encode() + payload)
+    assert main(["calibrate", str(old), "--output", str(tmp_path / "old")]) == 0
+    for suffix in ("calibration.txt", "record.txt"):
+        assert ((tmp_path / f"old.{suffix}").read_bytes()
+                == (artifact_chain / f"cal.{suffix}").read_bytes()), suffix
 
 
 def test_usage_errors_exit_1():

@@ -56,6 +56,19 @@ def test_load_config_round_trips_effective_dict(tmp_path):
     assert again.master_seed == cfg.master_seed
 
 
+def test_retired_fields_are_read_and_dropped():
+    # spectrum.total_power and pipeline.phase_method select nothing any more;
+    # configs and table headers written before their removal still load
+    old = tweaked(spectrum={"total_power": 1.0e6}, pipeline={"phase_method": "crossings"})
+    assert parse_config(old).to_json() == default_config().to_json()
+    # the benchmark's three-surface config names both, with crossings
+    multilayer_path = Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"
+    multilayer = json.loads(multilayer_path.read_text())
+    multilayer["spectrum"].pop("total_power", None)
+    multilayer["pipeline"].pop("phase_method", None)
+    assert load_config(multilayer_path).to_json() == parse_config(multilayer).to_json()
+
+
 def test_invalid_json_raises_config_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -68,7 +81,8 @@ def test_invalid_json_raises_config_error(tmp_path):
     (tweaked(stage={"unknown_knob": 1.0}), "unknown_knob"),
     (tweaked(spectrum={"bandwidth_fwhm_nm": 0.0}), "spectrum.bandwidth_fwhm_nm"),
     (tweaked(scan={"stop_um": 0.0}), "scan.stop_um"),
-    (tweaked(pipeline={"phase_method": "wavelet"}), "phase_method"),
+    # a retired field is dropped only from its own section
+    (tweaked(stage={"phase_method": "analytic"}), "phase_method"),
     (tweaked(pipeline={"filter_num_taps": 10}), "filter_num_taps"),
     (tweaked(seeds={"master": -3}), "seeds.master"),
     (tweaked(noise={"singles_scale": True}), "noise.singles_scale"),

@@ -25,7 +25,7 @@ from qolcr.calibration import (
 from qolcr.config import DEFAULT_CONFIG, default_config, load_config, parse_config
 from qolcr.experiments import calibrate_trace, synthesize
 from qolcr.experiments import run_pipeline as run_seeded
-from qolcr.errors import ConfigError, PeakCountError, PeakFitError
+from qolcr.errors import ConfigError, PeakCountError, PeakFitError, PipelineQualityError
 from qolcr.measure import (
     MIN_OVERLAP,
     Autocorrelogram,
@@ -179,14 +179,15 @@ def test_autocorrelate_rejects_short_and_flat_records():
         intensity=np.sin(np.arange(64.0)),
         grid_step=GRID,
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(PipelineQualityError,
+                       match="^record of 64 samples too short to autocorrelate$"):
         autocorrelate(short)
     flat = CalibratedRecord(
         positions=np.arange(1024) * GRID,
         intensity=np.full(1024, 7.0),
         grid_step=GRID,
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(PipelineQualityError, match="^record has zero variance$"):
         autocorrelate(flat)
 
 
@@ -196,7 +197,7 @@ def test_autocorrelate_rejects_non_finite_intensity(bad):
     # malformed zero-lag cluster; pyproject.toml turns any warning into an error
     record = synthetic_record()
     record.intensity[100] = bad
-    with pytest.raises(ConfigError, match="non-finite intensity"):
+    with pytest.raises(PipelineQualityError, match="^record holds non-finite intensity samples$"):
         autocorrelate(record)
 
 
