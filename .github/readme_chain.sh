@@ -22,6 +22,11 @@
 #   ledger with each step's fringe-order flag as `outlier`;
 #   rep.separations.txt, lin.measured.txt, lin.deviations.txt their
 #   plot data.
+# Only what is read downstream of resampling moved when the resampler took
+# Bessel slopes instead of the not-a-knot solve: the record, report and
+# results sums. The trace sums (scan.txt, ml.txt, nf.txt, cs.txt) and
+# every *.calibration.txt sum were kept, as proof that synthesis and the
+# calibration map did not move.
 # The table sums are of table format version 2, whose columns are
 # binary float64 after a text header. A trace holds the three recorded
 # channels; its noise-free truth stays in memory. The reports hold no
@@ -65,22 +70,22 @@ sha256sum -c - <<'EOF'
 d0d9fa5683581a1e62ce20ca8ef8df28cdd41203c17d85b21ffcfccf269aaf5c  scan.txt
 36f62b28aff3bb2f9834e93bb1020dc329036f85dbf4e63867003e327028c77b  ml.txt
 8d62b12f069b342ea57b5e79f35121353aacba85548c49ae098ed187df2b8111  ml.calibration.txt
-b8de73e11c4e7722e9e962b9c0e6dbdfdff9060bbb2d95ec239fb7e051cd6570  ml.record.txt
+df7dd0325ed2951c4b01c7b4c62609778f62dc3b952b89cad6aa1cbb41a84256  ml.record.txt
 0372c2100b9c32999bfaec72efd069920f6a4630c9b20611842f573590df3f42  run1.calibration.txt
-d7a9856c1f9e8caaccf8cc0e2a36616df00deac79524ad4e56c29ced1467f32d  run1.record.txt
-d83e4fc80d2bc3d02864d98b40c7cc46f910722a287941350d98a41e0b6ffaea  report.json
-3142ad0853a297b3c7831bf387aa6522eedafce95f4ea22b030495a891d86801  ml.report.json
-1b2221f97b5ca00edfe480e05955b0c8d411c2f93dc429f6946ed841662fafad  rep.results.json
-348f9db1e7e9c15082639dffe19256d778272fc73c6d5f338d74051258d71362  rep.separations.txt
-ef93cd1a2be154ca2e5a589d04eaa0d0caeadc359d2f4601110c5821c130e6e4  lin.results.json
-05a2b2d454a5a8f80686d16126c4c847a2ad383bdccce3bde457ec132a777bdd  lin.measured.txt
-bf0abe79f2d69a4d5057b6317d7b2a8c6b7d890f42e02934dc9bfbf313bcb5b2  lin.deviations.txt
+7ea2115101830d170d773ef3c27489bf785bec746ea1084d24fa39f001590063  run1.record.txt
+35b261366b422f8b552b8a34b0ce4a8cdd37098678f7294669161615022bea8c  report.json
+a4a63fe19b72270eb641fe6c9dd162e2096f0472a6be4920fd7b8228eaf2523c  ml.report.json
+f5b7c4f6d765128f20a5151df3073e40265d58086f14a70971ac53475e5c9f10  rep.results.json
+60a6bcf9bb576de788d9643e6121423c1fc3970962d75b352f5dfcb4ff0619c9  rep.separations.txt
+2a4e6067e4f084a66a9be20d94111f6f0e4c8117d63432056df9cea4b4fa0b5e  lin.results.json
+a53b2d6fc0316a763724db1aa05b3b539e90a9dc71cdddc8b4df966b4468b8ba  lin.measured.txt
+0e6badc0e266559bd24822f42b98d00b7e9b39ca994190c9179db2a66f349cc8  lin.deviations.txt
 cc9502b8d53f646f745476e172975acad19e476118bcef18bc3b7e28b6bb9587  nf.txt
 011413b3521ef31ebdf4ecef364b6fe1aa7cd48a12f644de8372750652677e1b  nf.calibration.txt
-8229e4ce876968c44c74844346a8e67de1330a15ccf11dbb208bc48a1bcda6a8  nf.record.txt
-07913c40177f3e1a1c7c2389e6c530d715f8b750d248ff06ce2f212ba1edb46d  nf.report.json
+80d5cca71c4ad371ddea89c9ff27e978c4448f763315870abfcd18013da7238f  nf.record.txt
+1d46f41e66b7f1be668147db4fade39da16e0de547ec6ef09546ee2e62e806cd  nf.report.json
 177f97d6ac75375dd5d8866fa0986e8d32c052acdf4c12c4c6a337fc4365a1df  cs.txt
-277506dd887e87d18c53ef5be48433ff630618895d088acda537c9541a9029f4  fs.record.txt
-07d58338910afeba967a16cdb26142d895e20d8439c16839d7ec306e86d301ab  fs.report.json
-dbcab46f97694621d80bebcb593d06ff30181ce809f2d91543206c8363e8f0ae  repf.results.json
+fe10193f5bbf4eb278fbab987dc82d1ab58d6b82d40c7f1d6af4b3d3fc4a9ed9  fs.record.txt
+501bd1f5d00a7ff075cb293ba0148f68d65e6408eba3c74fd2d6849ce185f510  fs.report.json
+856aa4d4a5a44c1f13cc3cf9a6fea81e4d067f06475ecc628b215020b18436fe  repf.results.json
 EOF

@@ -308,30 +308,24 @@ class CalibratedRecord:
         return len(self.positions)
 
 
-def _not_a_knot_spline(x: np.ndarray, dx: np.ndarray, y: np.ndarray,
-                       grid: np.ndarray) -> np.ndarray:
-    """CubicSpline(x, y)(grid) bit for bit, for n >= 4 finite knots x with normal steps dx.
+def _bessel_hermite(x: np.ndarray, dx: np.ndarray, y: np.ndarray,
+                    grid: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of (x, y) with Bessel slopes, evaluated on grid,
+    for n >= 3 finite knots x with normal steps dx.
 
-    The knot slopes s solve CubicSpline's not-a-knot system by the LAPACK gtsv
-    that solve_banded((1, 1), ...) calls; on [x_i, x_i+1) PPoly sums
-    ((y + s u) + c1 u^2) + c0 u^3 in u = grid - x_i (CubicHermiteSpline's c0, c1).
+    The slope at a knot is the derivative there of the parabola through it and
+    its two neighbours; at each end, of the end parabola (the values of
+    np.gradient(y, x, edge_order=2)). On [x_i, x_i+1) PPoly sums
+    ((y + s u) + c1 u^2) + c0 u^3 in u = grid - x_i, so the result is
+    CubicHermiteSpline(x, y, s)(grid) bit for bit.
     """
-    from scipy.linalg.lapack import dgtsv  # loaded on first use
     out = np.empty_like(grid)       # first, so the temporaries below free as one block
     slope = np.diff(y)
     slope /= dx
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    rhs = np.concatenate((
-        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]))
-    s, info = dgtsv(np.concatenate((dx[1:], [d1])),
-                    np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])),
-                    np.concatenate(([d0], dx[:-1])), rhs, 1, 1, 1, 1)[3:]
-    if info:
-        raise CalibrationQualityError(
-            f"spline slope system singular (LAPACK gtsv info {info}); "
-            "calibrated sample positions too close to resolve")
+    s = np.empty_like(y)
+    s[1:-1] = (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]) / (dx[:-1] + dx[1:])
+    s[0] = ((2 * dx[0] + dx[1]) * slope[0] - dx[0] * slope[1]) / (dx[0] + dx[1])
+    s[-1] = ((2 * dx[-1] + dx[-2]) * slope[-1] - dx[-1] * slope[-2]) / (dx[-2] + dx[-1])
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c1 = (slope - s[:-1]) / dx - t
     c0 = np.divide(t, dx, out=t)
@@ -359,9 +353,9 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     """Cubic resampling of the intensity onto a uniform calibrated grid.
 
     Every intensity sample is placed at its calibrated position (linear
-    extrapolation of the map covers the filter-excluded edges) and the
-    not-a-knot cubic spline through those points is evaluated on a uniform
-    grid. Returns the record with no metadata and quality
+    extrapolation of the map covers the filter-excluded edges) and the cubic
+    Hermite interpolant through those points, with Bessel slopes (local
+    parabolas, no global solve), is evaluated on a uniform grid. Returns the record with no metadata and quality
     {extrapolated_fraction}, the share of samples outside the map's domain.
     """
     if grid_step is None:
@@ -386,6 +380,6 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     if last - first < 15:
         raise CalibrationQualityError("calibrated span too short to resample")
     grid = np.arange(first, last + 1) * grid_step
-    values = _not_a_knot_spline(positions, dx, trace.intensity, grid)
+    values = _bessel_hermite(positions, dx, trace.intensity, grid)
     return CalibratedRecord(positions=grid, intensity=values, grid_step=float(grid_step),
                             quality={"extrapolated_fraction": extrapolated})

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfft, next_fast_len
-from scipy.interpolate import CubicSpline  # the oracle of the resampling spline
+from scipy.interpolate import CubicHermiteSpline  # the oracle of the resampling interpolant
 from scipy.signal import fftconvolve, hilbert
 
 from qolcr.calibration import (
@@ -19,8 +19,8 @@ from qolcr.calibration import (
     FilteredCarrier,
     PhaseTrace,
     _filtered_spectrum,
+    _bessel_hermite,
     _kernel_spectrum,
-    _not_a_knot_spline,
     _quadrature,
     _unwrap,
     build_calibration,
@@ -570,6 +570,22 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _bessel_slopes(x, y):
+    # the derivative at each knot of the parabola through it and its two
+    # neighbours, and at each end of the end parabola
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    s = np.empty_like(y)
+    s[1:-1] = (dx[1:] * m[:-1] + dx[:-1] * m[1:]) / (dx[:-1] + dx[1:])
+    s[0] = ((2 * dx[0] + dx[1]) * m[0] - dx[0] * m[1]) / (dx[0] + dx[1])
+    s[-1] = ((2 * dx[-1] + dx[-2]) * m[-1] - dx[-1] * m[-2]) / (dx[-2] + dx[-1])
+    return s
+
+
+def _oracle(x, y, grid):
+    return CubicHermiteSpline(x, y, _bessel_slopes(x, y))(grid)
+
+
 @pytest.mark.parametrize("config, run, grid_step", [
     (default_config(), 0, None),
     (default_config(), 1, None),
@@ -583,16 +599,20 @@ def test_resample_bit_identical_to_cubic_spline_on_pipeline_records(config, run,
     phase = extract_phase(extract_tpi(trace, config.pipeline.bandpass))
     cal = build_calibration(phase, config.pump)
     record = resample_intensity(trace, cal, grid_step=grid_step)
-    want = CubicSpline(cal(trace.reported_d), trace.intensity)(record.positions)
+    want = _oracle(cal(trace.reported_d), trace.intensity, record.positions)
     _assert_same_bytes(record.intensity, want)
+
+
+def _random_knots(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    x = 1e-4 * rng.normal() + np.cumsum(rng.uniform(1e-9, 2e-8, n))
+    return x, rng.normal(1000.0, 300.0, n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 3001])
 @pytest.mark.parametrize("seed", range(3))
-def test_not_a_knot_spline_bit_identical_to_cubic_spline_on_random_knots(n, seed):
-    rng = np.random.default_rng(1000 * n + seed)
-    x = 1e-4 * rng.normal() + np.cumsum(rng.uniform(1e-9, 2e-8, n))
-    y = rng.normal(1000.0, 300.0, n)
+def test_bessel_hermite_bit_identical_to_cubic_hermite_on_random_knots(n, seed):
+    x, y = _random_knots(n, seed)
     step = (x[-1] - x[0]) / (2 * n + 7)
     grid = np.concatenate((
         x,                                            # on every knot, both ends included
@@ -601,16 +621,39 @@ def test_not_a_knot_spline_bit_identical_to_cubic_spline_on_random_knots(n, seed
         np.arange(math.ceil(x[0] / step), math.floor(x[-1] / step) + 1) * step,
     ))
     grid.sort()
-    _assert_same_bytes(_not_a_knot_spline(x, np.diff(x), y, grid), CubicSpline(x, y)(grid))
+    _assert_same_bytes(_bessel_hermite(x, np.diff(x), y, grid), _oracle(x, y, grid))
 
 
-def test_not_a_knot_spline_sums_from_zero_as_ppoly_does():
+def test_bessel_hermite_sums_from_zero_as_ppoly_does():
     # every term at knot 0 is -0.0; PPoly's 0.0 + ... makes the value +0.0
     x = np.arange(5.0)
     y = np.array([-0.0, -0.2, -0.8, -1.5, 0.0])
-    want = CubicSpline(x, y)(x)
+    want = _oracle(x, y, x)
     assert not np.signbit(want[0])
-    _assert_same_bytes(_not_a_knot_spline(x, np.diff(x), y, x), want)
+    _assert_same_bytes(_bessel_hermite(x, np.diff(x), y, x), want)
+
+
+def test_bessel_slopes_are_numpys_second_order_gradient():
+    # the same parabola derivatives by other arithmetic: np.gradient weights the
+    # values, not their differences, so the two differ by rounding alone; the
+    # bound, 64 eps of the largest slope, was fixed before the first run
+    trace = synthesize(default_config(), 0)
+    cal = build_calibration(extract_phase(extract_tpi(trace, BANDPASS)), PUMP)
+    cases = [_random_knots(n, seed) for n in (3, 4, 5, 3001) for seed in range(3)]
+    for x, y in cases + [(cal(trace.reported_d), trace.intensity)]:
+        s = _bessel_slopes(x, y)
+        tol = 64 * np.finfo(float).eps * np.abs(s).max()
+        assert np.abs(s - np.gradient(y, x, edge_order=2)).max() <= tol
+
+
+def test_bessel_hermite_reproduces_a_quadratic_on_non_uniform_knots():
+    # each knot's parabola is the quadratic itself, so slopes and cubic are exact
+    rng = np.random.default_rng(29)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    quadratic = np.polynomial.Polynomial([3.0, -2.0, 0.5])
+    grid = np.linspace(x[0], x[-1], 997)
+    got = _bessel_hermite(x, np.diff(x), quadratic(x), grid)
+    assert np.abs(got - quadratic(grid)).max() <= 64 * np.finfo(float).eps * np.abs(quadratic(x)).max()
 
 
 def _identity_map(start, stop):
@@ -650,13 +693,3 @@ def test_resample_rejects_subnormal_position_steps():
     d[1] = d[0] + 5e-324
     with pytest.raises(CalibrationQualityError, match="not increasing by a normal step"):
         resample_intensity(_bare_trace(d, np.full(100, 1000.0)), _identity_map(0.0, 1e-6))
-
-
-def test_not_a_knot_spline_reports_a_singular_slope_system():
-    # spacings 180 decades apart: gtsv's elimination meets an exact zero pivot
-    x = np.array([0.0, 8.616615443758085e-112, 8.616615443758087e-112, 2.9677676711576695e+71])
-    y = np.ones(4)
-    with pytest.raises(np.linalg.LinAlgError):
-        CubicSpline(x, y)
-    with pytest.raises(CalibrationQualityError, match="singular"):
-        _not_a_knot_spline(x, np.diff(x), y, x)

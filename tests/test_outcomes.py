@@ -96,3 +96,10 @@ def test_no_silent_run_and_every_failure_is_a_qolcr_error(cell):
                           "residual sigma, not an error estimate")
 def test_default_cell_is_within_two_sigma():
     assert len(outcomes("default")["within"]) >= 9
+
+
+def test_ss250_cell_has_no_failed_run():
+    # at a twentieth of the default singles counts every run still finds its
+    # zero-lag half-width and a concave envelope vertex: the resampler passes
+    # too little sample-to-sample counting noise to swamp either
+    assert outcomes("ss250")["failed"] == []
