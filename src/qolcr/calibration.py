@@ -354,8 +354,8 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
 
     Every intensity sample is placed at its calibrated position (linear
     extrapolation of the map covers the filter-excluded edges) and the cubic
-    Hermite interpolant through those points, with Bessel slopes (local
-    parabolas, no global solve), is evaluated on a uniform grid. Returns the record with no metadata and quality
+    Hermite interpolant with Bessel slopes through those points is evaluated
+    on a uniform grid. Returns the record with no metadata and quality
     {extrapolated_fraction}, the share of samples outside the map's domain.
     """
     if grid_step is None:

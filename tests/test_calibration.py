@@ -18,8 +18,8 @@ from qolcr.calibration import (
     CalibrationMap,
     FilteredCarrier,
     PhaseTrace,
-    _filtered_spectrum,
     _bessel_hermite,
+    _filtered_spectrum,
     _kernel_spectrum,
     _quadrature,
     _unwrap,
@@ -653,7 +653,8 @@ def test_bessel_hermite_reproduces_a_quadratic_on_non_uniform_knots():
     quadratic = np.polynomial.Polynomial([3.0, -2.0, 0.5])
     grid = np.linspace(x[0], x[-1], 997)
     got = _bessel_hermite(x, np.diff(x), quadratic(x), grid)
-    assert np.abs(got - quadratic(grid)).max() <= 64 * np.finfo(float).eps * np.abs(quadratic(x)).max()
+    tol = 64 * np.finfo(float).eps * np.abs(quadratic(x)).max()
+    assert np.abs(got - quadratic(grid)).max() <= tol
 
 
 def _identity_map(start, stop):
