@@ -22,17 +22,8 @@
 #   ledger with each step's fringe-order flag as `outlier`;
 #   rep.separations.txt, lin.measured.txt, lin.deviations.txt their
 #   plot data.
-# Only what is read downstream of resampling moved when the resampler took
-# Bessel slopes instead of the not-a-knot solve: the record, report and
-# results sums. The trace sums (scan.txt, ml.txt, nf.txt, cs.txt) and
-# every *.calibration.txt sum were kept, as proof that synthesis and the
-# calibration map did not move.
-# The table sums are of table format version 2, whose columns are
-# binary float64 after a text header. A trace holds the three recorded
-# channels; its noise-free truth stays in memory. The reports hold no
-# peak count and no copy of separation_m. A trace's `# metadata` holds
-# the seeds and the Poisson switch, and a record's `# quality` holds no
-# copy of `# grid_step`, and no table's `# config` names a retired field.
+# The table sums are of table format version 2: a text header, then
+# binary float64 columns.
 #
 # Run it from any directory: bash .github/readme_chain.sh
 # It finds the repository from its own path, runs the chain in a temporary

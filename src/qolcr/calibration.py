@@ -111,14 +111,11 @@ def zero_phase_apply(taps: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FilteredCarrier:
-    """Band-passed coincidence trace with its edge-validity mask and spectrum."""
+    """Band-passed coincidence trace as its analytic signal values + i quadrature."""
 
-    values: np.ndarray           # irfft(spectrum, nfft)[delay:delay + n]
-    valid: np.ndarray            # False within half a filter length of the ends
-    reported_d: np.ndarray
-    spectrum: np.ndarray         # the full convolution's rfft, kept for the quadrature
-    nfft: int
-    delay: int                   # the filter's group delay in samples
+    values: np.ndarray           # irfft(S, nfft)[delay:delay + n], S the convolution's rfft
+    quadrature: np.ndarray       # the Hilbert transform of irfft(S, nfft), sliced alike
+    delay: int                   # the filter's group delay: this many edge samples per end
 
 
 def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
@@ -138,22 +135,19 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
         raise CalibrationQualityError("trace holds non-finite reported positions")
     x = trace.coincidence - trace.coincidence.mean()
     spectrum, nfft = _filtered_spectrum(design_bandpass(spec, trace.spacing), x)
-    valid = np.zeros(n, dtype=bool)
-    valid[half:n - half] = True
-    return FilteredCarrier(values=irfft(spectrum, nfft)[half:half + n], valid=valid,
-                           reported_d=trace.reported_d, spectrum=spectrum, nfft=nfft, delay=half)
+    return FilteredCarrier(values=irfft(spectrum, nfft)[half:half + n],
+                           quadrature=_quadrature(spectrum, nfft, half, n), delay=half)
 
 
-def _quadrature(carrier: FilteredCarrier) -> np.ndarray:
-    """Hilbert transform of the full convolution, sliced as `values`: the imaginary
-    part of the analytic signal (Marple, IEEE TSP 47(9), 1999) by one inverse real
-    FFT of -i times the spectrum, with DC and (for even nfft) Nyquist zeroed."""
-    rotated = carrier.spectrum * -1j
+def _quadrature(spectrum: np.ndarray, nfft: int, delay: int, n: int) -> np.ndarray:
+    """Hilbert transform of irfft(spectrum, nfft), sliced to [delay, delay + n): the
+    imaginary part of the analytic signal (Marple, IEEE TSP 47(9), 1999) by one
+    inverse real FFT of -i times the spectrum, with DC and (for even nfft) Nyquist zeroed."""
+    rotated = spectrum * -1j
     rotated[0] = 0.0
-    if carrier.nfft % 2 == 0:
+    if nfft % 2 == 0:
         rotated[-1] = 0.0
-    start = carrier.delay
-    return irfft(rotated, carrier.nfft, overwrite_x=True)[start:start + len(carrier.values)]
+    return irfft(rotated, nfft, overwrite_x=True)[delay:delay + n]
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:
@@ -171,35 +165,34 @@ def _unwrap(phase: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PhaseTrace:
-    """Unwrapped carrier phase with amplitude and a quality mask."""
+    """Unwrapped carrier phase with its quality mask."""
 
     unwrapped_phase: np.ndarray
-    amplitude: np.ndarray
     quality_mask: np.ndarray     # True where the phase is trustworthy; False in the filter edges
-    reported_d: np.ndarray
 
 
 def extract_phase(carrier: FilteredCarrier) -> PhaseTrace:
     """Per-sample carrier phase, unwrapped so adjacent steps stay in (-pi, pi].
 
-    Both phase and amplitude come from the analytic signal values + i _quadrature(carrier).
-    Samples with amplitude below AMPLITUDE_FLOOR_RATIO times the median are
-    masked; more than MAX_BAD_FRACTION of masked valid samples is an error.
+    Phase and amplitude come from the analytic signal values + i quadrature. The
+    `delay` edge samples at each end are masked, and so are filter-valid samples
+    below AMPLITUDE_FLOOR_RATIO times their median amplitude; more than
+    MAX_BAD_FRACTION of the valid samples masked is an error.
     """
-    quad = _quadrature(carrier)
-    amplitude = np.hypot(carrier.values, quad)
-    phase = _unwrap(np.arctan2(quad, carrier.values))
+    amplitude = np.hypot(carrier.values, carrier.quadrature)
+    phase = _unwrap(np.arctan2(carrier.quadrature, carrier.values))
 
-    floor = AMPLITUDE_FLOOR_RATIO * float(np.median(amplitude[carrier.valid]))
-    mask = carrier.valid & (amplitude >= floor)
-    bad = 1.0 - mask[carrier.valid].mean()
+    valid = slice(carrier.delay, len(amplitude) - carrier.delay)
+    floor = AMPLITUDE_FLOOR_RATIO * float(np.median(amplitude[valid]))
+    mask = np.zeros(len(amplitude), dtype=bool)
+    mask[valid] = amplitude[valid] >= floor
+    bad = 1.0 - mask[valid].mean()
     if bad > MAX_BAD_FRACTION:
         raise CalibrationQualityError(
             f"carrier amplitude below floor over {bad:.1%} of the scan "
             f"(allowed {MAX_BAD_FRACTION:.0%}); weak pair-interference signal"
         )
-    return PhaseTrace(unwrapped_phase=phase, amplitude=amplitude, quality_mask=mask,
-                      reported_d=carrier.reported_d)
+    return PhaseTrace(unwrapped_phase=phase, quality_mask=mask)
 
 
 @dataclass
@@ -261,27 +254,31 @@ class CalibrationMap:
         return y
 
 
-def build_calibration(phase: PhaseTrace, pump: PumpReference) -> CalibrationMap:
+def build_calibration(phase: PhaseTrace, reported_d: np.ndarray,
+                      pump: PumpReference) -> CalibrationMap:
     """Scale the unwrapped phase to positions and anchor at the scan midpoint.
 
     One full carrier period corresponds to lambda_p / 2 of travel, so
     d = phi * lambda_p / (4 pi) + anchor with the anchor chosen to make the
-    calibrated and reported scales agree at the midpoint sample.
+    calibrated and reported scales agree at the midpoint sample; reported_d
+    is the trace's axis, one position per phase sample.
     """
     mask = phase.quality_mask
+    if len(reported_d) != len(mask):
+        raise ConfigError("phase and reported axis must match in length")
     idx = np.nonzero(mask)[0]
     if len(idx) < 16:
         raise CalibrationQualityError("too few valid phase samples to calibrate")
     scale = pump.wavelength / (4.0 * math.pi)
     phi = phase.unwrapped_phase[idx]
-    dprime = phase.reported_d[idx]
-    mid = idx[int(np.argmin(np.abs(idx - len(phase.reported_d) // 2)))]
-    anchor = phase.reported_d[mid] - phase.unwrapped_phase[mid] * scale
+    dprime = reported_d[idx]
+    mid = idx[int(np.argmin(np.abs(idx - len(reported_d) // 2)))]
+    anchor = reported_d[mid] - phase.unwrapped_phase[mid] * scale
     calibrated = phi * scale + anchor
     quality = {
         "n_knots": int(len(idx)),
         "valid_fraction": float(len(idx) / len(mask)),
-        "anchor_reported_d": float(phase.reported_d[mid]),
+        "anchor_reported_d": float(reported_d[mid]),
         "rms_correction": float(np.sqrt(np.mean((calibrated - dprime) ** 2))),
         "max_abs_correction": float(np.abs(calibrated - dprime).max()),
     }
@@ -362,8 +359,9 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
         grid_step = trace.spacing
     if not 0 < grid_step < math.inf:
         raise ConfigError(f"grid step must be a finite positive number, got {grid_step}")
-    if trace.n_samples < 4:
-        raise CalibrationQualityError(f"trace of {trace.n_samples} samples; the spline needs 4")
+    if trace.n_samples < 3:
+        raise CalibrationQualityError(
+            f"trace of {trace.n_samples} samples; the interpolant needs 3")
     if not np.isfinite(trace.intensity).all():
         raise CalibrationQualityError("intensity channel holds non-finite samples")
     positions = calibration(trace.reported_d)

@@ -59,9 +59,6 @@ DEFAULT_CONFIG = {
 # fields of earlier versions, read and dropped so their configs and table headers still load
 _RETIRED_FIELDS = {"spectrum": {"total_power"}, "pipeline": {"phase_method"}}
 
-# model-unit spectral power: counts are rates over a baseline, so it cancels (1e6 keeps every bit)
-MODEL_POWER = 1.0e6
-
 
 @dataclass(frozen=True)
 class PipelineParams:
@@ -186,9 +183,7 @@ def parse_config(raw: dict) -> RunConfig:
     spec_raw = _section(raw, "spectrum", DEFAULT_CONFIG["spectrum"])
     spectrum = Spectrum.from_wavelength(
         _number(spec_raw, "spectrum", "center_wavelength_nm", positive=True) * 1e-9,
-        _number(spec_raw, "spectrum", "bandwidth_fwhm_nm", positive=True) * 1e-9,
-        MODEL_POWER,
-    )
+        _number(spec_raw, "spectrum", "bandwidth_fwhm_nm", positive=True) * 1e-9)
 
     pump_raw = _section(raw, "pump", DEFAULT_CONFIG["pump"])
     pump = PumpReference(

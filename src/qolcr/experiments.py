@@ -38,7 +38,7 @@ def calibrate_trace(config: RunConfig, trace: ScanTrace) -> tuple[CalibrationMap
     """Carrier calibration and resampling; the record carries the run's provenance."""
     # nested: the carrier and its phase are freed before resampling's temporaries
     calibration = build_calibration(
-        extract_phase(extract_tpi(trace, config.pipeline.bandpass)), config.pump)
+        extract_phase(extract_tpi(trace, config.pipeline.bandpass)), trace.reported_d, config.pump)
     record = resample_intensity(trace, calibration, grid_step=config.pipeline.grid_step)
     record.metadata, record.quality = {**trace.metadata}, {**calibration.quality, **record.quality}
     return calibration, record

@@ -62,7 +62,6 @@ class Autocorrelogram:
     lags, the conjugate mirror, are not stored.
     """
 
-    lags: np.ndarray          # k * grid_step for k = 0 .. len - 1, meters
     analytic: np.ndarray      # complex, analytic[0] == 1
     grid_step: float
     envelope: np.ndarray = field(init=False, repr=False)  # |analytic|, set once
@@ -70,8 +69,6 @@ class Autocorrelogram:
     def __post_init__(self):
         if not np.iscomplexobj(self.analytic):
             raise ConfigError("autocorrelogram must hold the complex analytic signal")
-        if len(self.lags) != len(self.analytic):
-            raise ConfigError("autocorrelogram arrays must match in length")
         if abs(self.analytic[0] - 1.0) > 1e-12:
             raise ConfigError("autocorrelogram must be normalized to A(0) = 1")
         self.envelope = np.abs(self.analytic)
@@ -83,9 +80,15 @@ class Autocorrelogram:
         """The real autocorrelation A(k)."""
         return self.analytic.real
 
+    @property
+    def lags(self) -> np.ndarray:
+        """k * grid_step for k = 0 .. len - 1, meters."""
+        return np.arange(len(self.analytic)) * self.grid_step
+
     def window(self, center: float, halfwidth: float) -> slice:
-        lo = int(np.searchsorted(self.lags, center - halfwidth, side="left"))
-        hi = int(np.searchsorted(self.lags, center + halfwidth, side="right"))
+        lags = self.lags
+        lo = int(np.searchsorted(lags, center - halfwidth, side="left"))
+        hi = int(np.searchsorted(lags, center + halfwidth, side="right"))
         return slice(lo, hi)
 
 
@@ -124,8 +127,7 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
         raise PipelineQualityError("record has zero variance")
     analytic /= analytic[0].real
     analytic[0] = 1.0
-    return Autocorrelogram(lags=np.arange(k_cap + 1) * record.grid_step, analytic=analytic,
-                           grid_step=record.grid_step)
+    return Autocorrelogram(analytic=analytic, grid_step=record.grid_step)
 
 
 def parabolic_peak_fit(positions, values):

@@ -30,6 +30,9 @@ _FWHM_PER_SIGMA = math.sqrt(8.0 * math.log(2.0))
 # relative tolerance on omega_p = 2 omega0 for degenerate down-conversion
 DEGENERACY_REL_TOL = 1e-6
 
+# S0, the spectral power in model units: counts are rates over a baseline, so it cancels
+SPECTRAL_POWER = 1.0e6
+
 
 @dataclass(frozen=True)
 class Surface:
@@ -99,21 +102,19 @@ class Spectrum:
 
     S(Omega) = S0 / (sigma sqrt(2 pi)) * exp(-Omega^2 / (2 sigma^2)) where
     Omega is the detuning from center_frequency and the density integrates
-    to total_power.
+    to SPECTRAL_POWER.
     """
 
     center_frequency: float  # omega0 in rad/s
     fwhm: float              # full width at half maximum of S, rad/s
-    total_power: float       # S0, sets the overall rate scale
 
     def __post_init__(self):
-        for name in ("center_frequency", "fwhm", "total_power"):
+        for name in ("center_frequency", "fwhm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"spectrum {name} must be positive")
 
     @classmethod
-    def from_wavelength(cls, center_wavelength: float, bandwidth: float,
-                        total_power: float = 1.0) -> "Spectrum":
+    def from_wavelength(cls, center_wavelength: float, bandwidth: float) -> "Spectrum":
         """Construct from a center wavelength and a FWHM wavelength bandwidth.
 
         The frequency width follows from d(omega)/d(lambda) at the center:
@@ -123,7 +124,7 @@ class Spectrum:
             raise ValueError("wavelengths must be positive")
         omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / center_wavelength
         fwhm = 2.0 * math.pi * SPEED_OF_LIGHT * bandwidth / center_wavelength ** 2
-        return cls(omega0, fwhm, total_power)
+        return cls(omega0, fwhm)
 
     @property
     def sigma(self) -> float:
@@ -250,7 +251,7 @@ def spectrum_density(spectrum: Spectrum, detuning):
     """Spectral density S(Omega) at detuning Omega from the center frequency."""
     det = np.asarray(detuning, dtype=float)
     sig = spectrum.sigma
-    norm = spectrum.total_power / (sig * math.sqrt(2.0 * math.pi))
+    norm = SPECTRAL_POWER / (sig * math.sqrt(2.0 * math.pi))
     return norm * np.exp(-0.5 * (det / sig) ** 2)
 
 
@@ -263,7 +264,7 @@ def coherence_envelope(spectrum: Spectrum, tau):
     """
     tau = np.asarray(tau, dtype=float)
     sig = spectrum.sigma
-    return spectrum.total_power / (2.0 * math.pi) * np.exp(-0.5 * (sig * tau) ** 2)
+    return SPECTRAL_POWER / (2.0 * math.pi) * np.exp(-0.5 * (sig * tau) ** 2)
 
 
 def response_function(spectrum: Spectrum, tau, envelope=None):

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from qolcr.errors import SynthesisError
-from qolcr.model import (SPEED_OF_LIGHT, NoiseModel, PumpReference, Sample, Spectrum,
-                         StageModel, coherence_envelope, response_function)
+from qolcr.model import (SPECTRAL_POWER, SPEED_OF_LIGHT, NoiseModel, PumpReference, Sample,
+                         Spectrum, StageModel, coherence_envelope, response_function)
 
 # baselines sit this factor above the worst-case interference swing
 BASELINE_HEADROOM = 1.2
@@ -137,7 +137,7 @@ def tpi_constant(sample: Sample, spectrum: Spectrum) -> complex:
     taus = sample.delays
     refl = sample.reflectivities
     phases = np.exp(-2j * spectrum.center_frequency * taus)
-    return complex(spectrum.total_power * np.sum(refl ** 2 * phases))
+    return complex(SPECTRAL_POWER * np.sum(refl ** 2 * phases))
 
 
 def coincidence_baseline(sample: Sample, spectrum: Spectrum) -> float:
@@ -148,7 +148,7 @@ def coincidence_baseline(sample: Sample, spectrum: Spectrum) -> float:
     can never go negative.
     """
     refl = sample.reflectivities
-    env_peak = spectrum.total_power / (2.0 * math.pi)  # |s(0)|
+    env_peak = SPECTRAL_POWER / (2.0 * math.pi)  # |s(0)|
     cross = float(sum(
         refl[i] * refl[j]
         for i in range(len(refl)) for j in range(i + 1, len(refl))
@@ -179,7 +179,7 @@ def _coincidence_components(sample: Sample, spectrum: Spectrum, pump: PumpRefere
                             tau, surfaces):
     taus = sample.delays
     refl = sample.reflectivities
-    env_scale = spectrum.total_power / (2.0 * math.pi)
+    env_scale = SPECTRAL_POWER / (2.0 * math.pi)
     sig = spectrum.sigma
     half = 0.5 * SUPPORT_COHERENCE_LENGTHS * spectrum.coherence_time  # doubled HOM argument
 

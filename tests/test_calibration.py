@@ -16,7 +16,6 @@ from scipy.signal import fftconvolve, hilbert
 
 from qolcr.calibration import (
     CalibrationMap,
-    FilteredCarrier,
     PhaseTrace,
     _bessel_hermite,
     _filtered_spectrum,
@@ -66,7 +65,7 @@ def carrier_trace(n=60000, amplitude=500.0, baseline=4000.0, phi0=0.3,
 
 
 SAMPLE = Sample.from_pairs([(0.6, 9.886e-6), (0.6, 290.114e-6)])
-SPECTRUM = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
+SPECTRUM = Spectrum.from_wavelength(LAMBDA_0, 30e-9)
 
 
 def simulate(stage=None, stage_seed=None):
@@ -245,12 +244,17 @@ def test_zero_phase_apply_reuses_one_kernel_spectrum_per_length():
 # carrier extraction
 
 
+def _filter_valid(carrier):
+    """The samples at least the filter's group delay from either end."""
+    return slice(carrier.delay, len(carrier.values) - carrier.delay)
+
+
 def test_extract_tpi_passes_pure_carrier():
     trace = carrier_trace()
     carrier = extract_tpi(trace, BANDPASS)
     d = trace.reported_d
     truth = 500.0 * np.cos(2.0 * math.pi * CARRIER_FREQ * d + 0.3)
-    sel = carrier.valid
+    sel = _filter_valid(carrier)
     resid = carrier.values[sel] - truth[sel]
     rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth[sel] ** 2)))
     assert rel < 0.01
@@ -259,7 +263,7 @@ def test_extract_tpi_passes_pure_carrier():
 def test_extract_tpi_from_full_coincidence_model(identity_trace):
     carrier = extract_tpi(identity_trace, BANDPASS)
     truth = identity_trace.truth.pair_carrier
-    sel = carrier.valid
+    sel = _filter_valid(carrier)
     resid = carrier.values[sel] - truth[sel]
     rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth[sel] ** 2)))
     assert rel < 0.02
@@ -269,9 +273,12 @@ def test_extract_tpi_edge_exclusion_width():
     trace = carrier_trace(n=20000)
     carrier = extract_tpi(trace, BANDPASS)
     half = (BANDPASS.num_taps - 1) // 2
-    assert not carrier.valid[:half].any()
-    assert not carrier.valid[-half:].any()
-    assert carrier.valid[half:-half].all()
+    assert carrier.delay == half
+    # a steady carrier is masked on exactly the filter's edge samples
+    mask = extract_phase(carrier).quality_mask
+    assert not mask[:half].any()
+    assert not mask[-half:].any()
+    assert mask[half:-half].all()
 
 
 def test_extract_tpi_rejects_too_short_trace():
@@ -306,33 +313,44 @@ def test_extract_tpi_rejects_non_finite_reported_position(bad):
 # phase extraction
 
 
-def _hilbert_of_full_convolution(carrier):
-    """The oracle: H of irfft(spectrum, nfft) by scipy.signal.hilbert, sliced as values."""
-    full = irfft(carrier.spectrum, carrier.nfft)
-    assert np.array_equal(full[carrier.delay:carrier.delay + len(carrier.values)], carrier.values)
-    return hilbert(full)[carrier.delay:carrier.delay + len(carrier.values)].imag
+def _hilbert_of_full_convolution(spectrum, nfft, delay, n):
+    """The oracle: H of irfft(spectrum, nfft) by scipy.signal.hilbert, sliced at the delay."""
+    return hilbert(irfft(spectrum, nfft))[delay:delay + n].imag
 
 
 # n + taps - 1 gives an odd nfft (1125) and even ones (1350, 6144, 10000)
-@pytest.mark.parametrize("n, num_taps", [(1000, 125), (1001, 301), (4096, 2001), (7919, 2001)])
+QUADRATURE_CASES = [(1000, 125), (1001, 301), (4096, 2001), (7919, 2001)]
+
+
+def test_quadrature_cases_cover_even_and_odd_nfft():
+    # the quadrature zeroes the Nyquist bin for even nfft only
+    parities = {next_fast_len(n + taps - 1, real=True) % 2 for n, taps in QUADRATURE_CASES}
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("n, num_taps", QUADRATURE_CASES)
 def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps):
     rng = np.random.default_rng(n)
     x, taps = rng.normal(size=n), rng.normal(size=num_taps)
     spectrum, nfft = _filtered_spectrum(taps, x)
     delay = (num_taps - 1) // 2
-    carrier = FilteredCarrier(values=irfft(spectrum, nfft)[delay:delay + n],
-                              valid=np.ones(n, dtype=bool), reported_d=np.arange(n) * SPACING,
-                              spectrum=spectrum, nfft=nfft, delay=delay)
-    oracle = _hilbert_of_full_convolution(carrier)
-    assert np.max(np.abs(_quadrature(carrier) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    oracle = _hilbert_of_full_convolution(spectrum, nfft, delay, n)
+    got = _quadrature(spectrum, nfft, delay, n)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_quadrature_matches_hilbert_on_default_carrier():
     config = default_config()
-    carrier = extract_tpi(synthesize(config), config.pipeline.bandpass)
-    assert carrier.nfft % 2 == 0
-    oracle = _hilbert_of_full_convolution(carrier)
-    assert np.max(np.abs(_quadrature(carrier) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    trace = synthesize(config)
+    carrier = extract_tpi(trace, config.pipeline.bandpass)
+    taps = design_bandpass(config.pipeline.bandpass, trace.spacing)
+    spectrum, nfft = _filtered_spectrum(taps, trace.coincidence - trace.coincidence.mean())
+    assert nfft % 2 == 0
+    delay, n = carrier.delay, trace.n_samples
+    assert np.array_equal(carrier.values, irfft(spectrum, nfft)[delay:delay + n])
+    _assert_same_bytes(carrier.quadrature, _quadrature(spectrum, nfft, delay, n))
+    oracle = _hilbert_of_full_convolution(spectrum, nfft, delay, n)
+    assert np.max(np.abs(carrier.quadrature - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("config, run", [("default", 0), ("default", 1), ("default", 2),
@@ -392,7 +410,7 @@ def test_phase_slope_matches_carrier_frequency():
     trace = carrier_trace()
     phase = extract_phase(extract_tpi(trace, BANDPASS))
     sel = phase.quality_mask
-    slope = float(np.polyfit(phase.reported_d[sel], phase.unwrapped_phase[sel], 1)[0])
+    slope = float(np.polyfit(trace.reported_d[sel], phase.unwrapped_phase[sel], 1)[0])
     assert abs(slope / (2.0 * math.pi * CARRIER_FREQ) - 1.0) < 1e-4
 
 
@@ -400,7 +418,7 @@ def test_phase_unharmed_by_amplitude_modulation():
     trace = carrier_trace(am=(0.3, 50e-6))
     phase = extract_phase(extract_tpi(trace, BANDPASS))
     sel = phase.quality_mask
-    d = phase.reported_d[sel]
+    d = trace.reported_d[sel]
     expected = 2.0 * math.pi * CARRIER_FREQ * d
     resid = phase.unwrapped_phase[sel] - expected
     resid -= resid.mean()
@@ -419,7 +437,8 @@ def test_phase_masks_low_amplitude_stretch():
     center = int(round(150e-6 / SPACING))
     assert not phase.quality_mask[center]
     # the filter edges are masked too, so the mask alone selects usable phase
-    assert not phase.quality_mask[~carrier.valid].any()
+    assert not phase.quality_mask[:carrier.delay].any()
+    assert not phase.quality_mask[-carrier.delay:].any()
     assert phase.quality_mask[center - 4000]
     assert phase.quality_mask[center + 4000]
 
@@ -441,14 +460,14 @@ def test_phase_raises_when_carrier_mostly_weak():
 
 def test_identity_stage_correction_is_constant(identity_trace):
     phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, identity_trace.reported_d, PUMP)
     corr = cal.calibrated - cal.reported
     assert corr.max() - corr.min() < 0.5e-9
 
 
 def test_distorted_stage_round_trip_under_1nm(distorted_trace):
     phase = extract_phase(extract_tpi(distorted_trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, distorted_trace.reported_d, PUMP)
     true_d = distorted_trace.truth.true_d
     # compare at the knots: reported knots are a subset of the scan grid
     knot_idx = np.searchsorted(distorted_trace.reported_d, cal.reported)
@@ -465,14 +484,14 @@ def test_scale_error_recovered_in_map_slope():
     stage = StageModel(velocity=500e-9, sample_rate=100.0, scale_error=1e-3)
     trace = simulate(stage=stage)
     phase = extract_phase(extract_tpi(trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, trace.reported_d, PUMP)
     slope = float(np.polyfit(cal.reported, cal.calibrated, 1)[0])
     assert abs(slope - 1.001) < 1e-5
 
 
 def test_map_anchor_pins_midpoint(identity_trace):
     phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, identity_trace.reported_d, PUMP)
     anchor = cal.quality["anchor_reported_d"]
     k = int(np.argmin(np.abs(cal.reported - anchor)))
     assert abs(cal.reported[k] - anchor) < SPACING / 2
@@ -506,14 +525,18 @@ def test_build_calibration_rejects_phase_reversal():
     d = np.arange(n) * SPACING
     phi = 2.0 * math.pi * CARRIER_FREQ * d
     phi[15000:] -= 10.0        # simulated unwrap failure
-    phase = PhaseTrace(
-        unwrapped_phase=phi,
-        amplitude=np.ones(n),
-        quality_mask=np.ones(n, dtype=bool),
-        reported_d=d,
-    )
+    phase = PhaseTrace(unwrapped_phase=phi, quality_mask=np.ones(n, dtype=bool))
     with pytest.raises(CalibrationQualityError):
-        build_calibration(phase, PUMP)
+        build_calibration(phase, d, PUMP)
+
+
+def test_build_calibration_rejects_a_reported_axis_of_another_length():
+    n = 30000
+    d = np.arange(n) * SPACING
+    phase = PhaseTrace(unwrapped_phase=2.0 * math.pi * CARRIER_FREQ * d,
+                       quality_mask=np.ones(n, dtype=bool))
+    with pytest.raises(ConfigError, match="^phase and reported axis must match in length$"):
+        build_calibration(phase, d[1:], PUMP)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +545,7 @@ def test_build_calibration_rejects_phase_reversal():
 
 def test_resample_identity_is_near_noop(identity_trace):
     phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, identity_trace.reported_d, PUMP)
     record = resample_intensity(identity_trace, cal)
     # identity calibration: the resampled grid lands on the original one
     sel = (record.positions > 20e-6) & (record.positions < 280e-6)
@@ -546,7 +569,7 @@ def test_resample_restores_fringe_frequency(distorted_trace):
     assert abs(raw / target - 1.0) > 5e-4      # distorted axis lies
 
     phase = extract_phase(extract_tpi(distorted_trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, distorted_trace.reported_d, PUMP)
     record = resample_intensity(distorted_trace, cal)
     fixed = local_fringe_frequency(record.intensity, record.positions, 9.886e-6, 3e-6)
     assert abs(fixed / target - 1.0) < 1e-4
@@ -554,7 +577,7 @@ def test_resample_restores_fringe_frequency(distorted_trace):
 
 def test_resample_grid_step_override(identity_trace):
     phase = extract_phase(extract_tpi(identity_trace, BANDPASS))
-    cal = build_calibration(phase, PUMP)
+    cal = build_calibration(phase, identity_trace.reported_d, PUMP)
     record = resample_intensity(identity_trace, cal, grid_step=2.5e-9)
     steps = np.diff(record.positions)
     assert np.allclose(steps, 2.5e-9, rtol=1e-9)
@@ -597,7 +620,7 @@ def _oracle(x, y, grid):
 def test_resample_bit_identical_to_cubic_spline_on_pipeline_records(config, run, grid_step):
     trace = synthesize(config, run)
     phase = extract_phase(extract_tpi(trace, config.pipeline.bandpass))
-    cal = build_calibration(phase, config.pump)
+    cal = build_calibration(phase, trace.reported_d, config.pump)
     record = resample_intensity(trace, cal, grid_step=grid_step)
     want = _oracle(cal(trace.reported_d), trace.intensity, record.positions)
     _assert_same_bytes(record.intensity, want)
@@ -638,7 +661,7 @@ def test_bessel_slopes_are_numpys_second_order_gradient():
     # values, not their differences, so the two differ by rounding alone; the
     # bound, 64 eps of the largest slope, was fixed before the first run
     trace = synthesize(default_config(), 0)
-    cal = build_calibration(extract_phase(extract_tpi(trace, BANDPASS)), PUMP)
+    cal = build_calibration(extract_phase(extract_tpi(trace, BANDPASS)), trace.reported_d, PUMP)
     cases = [_random_knots(n, seed) for n in (3, 4, 5, 3001) for seed in range(3)]
     for x, y in cases + [(cal(trace.reported_d), trace.intensity)]:
         s = _bessel_slopes(x, y)
@@ -682,11 +705,22 @@ def test_resample_rejects_non_finite_reported_position():
         resample_intensity(_bare_trace(d, np.full(100, 1000.0)), _identity_map(0.0, 1e-6))
 
 
-def test_resample_rejects_fewer_than_four_samples():
-    # three samples span 200 grid steps; the spline would be a bare parabola
+def test_resample_rejects_fewer_than_three_samples():
+    d = np.array([0.0, 1e-6])
+    with pytest.raises(CalibrationQualityError,
+                       match="^trace of 2 samples; the interpolant needs 3$"):
+        resample_intensity(_bare_trace(d, np.full(2, 1000.0)), _identity_map(0.0, 1e-6),
+                           grid_step=1e-8)
+
+
+def test_resample_three_samples_bit_identical_to_cubic_hermite():
+    # three knots make the interpolant the parabola through them; 200 grid steps
     d = np.array([0.0, 1e-6, 2e-6])
-    with pytest.raises(CalibrationQualityError, match="trace of 3 samples; the spline needs 4"):
-        resample_intensity(_bare_trace(d, np.full(3, 1000.0)), _identity_map(0.0, 2e-6))
+    intensity = np.array([1000.0, 1300.0, 900.0])
+    cal = _identity_map(0.0, 2e-6)
+    record = resample_intensity(_bare_trace(d, intensity), cal, grid_step=1e-8)
+    assert record.n_samples == 201
+    _assert_same_bytes(record.intensity, _oracle(cal(d), intensity, record.positions))
 
 
 def test_resample_rejects_subnormal_position_steps():

@@ -60,14 +60,14 @@ def synthetic_record(n=4096, step=GRID, seed=11, packets=((3e-6, 900.0), (15e-6,
 
 def run_pipeline(sample_rate=100.0, grid_step=None):
     sample = Sample.from_pairs([(0.6, 9.886e-6), (0.6, 290.114e-6)])
-    spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
+    spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9)
     pump = PumpReference(LAMBDA_P)
     stage = StageModel(velocity=500e-9, sample_rate=sample_rate)
     trace = simulate_scan(sample, spectrum, pump, stage, noise=NOISE_OFF,
                           scan_range=(0.0, 300e-6))
     carrier = extract_tpi(trace, BANDPASS)
     phase = extract_phase(carrier)
-    calibration = build_calibration(phase, pump)
+    calibration = build_calibration(phase, trace.reported_d, pump)
     return resample_intensity(trace, calibration, grid_step=grid_step)
 
 
@@ -202,19 +202,19 @@ def test_autocorrelate_rejects_non_finite_intensity(bad):
 
 
 def test_autocorrelogram_validates_normalization():
-    lags = np.arange(51) * GRID
     analytic = np.zeros(51, dtype=complex)
     analytic[0] = 0.5  # not normalized
     with pytest.raises(ConfigError):
-        Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
+        Autocorrelogram(analytic=analytic, grid_step=GRID)
     analytic[0] = 1.0
     analytic[10] = 1.5j  # exceeds the zero-lag value in modulus
     with pytest.raises(ConfigError):
-        Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
+        Autocorrelogram(analytic=analytic, grid_step=GRID)
     analytic[10] = 0.0
-    Autocorrelogram(lags=lags, analytic=analytic, grid_step=GRID)
+    acorr = Autocorrelogram(analytic=analytic, grid_step=GRID)
+    assert np.array_equal(acorr.lags, np.arange(51) * GRID)
     with pytest.raises(ConfigError):  # the real part alone is not enough
-        Autocorrelogram(lags=lags, analytic=analytic.real, grid_step=GRID)
+        Autocorrelogram(analytic=analytic.real, grid_step=GRID)
 
 
 def test_analytic_autocorrelation_matches_hilbert_oracle():
@@ -367,13 +367,13 @@ def test_expected_count_below_one_is_rejected(standard_acorr):
 
 def test_single_surface_record_has_no_cluster():
     sample = Sample.from_pairs([(0.6, 150e-6)])
-    spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power=1e6)
+    spectrum = Spectrum.from_wavelength(LAMBDA_0, 30e-9)
     pump = PumpReference(LAMBDA_P)
     stage = StageModel(velocity=500e-9, sample_rate=100.0)
     trace = simulate_scan(sample, spectrum, pump, stage, noise=NOISE_OFF,
                           scan_range=(0.0, 300e-6))
     carrier = extract_tpi(trace, BANDPASS)
-    calibration = build_calibration(extract_phase(carrier), pump)
+    calibration = build_calibration(extract_phase(carrier), trace.reported_d, pump)
     record = resample_intensity(trace, calibration)
     acorr = autocorrelate(record)
     with pytest.raises(PeakCountError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qolcr.model import (
+    SPECTRAL_POWER,
     SPEED_OF_LIGHT,
     PumpReference,
     Sample,
@@ -25,8 +26,8 @@ LAMBDA_0 = 810e-9
 BANDWIDTH = 30e-9
 
 
-def default_spectrum(total_power=1.0):
-    return Spectrum.from_wavelength(LAMBDA_0, BANDWIDTH, total_power)
+def default_spectrum():
+    return Spectrum.from_wavelength(LAMBDA_0, BANDWIDTH)
 
 
 def surface_delay(z):
@@ -71,10 +72,10 @@ def test_spectrum_fwhm_against_root_finding():
 
 
 def test_spectrum_density_normalization():
-    spec = default_spectrum(total_power=3.7)
+    spec = default_spectrum()
     w = np.linspace(-10 * spec.sigma, 10 * spec.sigma, 20001)
     total = np.trapezoid(spectrum_density(spec, w), w)
-    assert total == pytest.approx(3.7, rel=1e-9)
+    assert total == pytest.approx(SPECTRAL_POWER, rel=1e-9)
 
 
 def test_spectrum_density_symmetric():
@@ -101,8 +102,8 @@ def test_envelope_matches_numeric_inverse_transform():
 
 def test_envelope_value_at_zero():
     # s(0) = S0 / (2 pi) under the chosen transform convention
-    spec = default_spectrum(total_power=2.0)
-    assert complex(coherence_envelope(spec, 0.0)) == pytest.approx(2.0 / (2 * math.pi))
+    spec = default_spectrum()
+    assert complex(coherence_envelope(spec, 0.0)) == pytest.approx(SPECTRAL_POWER / (2 * math.pi))
 
 
 def test_envelope_real_for_symmetric_spectrum():

@@ -10,6 +10,10 @@ cause. Each cell changes one noise setting of the default config: cs is
 - loose: unflagged, outside 2 sigma, and |error| <= 5 nm;
 - silent: unflagged and |error| > 5 nm, the outcome the contract forbids.
 
+A second grid runs the stacked sample, three surfaces at 9.886, 120 and
+290.114 um with r = 0.6, 0.5 and 0.6, and scores each of its three
+separations as above; a failed run counts once.
+
 A check that fails today is a strict xfail naming the roadmap item that
 should fix it; the change that makes it pass removes the marker, so the
 grid only moves forward. `pytest -s tests/test_outcomes.py` prints the
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 
 import pytest
 
@@ -39,35 +44,44 @@ CELLS = {
 }
 RUNS = range(10)
 SILENT_ERROR = 5e-9
+# the stacked sample, written out here rather than read from a benchmark input
+STACK = [{"reflectivity": 0.6, "position_um": 9.886},
+         {"reflectivity": 0.5, "position_um": 120.0},
+         {"reflectivity": 0.6, "position_um": 290.114}]
 
 
 @functools.cache
-def outcomes(cell: str) -> dict:
-    """Run indices by outcome: silent runs with their error in nm, failed runs
-    with their message. Any exception other than a QolcrError propagates."""
+def outcomes(cell: str, stacked: bool = False) -> dict:
+    """Run indices by outcome, one entry per separation: silent ones with their
+    error in nm, failed runs with their message. Any exception other than a
+    QolcrError propagates."""
     raw = copy.deepcopy(DEFAULT_CONFIG)
     raw["noise"].update(CELLS[cell])
+    if stacked:
+        raw["sample"]["surfaces"] = STACK
+        raw["pipeline"]["expected_peaks"] = 3
     config = parse_config(raw)
-    z = config.sample.positions
-    truth = z[1] - z[0]
+    truths = sorted(b - a for a, b in itertools.combinations(config.sample.positions, 2))
     got = {"within": [], "loose": [], "silent": [], "flagged": [], "failed": []}
     for run in RUNS:
         try:
-            peak = run_pipeline(config, run_index=run).peaks[0]
+            peaks = run_pipeline(config, run_index=run).peaks
         except QolcrError as exc:
             got["failed"].append((run, str(exc)))
             continue
-        error = peak.separation - truth
-        if peak.outlier_flag:
-            got["flagged"].append(run)
-        elif abs(error) <= 2.0 * peak.uncertainty:
-            got["within"].append(run)
-        elif abs(error) <= SILENT_ERROR:
-            got["loose"].append(run)
-        else:
-            got["silent"].append((run, round(float(error) * 1e9, 1)))
-    print(f"{cell}: " + ", ".join(f"{k} {len(v)}" for k, v in got.items())
-          + (f"; silent runs (run, nm) {got['silent']}" if got["silent"] else ""))
+        for peak, truth in zip(peaks, truths, strict=True):
+            error = peak.separation - truth
+            if peak.outlier_flag:
+                got["flagged"].append(run)
+            elif abs(error) <= 2.0 * peak.uncertainty:
+                got["within"].append(run)
+            elif abs(error) <= SILENT_ERROR:
+                got["loose"].append(run)
+            else:
+                got["silent"].append((run, round(float(error) * 1e9, 1)))
+    print(f"{cell}{' stacked' if stacked else ''}: "
+          + ", ".join(f"{k} {len(v)}" for k, v in got.items())
+          + (f"; silent (run, nm) {got['silent']}" if got["silent"] else ""))
     return got
 
 
@@ -103,3 +117,14 @@ def test_ss250_cell_has_no_failed_run():
     # zero-lag half-width and a concave envelope vertex: the resampler passes
     # too little sample-to-sample counting noise to swamp either
     assert outcomes("ss250")["failed"] == []
+
+
+@pytest.mark.parametrize("cell", [
+    "default",
+    "cs30",
+    _xfail("cs10", "item 12: run 9's 6.1 nm error is left out of the stated uncertainty"),
+    _xfail("cs5", "items 10 and 3: runs 1, 2 and 6 misorder by a fringe at the envelope "
+                  "vertex, and a calibration slip moves a stacked peak by half a fringe"),
+])
+def test_stacked_sample_has_no_silent_peak(cell):
+    assert outcomes(cell, stacked=True)["silent"] == []

@@ -14,6 +14,7 @@ from qolcr.config import default_config, load_config, parse_config
 from qolcr.errors import SynthesisError
 from qolcr.experiments import synthesize
 from qolcr.model import (
+    SPECTRAL_POWER,
     SPEED_OF_LIGHT,
     PumpReference,
     Sample,
@@ -41,8 +42,8 @@ LAMBDA_0 = 810e-9
 LAMBDA_P = 405e-9
 
 
-def default_spectrum(total_power=1e6):
-    return Spectrum.from_wavelength(LAMBDA_0, 30e-9, total_power)
+def default_spectrum():
+    return Spectrum.from_wavelength(LAMBDA_0, 30e-9)
 
 
 def default_stage(**kw):
@@ -161,7 +162,7 @@ def test_intensity_extremum_at_surface():
     sample = two_surface_sample()
     spec = default_spectrum()
     at = float(intensity_rate(sample, spec, sample.positions[0]))
-    expected = intensity_baseline(sample, spec) + 0.6 * 2 * spec.total_power / (2 * math.pi)
+    expected = intensity_baseline(sample, spec) + 0.6 * 2 * SPECTRAL_POWER / (2 * math.pi)
     assert at == pytest.approx(expected, rel=1e-12)
 
 
@@ -187,20 +188,12 @@ def test_intensity_fringe_scales_linearly_with_reflectivity():
     assert np.allclose(fringe_hi, 2.0 * fringe_lo, rtol=1e-12, atol=1e-12)
 
 
-def test_rates_double_with_source_power():
-    sample = two_surface_sample()
-    d = np.linspace(0, 200e-6, 2001)
-    r1 = intensity_rate(sample, default_spectrum(1e6), d)
-    r2 = intensity_rate(sample, default_spectrum(2e6), d)
-    assert np.array_equal(r2, 2.0 * r1)
-
-
 # --- coincidence channel ---------------------------------------------------
 
 def test_pair_constant_single_perfect_mirror():
     spec = default_spectrum()
     sample = Sample.from_pairs([(1.0, 37e-6)])
-    assert abs(tpi_constant(sample, spec)) == pytest.approx(spec.total_power, rel=1e-12)
+    assert abs(tpi_constant(sample, spec)) == pytest.approx(SPECTRAL_POWER, rel=1e-12)
 
 
 def test_pair_constant_destructive_pair():
@@ -208,7 +201,7 @@ def test_pair_constant_destructive_pair():
     # that is a quarter pump wavelength of separation
     spec = default_spectrum()
     sample = Sample.from_pairs([(0.4, 10e-6), (0.4, 10e-6 + LAMBDA_P / 4)])
-    assert abs(tpi_constant(sample, spec)) < 1e-9 * spec.total_power
+    assert abs(tpi_constant(sample, spec)) < 1e-9 * SPECTRAL_POWER
 
 
 def test_pair_constant_scales_with_reflectivity_squared():
@@ -447,7 +440,7 @@ def _full_grid_intensity_rate(sample, spectrum, tau, surfaces):
 def _full_grid_coincidence_components(sample, spectrum, pump, tau, surfaces):
     taus = sample.delays
     refl = sample.reflectivities
-    env_scale = spectrum.total_power / (2.0 * math.pi)
+    env_scale = SPECTRAL_POWER / (2.0 * math.pi)
     sig = spectrum.sigma
 
     hom = np.zeros(tau.shape)
