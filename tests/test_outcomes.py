@@ -124,7 +124,8 @@ def test_ss250_cell_has_no_failed_run():
     "cs30",
     _xfail("cs10", "item 12: run 9's 6.1 nm error is left out of the stated uncertainty"),
     _xfail("cs5", "items 10 and 3: runs 1, 2 and 6 misorder by a fringe at the envelope "
-                  "vertex, and a calibration slip moves a stacked peak by half a fringe"),
+                  "vertex, and a calibration slip moves a stacked peak by half a fringe "
+                  "(run 3's 5.1 nm error is item 12's)"),
 ])
 def test_stacked_sample_has_no_silent_peak(cell):
     assert outcomes(cell, stacked=True)["silent"] == []
