@@ -40,6 +40,11 @@ MAX_BAD_FRACTION = 0.10
 # knots per end over which the calibration map fits its extrapolation slope
 EDGE_FIT_KNOTS = 2000
 
+# grid samples the resampler evaluates at a time: the temporaries of a block
+# (64 KB each) are reused from the heap on every call, where grid-length ones
+# are mapped afresh and fault in each page
+_RESAMPLE_BLOCK = 8192
+
 
 @functools.lru_cache(maxsize=8)
 def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
@@ -312,36 +317,28 @@ def _bessel_hermite(x: np.ndarray, dx: np.ndarray, y: np.ndarray,
 
     The slope at a knot is the derivative there of the parabola through it and
     its two neighbours; at each end, of the end parabola (the values of
-    np.gradient(y, x, edge_order=2)). On [x_i, x_i+1) PPoly sums
-    ((y + s u) + c1 u^2) + c0 u^3 in u = grid - x_i, so the result is
+    np.gradient(y, x, edge_order=2)). On PPoly's interval x_i <= g < x_i+1,
+    clamped to the end ones, it sums ((0.0 + y) + s u) + c1 u^2 + c0 u^3 in
+    u = g - x_i with CubicHermiteSpline's coefficients, in PPoly's order and
+    from PPoly's 0.0 (so -0.0 becomes 0.0): the result is
     CubicHermiteSpline(x, y, s)(grid) bit for bit.
     """
-    out = np.empty_like(grid)       # first, so the temporaries below free as one block
     slope = np.diff(y)
     slope /= dx
     s = np.empty_like(y)
     s[1:-1] = (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]) / (dx[:-1] + dx[1:])
     s[0] = ((2 * dx[0] + dx[1]) * slope[0] - dx[0] * slope[1]) / (dx[0] + dx[1])
     s[-1] = ((2 * dx[-1] + dx[-2]) * slope[-1] - dx[-1] * slope[-2]) / (dx[-2] + dx[-1])
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c1 = (slope - s[:-1]) / dx - t
-    c0 = np.divide(t, dx, out=t)
-    # PPoly's interval x_i <= g < x_i+1, clamped to the end ones: np.interp's
-    # search is exact and its floored index (1/dx finite) is i or, rounded up, i + 1
-    idx = np.interp(grid, x, np.arange(len(x), dtype=float)).astype(np.intp)
-    np.minimum(idx, len(x) - 2, out=idx)
-    idx -= grid < x[idx]
-    np.maximum(idx, 0, out=idx)
-    u = np.take(x, idx)
-    np.subtract(grid, u, out=u)
-    np.take(y, idx, out=out)
-    out += 0.0                      # PPoly sums from 0.0, so -0.0 becomes 0.0
-    power, term = np.ones_like(u), np.empty_like(u)
-    for coef in (s, c1, c0):
-        power *= u
-        np.take(coef, idx, out=term)
-        term *= power
-        out += term
+    out = np.empty_like(grid)
+    for lo in range(0, len(grid), _RESAMPLE_BLOCK):
+        g = grid[lo:lo + _RESAMPLE_BLOCK]
+        i = np.clip(np.searchsorted(x, g, side="right") - 1, 0, len(x) - 2)
+        h, m, s0, s1 = dx[i], slope[i], s[i], s[i + 1]
+        u = g - x[i]
+        t = (s0 + s1 - 2 * m) / h
+        c1, c0 = (m - s0) / h - t, t / h
+        u2 = u * u
+        out[lo:lo + _RESAMPLE_BLOCK] = ((y[i] + 0.0) + s0 * u) + c1 * u2 + c0 * (u2 * u)
     return out
 
 

@@ -65,6 +65,7 @@ class Autocorrelogram:
     analytic: np.ndarray      # complex, analytic[0] == 1
     grid_step: float
     envelope: np.ndarray = field(init=False, repr=False)  # |analytic|, set once
+    lags: np.ndarray = field(init=False, repr=False)  # k * grid_step in meters, set once
 
     def __post_init__(self):
         if not np.iscomplexobj(self.analytic):
@@ -74,21 +75,16 @@ class Autocorrelogram:
         self.envelope = np.abs(self.analytic)
         if np.max(self.envelope) > 1.0 + 1e-9:
             raise ConfigError("autocorrelogram exceeds its zero-lag value")
+        self.lags = np.arange(len(self.analytic)) * self.grid_step
 
     @property
     def values(self) -> np.ndarray:
         """The real autocorrelation A(k)."""
         return self.analytic.real
 
-    @property
-    def lags(self) -> np.ndarray:
-        """k * grid_step for k = 0 .. len - 1, meters."""
-        return np.arange(len(self.analytic)) * self.grid_step
-
     def window(self, center: float, halfwidth: float) -> slice:
-        lags = self.lags
-        lo = int(np.searchsorted(lags, center - halfwidth, side="left"))
-        hi = int(np.searchsorted(lags, center + halfwidth, side="right"))
+        lo = int(np.searchsorted(self.lags, center - halfwidth, side="left"))
+        hi = int(np.searchsorted(self.lags, center + halfwidth, side="right"))
         return slice(lo, hi)
 
 

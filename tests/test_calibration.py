@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -632,7 +633,9 @@ def _random_knots(n, seed):
     return x, rng.normal(1000.0, 300.0, n)
 
 
-@pytest.mark.parametrize("n", [4, 5, 3001])
+# 20001 knots make a grid of about 100 000 samples: a dozen evaluation blocks,
+# the last one partial, so every block seam is checked on non-uniform knots
+@pytest.mark.parametrize("n", [4, 5, 3001, 20001])
 @pytest.mark.parametrize("seed", range(3))
 def test_bessel_hermite_bit_identical_to_cubic_hermite_on_random_knots(n, seed):
     x, y = _random_knots(n, seed)
@@ -654,6 +657,22 @@ def test_bessel_hermite_sums_from_zero_as_ppoly_does():
     want = _oracle(x, y, x)
     assert not np.signbit(want[0])
     _assert_same_bytes(_bessel_hermite(x, np.diff(x), y, x), want)
+
+
+def test_bessel_hermite_working_memory_stays_below_six_grids():
+    # evaluated block by block, the interpolant holds no grid-length coefficient
+    # array; the bound, 6 x grid.nbytes, was fixed before the first run
+    x, y = _random_knots(60000, 0)
+    dx = np.diff(x)
+    step = 5e-9
+    grid = np.arange(math.ceil(x[0] / step), math.floor(x[-1] / step) + 1) * step
+    tracemalloc.start()
+    try:
+        _bessel_hermite(x, dx, y, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * grid.nbytes
 
 
 def test_bessel_slopes_are_numpys_second_order_gradient():
