@@ -330,9 +330,18 @@ def _bessel_hermite(x: np.ndarray, dx: np.ndarray, y: np.ndarray,
     s[0] = ((2 * dx[0] + dx[1]) * slope[0] - dx[0] * slope[1]) / (dx[0] + dx[1])
     s[-1] = ((2 * dx[-1] + dx[-2]) * slope[-1] - dx[-1] * slope[-2]) / (dx[-2] + dx[-1])
     out = np.empty_like(grid)
+    n = len(x)
     for lo in range(0, len(grid), _RESAMPLE_BLOCK):
         g = grid[lo:lo + _RESAMPLE_BLOCK]
-        i = np.clip(np.searchsorted(x, g, side="right") - 1, 0, len(x) - 2)
+        # the block's knot span [a, b) holds every x_i <= g < x_i+1 it needs; interp's
+        # search from the previous index gives i + (g - x_i) / dx_i, which rounds up
+        # to i + 1 at most: truncating and stepping back where x_i > g is PPoly's
+        # searchsorted(x, g, side="right") - 1
+        a = max(int(np.searchsorted(x, g[0], side="right")) - 1, 0)
+        b = min(int(np.searchsorted(x, g[-1], side="right")) + 1, n)
+        i = np.interp(g, x[a:b], np.arange(a, b, dtype=float)).astype(np.intp)
+        i -= x[i] > g
+        np.clip(i, 0, n - 2, out=i)
         h, m, s0, s1 = dx[i], slope[i], s[i], s[i + 1]
         u = g - x[i]
         t = (s0 + s1 - 2 * m) / h

@@ -194,18 +194,21 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"pump.wavelength_nm: {exc}") from exc
 
     stage_raw = _section(raw, "stage", DEFAULT_CONFIG["stage"])
-    stage = StageModel(
-        velocity=_number(stage_raw, "stage", "velocity_nm_per_s", positive=True) * 1e-9,
-        sample_rate=_number(stage_raw, "stage", "sample_rate_hz", positive=True),
-        scale_error=_number(stage_raw, "stage", "scale_error"),
-        periodic_amplitude=_number(
-            stage_raw, "stage", "periodic_amplitude_nm", nonnegative=True) * 1e-9,
-        periodic_period=_number(
-            stage_raw, "stage", "periodic_period_um", positive=True) * 1e-6,
-        periodic_phase=_number(stage_raw, "stage", "periodic_phase_rad"),
-        drift_step=_number(stage_raw, "stage", "drift_step_nm", nonnegative=True) * 1e-9,
-        drift_smoothing=_integer(stage_raw, "stage", "drift_smoothing_samples", minimum=1),
-    )
+    try:
+        stage = StageModel(
+            velocity=_number(stage_raw, "stage", "velocity_nm_per_s", positive=True) * 1e-9,
+            sample_rate=_number(stage_raw, "stage", "sample_rate_hz", positive=True),
+            scale_error=_number(stage_raw, "stage", "scale_error"),
+            periodic_amplitude=_number(
+                stage_raw, "stage", "periodic_amplitude_nm", nonnegative=True) * 1e-9,
+            periodic_period=_number(
+                stage_raw, "stage", "periodic_period_um", positive=True) * 1e-6,
+            periodic_phase=_number(stage_raw, "stage", "periodic_phase_rad"),
+            drift_step=_number(stage_raw, "stage", "drift_step_nm", nonnegative=True) * 1e-9,
+            drift_smoothing=_integer(stage_raw, "stage", "drift_smoothing_samples", minimum=1),
+        )
+    except ValueError as exc:  # the fields read above leave only scale_error to refuse
+        raise ConfigError(f"stage.{exc}") from exc
 
     noise_raw = _section(raw, "noise", DEFAULT_CONFIG["noise"])
     enabled = noise_raw["enabled"]

@@ -217,6 +217,9 @@ class StageModel:
     def __post_init__(self):
         if self.velocity <= 0 or self.sample_rate <= 0:
             raise ValueError("stage velocity and sample rate must be positive")
+        if not self.scale_error > -1:
+            raise ValueError("scale_error must exceed -1: at -1 or below the drive "
+                             "stands still or runs backwards")
         if self.periodic_period <= 0:
             raise ValueError("periodic_period must be positive")
         if self.drift_step < 0 or self.drift_smoothing < 1:

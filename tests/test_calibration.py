@@ -633,18 +633,30 @@ def _random_knots(n, seed):
     return x, rng.normal(1000.0, 300.0, n)
 
 
-# 20001 knots make a grid of about 100 000 samples: a dozen evaluation blocks,
-# the last one partial, so every block seam is checked on non-uniform knots
-@pytest.mark.parametrize("n", [4, 5, 3001, 20001])
+# density is uniform grid samples per mean knot step, overhang how many knot
+# steps the grid runs past each end. At density 2, 20001 knots make a grid of
+# about 100 000 samples: a dozen evaluation blocks, the last one partial, so
+# every block seam is checked on non-uniform knots. Density 16 makes blocks
+# that span a few hundred knots; density 1/16 on 200 001 knots, with the knots
+# probed only every 4096th, a block that spans over 100 000
+@pytest.mark.parametrize("n, density, overhang", [
+    *(pytest.param(n, 2, 0, id=str(n)) for n in (4, 5, 3001, 20001)),
+    pytest.param(20001, 16, 0, id="20001-dense"),
+    pytest.param(200001, 1 / 16, 0, id="200001-sparse"),
+    pytest.param(20001, 2, 3, id="20001-overhang"),
+])
 @pytest.mark.parametrize("seed", range(3))
-def test_bessel_hermite_bit_identical_to_cubic_hermite_on_random_knots(n, seed):
+def test_bessel_hermite_bit_identical_to_cubic_hermite_on_random_knots(n, density, overhang,
+                                                                       seed):
     x, y = _random_knots(n, seed)
-    step = (x[-1] - x[0]) / (2 * n + 7)
+    step = (x[-1] - x[0]) / (density * n + 7)
+    pad = overhang * (x[-1] - x[0]) / (n - 1)
+    probed = x if density >= 1 else x[np.r_[0:n:4096, -1]]
     grid = np.concatenate((
-        x,                                            # on every knot, both ends included
-        np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        probed,                                       # on the knots, both ends included
+        np.nextafter(probed, -np.inf), np.nextafter(probed, np.inf),
         [x[0] - 1e-9 * step, x[-1] + 1e-9 * step],    # the uniform grid's overhang
-        np.arange(math.ceil(x[0] / step), math.floor(x[-1] / step) + 1) * step,
+        np.arange(math.ceil((x[0] - pad) / step), math.floor((x[-1] + pad) / step) + 1) * step,
     ))
     grid.sort()
     _assert_same_bytes(_bessel_hermite(x, np.diff(x), y, grid), _oracle(x, y, grid))

@@ -16,6 +16,7 @@ from qolcr.model import (
     PumpReference,
     Sample,
     Spectrum,
+    StageModel,
     Surface,
     coherence_envelope,
     response_function,
@@ -153,6 +154,14 @@ def test_pump_degeneracy_check():
     PumpReference(405e-9).check_degenerate(spec)
     with pytest.raises(ValueError):
         PumpReference(407e-9).check_degenerate(spec)
+
+
+@pytest.mark.parametrize("scale_error", [-1.0, -1.5, math.nan])
+def test_stage_refuses_a_drive_scale_that_does_not_advance(scale_error):
+    # the mirror moves (1 + scale_error) times each commanded step
+    StageModel(velocity=1e-6, sample_rate=1e3, scale_error=-0.999)
+    with pytest.raises(ValueError, match="scale_error must exceed -1"):
+        StageModel(velocity=1e-6, sample_rate=1e3, scale_error=scale_error)
 
 
 @settings(max_examples=30, deadline=None)
