@@ -112,7 +112,6 @@ def test_invalid_json_raises_config_error(tmp_path):
     (tweaked(noise={"enabled": "yes"}), "noise.enabled must be true or false"),
     (tweaked(scan={"start_um": 200.0, "stop_um": 100.0}),
      "scan.stop_um must exceed scan.start_um"),
-
     # a drive scale of 1 + scale_error <= 0 never advances the stage
     (tweaked(stage={"scale_error": -1.0}), "stage.scale_error must exceed -1"),
     (tweaked(stage={"scale_error": -1.5}), "stage.scale_error must exceed -1"),
