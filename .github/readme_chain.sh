@@ -64,19 +64,19 @@ d0d9fa5683581a1e62ce20ca8ef8df28cdd41203c17d85b21ffcfccf269aaf5c  scan.txt
 df7dd0325ed2951c4b01c7b4c62609778f62dc3b952b89cad6aa1cbb41a84256  ml.record.txt
 0372c2100b9c32999bfaec72efd069920f6a4630c9b20611842f573590df3f42  run1.calibration.txt
 7ea2115101830d170d773ef3c27489bf785bec746ea1084d24fa39f001590063  run1.record.txt
-35b261366b422f8b552b8a34b0ce4a8cdd37098678f7294669161615022bea8c  report.json
-a4a63fe19b72270eb641fe6c9dd162e2096f0472a6be4920fd7b8228eaf2523c  ml.report.json
-f5b7c4f6d765128f20a5151df3073e40265d58086f14a70971ac53475e5c9f10  rep.results.json
-60a6bcf9bb576de788d9643e6121423c1fc3970962d75b352f5dfcb4ff0619c9  rep.separations.txt
-2a4e6067e4f084a66a9be20d94111f6f0e4c8117d63432056df9cea4b4fa0b5e  lin.results.json
-a53b2d6fc0316a763724db1aa05b3b539e90a9dc71cdddc8b4df966b4468b8ba  lin.measured.txt
-0e6badc0e266559bd24822f42b98d00b7e9b39ca994190c9179db2a66f349cc8  lin.deviations.txt
+6dbc5350b6461092bf1b564a865843364ba7dcd88fa981e6d56a635332ccf8ab  report.json
+95afea0469dfed4f06cc936a6d915ce5a241f39d9e23b5a89ff41865c5ec2b34  ml.report.json
+6ddcf7b59186914194c00dca9dcba26953b5786e008c7dc6e969cd7daa0fd496  rep.results.json
+8e6461b221ab73ceef759db05e81d3023fd33cba3881d8b2af6667288799d68b  rep.separations.txt
+196abd30ad3e04a7d958ba83427247a933cdceb943b597b47679e0395fa3bd52  lin.results.json
+2d8235c5059cfa70e5875bb03e6b5a80aad09cc3ea4334c6ccf735c137aaa045  lin.measured.txt
+8e4dcc08f139deb6046ad281337edafd769d47fcbe6fc73523c7583d9380f7b8  lin.deviations.txt
 cc9502b8d53f646f745476e172975acad19e476118bcef18bc3b7e28b6bb9587  nf.txt
 011413b3521ef31ebdf4ecef364b6fe1aa7cd48a12f644de8372750652677e1b  nf.calibration.txt
 80d5cca71c4ad371ddea89c9ff27e978c4448f763315870abfcd18013da7238f  nf.record.txt
-1d46f41e66b7f1be668147db4fade39da16e0de547ec6ef09546ee2e62e806cd  nf.report.json
+ef9053889bd2f29127687f95b93c60a034cb97b1075052a79f6c6b55421f1acd  nf.report.json
 177f97d6ac75375dd5d8866fa0986e8d32c052acdf4c12c4c6a337fc4365a1df  cs.txt
 fe10193f5bbf4eb278fbab987dc82d1ab58d6b82d40c7f1d6af4b3d3fc4a9ed9  fs.record.txt
-501bd1f5d00a7ff075cb293ba0148f68d65e6408eba3c74fd2d6849ce185f510  fs.report.json
-856aa4d4a5a44c1f13cc3cf9a6fea81e4d067f06475ecc628b215020b18436fe  repf.results.json
+0f756dd76192a7c3ea44c1a0dc54915efdd07f9ee50546cc3d407bf140b1eaf4  fs.report.json
+1312bb842cab19de74ad8ab851caa8302725b9c81b3c7b2b3235cf79fef9ed73  repf.results.json
 EOF

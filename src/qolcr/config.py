@@ -242,6 +242,12 @@ def parse_config(raw: dict) -> RunConfig:
         bandpass = BandpassSpec.for_pump(pump, bandwidth, num_taps)
     except ConfigError as exc:
         raise ConfigError(f"pipeline.filter_{exc}") from exc
+    # along the reported axis the pump carrier runs (1 + scale_error) times faster
+    low, high = bandpass.band_edges
+    if not low < bandpass.center_frequency * (1.0 + stage.scale_error) < high:
+        raise ConfigError(
+            f"stage.scale_error {stage.scale_error:g} moves the pump carrier outside the "
+            f"band-pass of pipeline.filter_relative_bandwidth {bandwidth:g}")
     pipeline = PipelineParams(
         bandpass=bandpass,
         grid_step=None if grid_step_nm is None else grid_step_nm * 1e-9,

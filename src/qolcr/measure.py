@@ -17,15 +17,24 @@ lag by A(0), and sparse far lags stay small in proportion to the energy
 they actually carry. Overlap-count (unbiased) normalization would
 inflate an interior cluster at lag k by n/(n-k), and per-lag coefficient
 normalization would report O(1) correlation for vanishing packet tails.
+
+The clusters are searched and refined on the band-limited autocorrelation:
+the one-sided power spectrum weighted by a smooth window about its own
+carrier band. Counting noise is white while the fringe content lies within
+a few percent of 2 / lambda0, so the weight is the matched filter for a
+packet of known band (Turin, IRE Trans. Inf. Theory 6, 311 (1960)). It
+keeps the counting noise's spike at zero lag out of the zero-lag half-width
+that scales every window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import fft, ifft, next_fast_len, rfft
 from scipy.signal import find_peaks
 
 from qolcr.calibration import CalibratedRecord, _unwrap
@@ -51,54 +60,159 @@ MIN_CLUSTER_SAMPLES = 64
 # spacing of two clusters, and the half-widths of a cluster window and its fit
 ZERO_GUARD, MIN_SEPARATION, CLUSTER_WINDOW, FIT_WINDOW = 4, 3, 1.5, 0.3
 
+# half-width of the band weight, relative to its centre frequency: the
+# source's 30 nm FWHM at 810 nm spans 3.7% of the carrier, and at 5 nm steps
+# the band keeps about 0.5% of the white counting noise
+BAND_HALFWIDTH = 0.11
+
+# the band-limited autocorrelation is searched at every D-th lag, D the
+# largest divisor of the FFT length up to this; its zero-lag half-width is
+# about 1340 lags at the default 5 nm grid
+MAX_DECIMATION = 16
+
+# fixed-point steps allowed for the band centre, W's centroid under its own weight
+CENTROID_STEPS = 50
+
 
 @dataclass
 class Autocorrelogram:
-    """Mean-subtracted analytic autocorrelation normalized to A(0) = 1.
+    """Autocorrelation of the mean-subtracted record, held as its power spectrum.
 
-    `analytic` is A(k) + i H[A](k) for lags k = 0, 1, ... only, so array
-    index k is lag k * grid_step: its real part is the autocorrelation, its
-    modulus the fringe envelope and its angle the carrier phase. Negative
-    lags, the conjugate mirror, are not stored.
+    `power` is the one-sided spectrum W over FFT bins 0 .. nfft // 2 of the
+    zero-padded record: |X|^2 at DC (and at Nyquist for even nfft), 2 |X|^2
+    in between. Its inverse FFT is the analytic autocorrelation
+    A(k) + i H[A](k), kept for lags k = 0 .. n_lags - 1 at k * grid_step.
+    The full-band `analytic`, `values`, `envelope` and `lags` are computed
+    on first read; the separation estimate reads only the band-limited signal.
     """
 
-    analytic: np.ndarray      # complex, analytic[0] == 1
+    power: np.ndarray = field(repr=False)
+    nfft: int
+    n_lags: int
     grid_step: float
-    envelope: np.ndarray = field(init=False, repr=False)  # |analytic|, set once
-    lags: np.ndarray = field(init=False, repr=False)  # k * grid_step in meters, set once
 
     def __post_init__(self):
-        if not np.iscomplexobj(self.analytic):
-            raise ConfigError("autocorrelogram must hold the complex analytic signal")
-        if abs(self.analytic[0] - 1.0) > 1e-12:
-            raise ConfigError("autocorrelogram must be normalized to A(0) = 1")
-        self.envelope = np.abs(self.analytic)
-        if np.max(self.envelope) > 1.0 + 1e-9:
-            raise ConfigError("autocorrelogram exceeds its zero-lag value")
-        self.lags = np.arange(len(self.analytic)) * self.grid_step
+        power = self.power
+        if not (power.dtype.kind == "f" and power.shape == (self.nfft // 2 + 1,)
+                and 0 < self.n_lags <= len(power)):
+            raise ConfigError("autocorrelogram must hold the real one-sided power spectrum "
+                              "of its FFT length, and lags up to half that length")
+        if not (power.min() >= 0.0 and power.any()):  # so 0 < A(0) and every |A(k)| <= A(0)
+            raise ConfigError("autocorrelogram power spectrum must be nonnegative and nonzero")
+
+    @cached_property
+    def analytic(self) -> np.ndarray:
+        """A(k) + i H[A](k), normalized to A(0) = 1: its real part is the
+        autocorrelation, its modulus the envelope, its angle the carrier phase.
+
+        W is real, so its inverse FFT is conj(rfft(W)) / nfft at every lag up
+        to nfft / 2: one forward real FFT, and no window edge leaves artifacts.
+        """
+        analytic = rfft(self.power, self.nfft)[: self.n_lags]
+        np.conjugate(analytic, out=analytic)
+        analytic /= analytic[0].real
+        analytic[0] = 1.0
+        return analytic
 
     @property
     def values(self) -> np.ndarray:
         """The real autocorrelation A(k)."""
         return self.analytic.real
 
+    @cached_property
+    def envelope(self) -> np.ndarray:
+        return np.abs(self.analytic)
+
+    @cached_property
+    def lags(self) -> np.ndarray:
+        """k * grid_step in meters."""
+        return np.arange(self.n_lags) * self.grid_step
+
     def window(self, center: float, halfwidth: float) -> slice:
-        lo = int(np.searchsorted(self.lags, center - halfwidth, side="left"))
-        hi = int(np.searchsorted(self.lags, center + halfwidth, side="right"))
-        return slice(lo, hi)
+        """The lag indices within center +- halfwidth."""
+        lo = max(math.ceil((center - halfwidth) / self.grid_step), 0)
+        hi = min(math.floor((center + halfwidth) / self.grid_step) + 1, self.n_lags)
+        return slice(lo, max(lo, hi))
+
+    @cached_property
+    def band(self) -> tuple[int, np.ndarray]:
+        """(first bin, band-weighted W over the band's bins, normalized to unit sum).
+
+        The weight is a Tukey window of half-width BAND_HALFWIDTH times its
+        centre: flat over its inner half, so each cluster's in-band spectrum
+        keeps its shape, and cos^2 tapered to zero at its edges. The centre
+        is W's power centroid under that same weight, a fixed point reached
+        from W's largest bin: it moves continuously with W, where the largest
+        bin could flip under rounding.
+        """
+        power = self.power
+        center = float(np.argmax(power))
+        for _ in range(CENTROID_STEPS):
+            half = BAND_HALFWIDTH * center
+            if half < 1.0:
+                raise PeakFitError(f"the record's power spectrum has no fringe band: it "
+                                   f"centres on FFT bin {center:.3g} of {self.nfft}")
+            lo = max(math.ceil(center - half), 0)
+            hi = min(math.floor(center + half) + 1, len(power))
+            bins = np.arange(lo, hi)
+            taper = np.maximum(np.abs(bins - center) / half - 0.5, 0.0)
+            weighted = np.cos(math.pi * taper) ** 2 * power[lo:hi]
+            weighted /= weighted.sum()
+            moved, center = center, float(bins @ weighted)
+            if abs(center - moved) <= 1e-12 * moved:
+                break
+        return lo, weighted
+
+    @cached_property
+    def decimation(self) -> int:
+        return max(d for d in range(1, MAX_DECIMATION + 1) if self.nfft % d == 0)
+
+    @cached_property
+    def band_decimated(self) -> np.ndarray:
+        """The band-limited analytic autocorrelation at lags 0, D, 2D, ... (D the
+        decimation), normalized at zero lag.
+
+        Lag D m of the weighted W's inverse DFT sums the bins folded modulo
+        M = nfft / D against exp(2 pi i r m / M), so one M-point real FFT of
+        the folded bins gives every D-th lag exactly.
+        """
+        lo, weighted = self.band
+        size = self.nfft // self.decimation
+        folded = np.bincount(np.arange(lo, lo + len(weighted)) % size, weights=weighted,
+                             minlength=size)
+        out = rfft(folded)[: (self.n_lags - 1) // self.decimation + 1]
+        return np.conjugate(out, out=out)
+
+    def band_limited(self, lags: slice) -> np.ndarray:
+        """The band-limited analytic autocorrelation at every lag of the slice.
+
+        A chirp-z transform (Bluestein, IEEE Trans. Audio Electroacoust. 18,
+        451 (1970)) evaluates the band's inverse DFT at just these lags, with
+        u s = (u^2 + s^2 - (s - u)^2) / 2 turning it into one convolution.
+        Every phase is an integer modulo 2 nfft before it is scaled to radians.
+        """
+        lo, weighted = self.band
+        k0, count, nfft = lags.start, lags.stop - lags.start, self.nfft
+        width = len(weighted)
+        size = next_fast_len(count + width - 1)
+        t = np.arange(max(count, width))
+        chirp = np.exp((-1j * math.pi / nfft) * (t * t % (2 * nfft)))
+        kernel = np.zeros(size, dtype=complex)
+        kernel[:count] = chirp[:count]
+        kernel[size - width + 1:] = chirp[width - 1:0:-1]
+        u = t[:width]
+        seq = weighted * np.exp((1j * math.pi / nfft) * ((u * u + 2 * u * k0) % (2 * nfft)))
+        conv = ifft(fft(seq, size) * fft(kernel))[:count]
+        s = t[:count]
+        return conv * np.exp((1j * math.pi / nfft) * ((s * s + 2 * lo * (k0 + s)) % (2 * nfft)))
 
 
 def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
-    """Analytic autocorrelation of the mean-subtracted record.
+    """Autocorrelation of the mean-subtracted record, as its one-sided power spectrum.
 
-    Zero-padded FFT gives the linear (non-circular) lag sums. Their analytic
-    signal over the whole lag range comes from the one-sided spectrum W:
-    |X|^2 at DC (and at Nyquist for even nfft), 2 |X|^2 in between, zero
-    above. W is real, so its inverse FFT is conj(rfft(W)) / nfft at every
-    lag up to nfft / 2, beyond k_cap: one forward real FFT, and no window
-    edge leaves artifacts. Normalized once by the zero-lag sum, and every
-    bin nonnegative, |A(k)| <= A(0) = 1. Only lags 0 .. k_cap are kept,
-    with k_cap capped so at least MIN_OVERLAP samples contribute.
+    Zero-padded to nfft >= 2n - 1, the FFT gives the linear (non-circular)
+    lag sums. Only lags 0 .. k_cap are kept, with k_cap capped so at least
+    MIN_OVERLAP samples contribute.
     """
     n = len(record.intensity)
     if n < 2 * MIN_OVERLAP:
@@ -106,24 +220,16 @@ def autocorrelate(record: CalibratedRecord) -> Autocorrelogram:
     if not np.isfinite(record.intensity).all():
         raise PipelineQualityError("record holds non-finite intensity samples")
     x = record.intensity - record.intensity.mean()
-    k_cap = n - MIN_OVERLAP
 
     nfft = next_fast_len(2 * n - 1)
-    weighted = np.empty(nfft)  # before the FFT: allocated after it, the stage faults more pages
     spec = rfft(x, nfft)
-    half = len(spec)
-    np.multiply(spec.real, spec.real, out=weighted[:half])
-    weighted[:half] += spec.imag * spec.imag
-    weighted[1: (nfft + 1) // 2] *= 2.0
-    weighted[half:] = 0.0
-    del spec  # freed before the second FFT allocates its output
-    analytic = rfft(weighted, overwrite_x=True)[: k_cap + 1]
-    np.conjugate(analytic, out=analytic)
-    if analytic[0].real <= 0:
+    power = spec.real * spec.real
+    power += spec.imag * spec.imag
+    power[1: (nfft + 1) // 2] *= 2.0
+    if not power.any():
         raise PipelineQualityError("record has zero variance")
-    analytic /= analytic[0].real
-    analytic[0] = 1.0
-    return Autocorrelogram(analytic=analytic, grid_step=record.grid_step)
+    return Autocorrelogram(power=power, nfft=nfft, n_lags=n - MIN_OVERLAP + 1,
+                           grid_step=record.grid_step)
 
 
 def parabolic_peak_fit(positions, values):
@@ -202,49 +308,57 @@ class MeasurementReport:
         }
 
 
-def _zero_lag_halfwidth(acorr: Autocorrelogram) -> int:
-    """Half-max half-width of the zero-lag cluster of A itself, in lags.
+def _zero_lag_halfwidth(acorr: Autocorrelogram) -> float:
+    """Half-max half-width of the band-limited zero-lag cluster, in lags.
 
     The zero-lag cluster has the same coherence envelope as every other
     cluster, so its half-width sets the natural length scale of every
-    window without needing the source spectrum.
+    window without needing the source spectrum. The crossing is read
+    between the decimated lags on a straight line.
     """
-    edge = int(np.argmin(acorr.envelope >= 0.5))  # first index below half max
-    if edge == 0:
+    env = np.abs(acorr.band_decimated)
+    below = int(np.argmin(env >= 0.5))  # first decimated lag below half max
+    if below == 0:
         raise PeakFitError("zero-lag cluster of the autocorrelogram is malformed")
+    above = env[below - 1]
+    edge = acorr.decimation * (below - 1 + (above - 0.5) / (above - env[below]))
     if 2 * CLUSTER_WINDOW * edge < MIN_CLUSTER_SAMPLES:
         raise PeakFitError(
-            f"zero-lag half-width of only {edge} lag(s) leaves a cluster window under "
+            f"zero-lag half-width of only {edge:.3g} lag(s) leaves a cluster window under "
             f"{MIN_CLUSTER_SAMPLES} lags: uncorrelated counting noise dominates the record")
-    return edge
+    return float(edge)
 
 
 def estimate_separations(acorr: Autocorrelogram, expected_count: int,
                          refinement_offset: float = 0.0) -> MeasurementReport:
     """Locate the `expected_count` strongest clusters and refine each one.
 
-    refinement_offset shifts the carrier-fringe seed away from the
-    envelope vertex; nonzero values force the one-fringe ambiguity and are
-    used to exercise the outlier flag. Returns the peaks sorted by separation,
-    no metadata, and quality {cluster_search}.
+    The search reads the band-limited signal at every D-th lag and each
+    refinement reads it at every lag around its cluster's envelope peak,
+    so the full-band autocorrelation is never computed. refinement_offset shifts
+    the carrier-fringe seed away from the envelope vertex; nonzero values
+    force the one-fringe ambiguity and are used to exercise the outlier
+    flag. Returns the peaks sorted by separation, no metadata, and quality
+    {cluster_search}.
     """
     if expected_count < 1:
         raise ConfigError("expected_count must be at least 1")
 
     edge = _zero_lag_halfwidth(acorr)
+    step = acorr.decimation
     w_half = edge * acorr.grid_step
     zero_guard = ZERO_GUARD * w_half
-    env = acorr.envelope
-    search = env.copy()
-    guard_idx = ZERO_GUARD * edge
-    if guard_idx >= len(search):
+    env = np.abs(acorr.band_decimated)
+    guard_idx = math.ceil(ZERO_GUARD * edge / step)
+    if guard_idx >= len(env):
         raise PeakCountError("autocorrelogram holds no lags beyond the zero-lag guard")
+    search = env.copy()
     search[:guard_idx] = 0.0
     floor = max(
         NOISE_FLOOR_FACTOR * float(np.median(env[guard_idx:])),
         MIN_CLUSTER_HEIGHT,
     )
-    peaks_idx, props = find_peaks(search, height=floor, distance=MIN_SEPARATION * edge)
+    peaks_idx, props = find_peaks(search, height=floor, distance=MIN_SEPARATION * edge / step)
     if len(peaks_idx) < expected_count:
         raise PeakCountError(
             f"found {len(peaks_idx)} cluster(s) above the noise floor, "
@@ -255,7 +369,7 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
 
     estimates = []
     for idx in chosen:
-        center = float(idx) * acorr.grid_step
+        center = float(idx * step) * acorr.grid_step
         estimates.append(_refine_cluster(acorr, center, w_half, refinement_offset))
     estimates.sort(key=lambda p: p.separation)
     if any(p.separation <= zero_guard for p in estimates):
@@ -272,11 +386,19 @@ def estimate_separations(acorr: Autocorrelogram, expected_count: int,
 def _refine_cluster(acorr: Autocorrelogram, center: float, w_half: float,
                     refinement_offset: float) -> PeakEstimate:
     window = acorr.window(center, CLUSTER_WINDOW * w_half)
-    analytic = acorr.analytic[window]
-    lags = acorr.lags[window]
-    if len(analytic) < MIN_CLUSTER_SAMPLES:
+    if window.stop - window.start < MIN_CLUSTER_SAMPLES:
         raise PeakFitError("cluster too close to the edge of the autocorrelogram")
-    env = acorr.envelope[window]
+    # the envelope peaks within a decimation step of its largest decimated
+    # lag, so every lag is read only where the fit around that peak can reach
+    step = acorr.decimation
+    first = -(-window.start // step)
+    coarse = np.abs(acorr.band_decimated[first: (window.stop - 1) // step + 1])
+    near = acorr.window((first + int(np.argmax(coarse))) * step * acorr.grid_step,
+                        (FIT_WINDOW * w_half + step * acorr.grid_step))
+    read = slice(max(near.start, window.start), min(near.stop, window.stop))
+    analytic = acorr.band_limited(read)
+    lags = np.arange(read.start, read.stop) * acorr.grid_step
+    env = np.abs(analytic)
     phase = _unwrap(np.angle(analytic))
     peak_lag = float(lags[np.argmax(env)])
 
@@ -296,7 +418,8 @@ def _refine_cluster(acorr: Autocorrelogram, center: float, w_half: float,
     phi_seed = float(np.interp(seed, lags, phase))
     target = 2.0 * math.pi * round(phi_seed / (2.0 * math.pi))
     if not (phase[0] <= target <= phase[-1]):
-        raise PeakFitError("carrier refinement target outside the cluster window")
+        raise PeakFitError("carrier refinement target outside the lags read around the "
+                           "envelope peak")
     refined = float(np.interp(target, phase, lags))
 
     outlier = abs(refined - vertex) > period / 2.0

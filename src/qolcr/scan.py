@@ -268,6 +268,14 @@ def simulate_scan(sample: Sample, spectrum: Spectrum, pump: PumpReference, stage
             f"{MIN_MARGIN_COHERENCE_LENGTHS:g} coherence length of margin; "
             f"got [{start!r}, {stop!r}) for surfaces at {z.tolist()}"
         )
+    # the mirror moves (1 + scale_error) times each commanded step
+    true_end = start + (stop - stage.spacing - start) * (1.0 + stage.scale_error)
+    if true_end - z.max() < margin:
+        raise SynthesisError(
+            f"the stage's true travel ends at {true_end * 1e6:.3f} um (stage.scale_error "
+            f"{stage.scale_error:g}), within {MIN_MARGIN_COHERENCE_LENGTHS:g} coherence "
+            f"length of the far surface at {z.max() * 1e6:.3f} um"
+        )
     if sample.min_gap() < MIN_GAP_COHERENCE_LENGTHS * spectrum.coherence_length:
         raise SynthesisError(
             "adjacent surfaces closer than the minimum resolvable gap of "

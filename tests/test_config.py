@@ -115,6 +115,11 @@ def test_invalid_json_raises_config_error(tmp_path):
     # a drive scale of 1 + scale_error <= 0 never advances the stage
     (tweaked(stage={"scale_error": -1.0}), "stage.scale_error must exceed -1"),
     (tweaked(stage={"scale_error": -1.5}), "stage.scale_error must exceed -1"),
+    # the reported-axis carrier (2 / lambda_p)(1 + scale_error) must stay in the band-pass
+    (tweaked(stage={"scale_error": 0.2}), "stage.scale_error 0.2 moves the pump carrier "
+     "outside the band-pass of pipeline.filter_relative_bandwidth 0.2"),
+    (tweaked(stage={"scale_error": 1.0}), "stage.scale_error 1 moves the pump carrier"),
+    (tweaked(stage={"scale_error": -0.5}), "stage.scale_error -0.5 moves the pump carrier"),
 ])
 def test_field_level_messages(raw, needle):
     with pytest.raises(ConfigError) as err:

@@ -23,10 +23,14 @@ from qolcr.calibration import (
     resample_intensity,
 )
 from qolcr.config import DEFAULT_CONFIG, default_config, load_config, parse_config
+from qolcr import experiments
 from qolcr.experiments import calibrate_trace, synthesize
 from qolcr.experiments import run_pipeline as run_seeded
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError, PipelineQualityError
 from qolcr.measure import (
+    BAND_HALFWIDTH,
+    CLUSTER_WINDOW,
+    MIN_CLUSTER_SAMPLES,
     MIN_OVERLAP,
     Autocorrelogram,
     _refine_cluster,
@@ -202,19 +206,90 @@ def test_autocorrelate_rejects_non_finite_intensity(bad):
 
 
 def test_autocorrelogram_validates_normalization():
-    analytic = np.zeros(51, dtype=complex)
-    analytic[0] = 0.5  # not normalized
+    # A(k) is the inverse FFT of the power spectrum W, so A(0) = sum(W)
+    power = np.zeros(51)
+    with pytest.raises(ConfigError):  # no zero-lag value to normalize by
+        Autocorrelogram(power=power, nfft=100, n_lags=51, grid_step=GRID)
+    power[0] = 1.0
+    power[10] = -0.5  # a negative bin lets |A(k)| exceed the zero-lag value
     with pytest.raises(ConfigError):
-        Autocorrelogram(analytic=analytic, grid_step=GRID)
-    analytic[0] = 1.0
-    analytic[10] = 1.5j  # exceeds the zero-lag value in modulus
-    with pytest.raises(ConfigError):
-        Autocorrelogram(analytic=analytic, grid_step=GRID)
-    analytic[10] = 0.0
-    acorr = Autocorrelogram(analytic=analytic, grid_step=GRID)
+        Autocorrelogram(power=power, nfft=100, n_lags=51, grid_step=GRID)
+    power[10] = 0.0
+    acorr = Autocorrelogram(power=power, nfft=100, n_lags=51, grid_step=GRID)
     assert np.array_equal(acorr.lags, np.arange(51) * GRID)
-    with pytest.raises(ConfigError):  # the real part alone is not enough
-        Autocorrelogram(analytic=analytic.real, grid_step=GRID)
+    with pytest.raises(ConfigError):  # a complex spectrum is not a power spectrum
+        Autocorrelogram(power=power.astype(complex), nfft=100, n_lags=51, grid_step=GRID)
+    with pytest.raises(ConfigError):  # nor one of another FFT length
+        Autocorrelogram(power=power, nfft=120, n_lags=51, grid_step=GRID)
+
+
+def _band_oracle(acorr):
+    """The full-length inverse FFT of the same band-weighted W, lags 0 .. n_lags - 1."""
+    lo, weighted = acorr.band
+    padded = np.zeros(acorr.nfft)
+    padded[lo: lo + len(weighted)] = weighted
+    return np.conj(rfft(padded))[: acorr.n_lags]
+
+
+@pytest.mark.parametrize("config", [
+    default_config(),
+    load_config(Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"),
+], ids=["default", "multilayer"])
+@pytest.mark.parametrize("run_index", [0, 1, 2])
+def test_band_limited_readout_matches_full_length_inverse(config, run_index):
+    # every D-th lag from one M-point FFT of the folded band, and every lag of
+    # each cluster window the refinement reads, against one nfft-point inverse
+    _, record = calibrate_trace(config, synthesize(config, run_index))
+    acorr = autocorrelate(record)
+    oracle = _band_oracle(acorr)
+    tolerance = 1e-12 * abs(oracle[0])
+    assert acorr.nfft % acorr.decimation == 0 and acorr.decimation > 1
+    decimated = acorr.band_decimated
+    assert np.max(np.abs(decimated - oracle[:: acorr.decimation])) < tolerance
+    report = estimate_separations(acorr, config.pipeline.expected_peaks)
+    w_half = report.quality["cluster_search"]["w_half"]
+    for peak in report.peaks:
+        window = acorr.window(peak.diagnostics["cluster_center"], CLUSTER_WINDOW * w_half)
+        assert window.stop - window.start >= MIN_CLUSTER_SAMPLES
+        assert np.max(np.abs(acorr.band_limited(window) - oracle[window])) < tolerance
+
+
+def test_band_centres_on_the_carrier_and_spans_eleven_percent():
+    # a cosine of period 20 samples puts its power at bin nfft / 20; the
+    # weight is flat over the band's inner half and zero at its edges
+    pos = np.arange(6000) * GRID
+    acorr = autocorrelate(_record(100.0 + np.cos(2.0 * math.pi * pos / (20 * GRID))))
+    lo, weighted = acorr.band
+    bins = np.arange(lo, lo + len(weighted))
+    center = float(bins @ weighted)
+    assert abs(center - acorr.nfft / 20) < 0.5
+    assert lo >= center * (1 - BAND_HALFWIDTH) and bins[-1] <= center * (1 + BAND_HALFWIDTH)
+    assert len(weighted) >= 2 * BAND_HALFWIDTH * center - 1
+    assert math.isclose(weighted.sum(), 1.0, rel_tol=1e-12)
+    weight = weighted / acorr.power[bins]
+    inner = np.abs(bins - center) <= 0.5 * BAND_HALFWIDTH * center
+    assert np.allclose(weight[inner], weight[inner][0], rtol=1e-12)
+    assert max(weight[0], weight[-1]) < 1e-2 * weight[inner][0]
+
+
+def test_record_without_a_fringe_band_names_the_cause():
+    # a slow ramp puts W's power at the lowest bins, where +-11% holds no bin
+    acorr = autocorrelate(_record(100.0 + 0.01 * np.arange(4096.0)))
+    with pytest.raises(PeakFitError, match="^the record's power spectrum has no fringe band"):
+        estimate_separations(acorr, 1)
+
+
+def test_run_pipeline_never_computes_the_full_band_autocorrelation(monkeypatch):
+    made = []
+
+    def recorded(record):
+        made.append(autocorrelate(record))
+        return made[-1]
+
+    monkeypatch.setattr(experiments, "autocorrelate", recorded)
+    run_seeded(default_config(), run_index=0)
+    assert len(made) == 1
+    assert not {"analytic", "envelope", "lags"} & set(vars(made[0]))
 
 
 def test_analytic_autocorrelation_matches_hilbert_oracle():
@@ -386,13 +461,15 @@ def test_white_noise_zero_lag_is_too_narrow_for_a_cluster_window():
         _zero_lag_halfwidth(acorr)
 
 
-def test_noise_swamped_record_names_the_cause():
-    # at singles_scale 100 uncorrelated counting noise dominates lag 0, so
-    # the zero-lag cluster is a few lags wide, not ~1300
+def test_noise_swamped_record_lands_within_5_nm():
+    # at singles_scale 100 uncorrelated counting noise dominates lag 0 of the
+    # full-band autocorrelation, whose zero-lag cluster shrinks to a few lags;
+    # the band-limited one keeps its ~1340-lag half-width
     raw = copy.deepcopy(DEFAULT_CONFIG)
     raw["noise"]["singles_scale"] = 100.0
-    with pytest.raises(PeakFitError, match="counting noise dominates"):
-        run_seeded(parse_config(raw), run_index=0)
+    peak = run_seeded(parse_config(raw), run_index=0).peaks[0]
+    assert not peak.outlier_flag
+    assert abs(peak.separation - TRUE_SEPARATION) < 5e-9
 
 
 def test_report_is_sorted_and_json_ready(standard_acorr):

@@ -406,6 +406,16 @@ def test_scan_rejects_surfaces_without_margin():
                       default_stage(), default_noise(), (0.0, 300e-6))
 
 
+@pytest.mark.parametrize("scale_error", [-0.02, -0.05])
+def test_scan_rejects_a_drive_that_falls_short_of_the_far_surface(scale_error):
+    # the commanded range covers 290.114 um with margin, but a mirror that moves
+    # (1 + scale_error) times each step ends its travel inside the far packet;
+    # on run 0 these used to read 279.412 and 273.327 um, both unflagged
+    with pytest.raises(SynthesisError, match=r"true travel ends .* far surface at 290\.114 um"):
+        simulate_scan(two_surface_sample(), default_spectrum(), PumpReference(LAMBDA_P),
+                      default_stage(scale_error=scale_error), default_noise(), (0.0, 300e-6))
+
+
 def test_scan_rejects_unresolvable_gap():
     sample = Sample.from_pairs([(0.5, 100e-6), (0.5, 105e-6)])
     with pytest.raises(SynthesisError):
