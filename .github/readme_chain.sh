@@ -3,11 +3,13 @@
 # with short repeat and linearity batches, write byte-identical
 # artifacts for the default config and seed. What the sums pin:
 # - scan.txt, run1.calibration.txt, run1.record.txt, report.json: the
-#   default chain, whose calibration reads the analytic carrier phase;
+#   default chain, whose calibration reads the baseband carrier phase at
+#   every 16th sample;
 # - ml.txt: the three-surface synthesis (three HOM pairs, three fringe
 #   packets); ml.calibration.txt and ml.record.txt its calibration on
-#   the same analytic phase, read from a config that still names the
-#   retired `total_power` and `phase_method` fields, which are dropped;
+#   the same phase, read from a config that still names the retired
+#   `total_power`, `phase_method` and `filter_num_taps` fields, which are
+#   dropped;
 #   ml.report.json its three cluster refinements;
 # - nf.*: the default config with `noise.enabled: false`, the one way to
 #   switch counting noise off: expected counts per bin, no Poisson draw;
@@ -58,25 +60,25 @@ python -m qolcr.cli simulate --config fs.json --output fs.txt
 python -m qolcr.cli calibrate fs.txt --output fs
 python -m qolcr.cli measure fs.record.txt --output fs.report.json
 sha256sum -c - <<'EOF'
-d0d9fa5683581a1e62ce20ca8ef8df28cdd41203c17d85b21ffcfccf269aaf5c  scan.txt
-36f62b28aff3bb2f9834e93bb1020dc329036f85dbf4e63867003e327028c77b  ml.txt
-8d62b12f069b342ea57b5e79f35121353aacba85548c49ae098ed187df2b8111  ml.calibration.txt
-df7dd0325ed2951c4b01c7b4c62609778f62dc3b952b89cad6aa1cbb41a84256  ml.record.txt
-0372c2100b9c32999bfaec72efd069920f6a4630c9b20611842f573590df3f42  run1.calibration.txt
-7ea2115101830d170d773ef3c27489bf785bec746ea1084d24fa39f001590063  run1.record.txt
-6dbc5350b6461092bf1b564a865843364ba7dcd88fa981e6d56a635332ccf8ab  report.json
-95afea0469dfed4f06cc936a6d915ce5a241f39d9e23b5a89ff41865c5ec2b34  ml.report.json
-6ddcf7b59186914194c00dca9dcba26953b5786e008c7dc6e969cd7daa0fd496  rep.results.json
-8e6461b221ab73ceef759db05e81d3023fd33cba3881d8b2af6667288799d68b  rep.separations.txt
-196abd30ad3e04a7d958ba83427247a933cdceb943b597b47679e0395fa3bd52  lin.results.json
-2d8235c5059cfa70e5875bb03e6b5a80aad09cc3ea4334c6ccf735c137aaa045  lin.measured.txt
-8e4dcc08f139deb6046ad281337edafd769d47fcbe6fc73523c7583d9380f7b8  lin.deviations.txt
-cc9502b8d53f646f745476e172975acad19e476118bcef18bc3b7e28b6bb9587  nf.txt
-011413b3521ef31ebdf4ecef364b6fe1aa7cd48a12f644de8372750652677e1b  nf.calibration.txt
-80d5cca71c4ad371ddea89c9ff27e978c4448f763315870abfcd18013da7238f  nf.record.txt
-ef9053889bd2f29127687f95b93c60a034cb97b1075052a79f6c6b55421f1acd  nf.report.json
-177f97d6ac75375dd5d8866fa0986e8d32c052acdf4c12c4c6a337fc4365a1df  cs.txt
-fe10193f5bbf4eb278fbab987dc82d1ab58d6b82d40c7f1d6af4b3d3fc4a9ed9  fs.record.txt
-0f756dd76192a7c3ea44c1a0dc54915efdd07f9ee50546cc3d407bf140b1eaf4  fs.report.json
-1312bb842cab19de74ad8ab851caa8302725b9c81b3c7b2b3235cf79fef9ed73  repf.results.json
+56762b549bd4dd37f9563f280982d206de461185d269c191c28c0a12829fcbc0  scan.txt
+dd071345d710d05136551d1b816853dd45d440a93fe675eb86091ffcc0803a72  ml.txt
+d27d73309ec1eb203e19da4626ab6f90f588cc9280bb6e244a4edb2c388f0c1a  ml.calibration.txt
+bff87c275de75ece2e7cd5dffbd1163636dc9146df3f92b05a93005d9b0828a2  ml.record.txt
+73210fb4d9bca167a4d8d8ddb919cc769dc148b1b983aaf71f879cf7ba388628  run1.calibration.txt
+e22bec92bc5b8a856dd290fe9fda4a8285d0d58a8133fd3eb5420c9599e9435b  run1.record.txt
+d011c2f8c365a4cdc7f2adc3149e8600b6e06c3dc231cb6c119f89ce09a4606a  report.json
+8882dcad2fcb1c8d2c67af3b01fea789b2f7a035032c834debffc49d04cf1edf  ml.report.json
+263bc550fa83e0bce02c9dc7e7f55615f53639778d0a716e10e574eb054c0f2c  rep.results.json
+e0833e6e611b26b2a8cd778c10230dd6a78867552e88e2f3e8bccb512d1d602e  rep.separations.txt
+5c4ca65fb6aa810745b13345b91974076cf81010f55f365b4f6bfbef0f9e1827  lin.results.json
+78b9c81f897b57aca3f85983e88bb75d861fc9bb239ee9cb80bfafadd9152ee7  lin.measured.txt
+c641e81d7510cfabf57d86c88999a1db15efbd34681b088e10c3c6fe16a13be3  lin.deviations.txt
+e25bee6149dfafe606823ca03efcb038b5441f1d721786fbe8656cd6bdfaa822  nf.txt
+b9c6cd6b1af1bc4b2d91bdb1665ccd09ad6d9c1c96270e1265c1797231ad3938  nf.calibration.txt
+fca5817cd78822311e20c6b4e7a3b16657f1eea328443645a88d565f6fb2eb5a  nf.record.txt
+607fa071f7d09da95642dd3f2859ca45a20a98396703df4c4339dcb38e7dcf7b  nf.report.json
+fe2b1163f37169671abf860407fbb26df8ad9ab01bb2cab63c55d6e1b129799c  cs.txt
+d0f744f89e94b1f2dd32654cda6ae17f857ad2eb138f17b3633be02236c93aeb  fs.record.txt
+6bdc5b7a7b43af0b20fc2d5c159321ecf52ce56de03f596a3a173b50acc70517  fs.report.json
+8b5a444c4a91b63e8f1a432682b6e299abf31c9cddcb7965b4e4ec1a4d6bed19  repf.results.json
 EOF

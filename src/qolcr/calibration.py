@@ -7,9 +7,15 @@ around that frequency, taking the analytic-signal phase, and scaling the
 unwrapped phase by lambda_p / (4 pi) therefore reproduces the true position
 axis up to an additive constant, which is anchored at the scan midpoint.
 
-All filtering is zero-phase: the band-pass is a symmetric (linear-phase)
-FIR applied with its group delay compensated, and samples inside half a
-filter length of either end are flagged invalid.
+The band-pass is a real, so zero-phase, Tukey weight on the trace's
+zero-padded FFT about 2 / lambda_p of the reported axis, exactly zero outside
++- relative_bandwidth / 2. So the carrier is read by complex demodulation with
+decimation (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983):
+the band's bins, moved down by the carrier bin c0 and folded modulo nfft / D,
+give the baseband analytic carrier psi at every D-th sample from one short
+inverse FFT, and the phase there is psi's plus 2 pi c0 m D / nfft. Those
+samples are the knots; the ones within the weight's kernel main lobe of
+either end are invalid.
 """
 
 from __future__ import annotations
@@ -19,26 +25,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import ifft, irfft, next_fast_len, rfft
 
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.model import BandpassSpec, PumpReference
 from qolcr.scan import ScanTrace
 
-# realized-response requirements checked after every design
-PASSBAND_RIPPLE = 0.01       # relative gain error allowed on the carrier
-DC_LEAKAGE = 1e-4            # maximum gain at zero frequency
-STOPBAND_DB = 40.0           # required attenuation one octave below center
-
-_KAISER_BETA = 8.96          # ~90 dB design
+# a band is read at every D-th sample (or lag), D the largest divisor of the
+# FFT length up to this whose fold still holds the band twice over
+MAX_DECIMATION = 16
 
 # phase samples below this fraction of the median carrier amplitude are
-# masked; more than MAX_BAD_FRACTION of masked filter-valid samples fails
+# masked; more than MAX_BAD_FRACTION of the knots outside the edges masked fails
 AMPLITUDE_FLOOR_RATIO = 0.2
 MAX_BAD_FRACTION = 0.10
 
-# knots per end over which the calibration map fits its extrapolation slope
-EDGE_FIT_KNOTS = 2000
+# reported travel in nm at each end over which the calibration map fits its
+# extrapolation slope: 2000 samples of the default 5 nm spacing
+EDGE_FIT_NM = 10000
 
 # grid samples the resampler evaluates at a time: the temporaries of a block
 # (64 KB each) are reused from the heap on every call, where grid-length ones
@@ -46,13 +50,41 @@ EDGE_FIT_KNOTS = 2000
 _RESAMPLE_BLOCK = 8192
 
 
-@functools.lru_cache(maxsize=8)
-def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
-    """Kaiser-window linear-phase FIR for the given spacing of the d' grid.
+def tukey_band(center: float, half: float, size: int) -> tuple[int, np.ndarray]:
+    """(first bin, weight over the bins from there) of the Tukey band weight about
+    `center`, flat within half / 2 of it and cos^2-tapered to zero at +- half, on
+    bins 0 .. size - 1; center and half are in bins."""
+    lo = max(math.ceil(center - half), 0)
+    hi = min(math.floor(center + half) + 1, size)
+    taper = np.maximum(np.abs(np.arange(lo, hi) - center) / half - 0.5, 0.0)
+    return lo, np.cos(math.pi * taper) ** 2
 
-    Validates the realized response: unit gain at the center within 1%,
-    DC leakage at most 1e-4, and at least 40 dB of attenuation one octave
-    below the center (where the classical lambda0 / 2 fringes sit).
+
+def decimation(nfft: int, width: int) -> int:
+    """D, the largest divisor of nfft up to MAX_DECIMATION whose fold of nfft / D
+    bins holds a band of `width` bins twice over: no two of its bins share a
+    residue, and its envelope and baseband phase are sampled without aliasing."""
+    return max((d for d in range(1, MAX_DECIMATION + 1)
+                if nfft % d == 0 and 2 * width * d <= nfft), default=1)
+
+
+@dataclass(frozen=True)
+class CarrierBand:
+    """The carrier's band weight on a sample grid."""
+
+    center: float                # cycles per sample
+    half: float                  # half-width in cycles per sample
+    edge: int                    # samples per end within the kernel's main lobe
+
+
+@functools.lru_cache(maxsize=8)
+def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> CarrierBand:
+    """The Tukey band weight of `spec` on a grid of the given spacing of d'.
+
+    The edge is where the envelope of the weight's analytic kernel first falls
+    below 1e-4 of its peak: the continuous weight's kernel, a raised
+    cosine's sinc(1.5 half t) cos(pi half t / 2) / (1 - (half t)^2), crosses just
+    inside its first null at t = 1 / (1.5 half), 270 samples at the default.
     """
     if not 0 < sample_spacing < math.inf:
         raise ConfigError(f"sample spacing must be a finite positive number, got {sample_spacing}")
@@ -63,96 +95,77 @@ def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> np.ndarray:
             f"band edge {f2:.4g} cyc/m reaches Nyquist {fs / 2:.4g}; "
             "spacing too coarse for the requested band"
         )
-    from scipy.signal import firwin, freqz  # loaded on first use; designs are cached
-    taps = firwin(spec.num_taps, [f1, f2], window=("kaiser", _KAISER_BETA),
-                  pass_zero=False, fs=fs)
-
-    probe = np.array([0.0, spec.center_frequency / 2.0, spec.center_frequency])
-    _, resp = freqz(taps, worN=probe, fs=fs)
-    gain = np.abs(resp)
-    if abs(gain[2] - 1.0) > PASSBAND_RIPPLE:
-        raise ConfigError(
-            f"filter of {spec.num_taps} taps misses unit gain at the center "
-            f"(got {gain[2]:.4f}); increase num_taps"
-        )
-    if gain[0] > DC_LEAKAGE:
-        raise ConfigError(
-            f"filter DC leakage {gain[0]:.2e} exceeds {DC_LEAKAGE:.0e}; "
-            "increase num_taps"
-        )
-    if gain[1] > 10 ** (-STOPBAND_DB / 20.0):
-        raise ConfigError(
-            f"filter leaves only {-20 * math.log10(max(gain[1], 1e-300)):.1f} dB "
-            f"at half the center frequency, need {STOPBAND_DB:.0f} dB; "
-            "increase num_taps or widen the transition"
-        )
-    taps.flags.writeable = False  # cached per (spec, spacing), shared by every caller
-    return taps
+    center, half = spec.center_frequency * sample_spacing, (f2 - f1) / 2 * sample_spacing
+    t = np.arange(0.0, 1.0 / (1.5 * half) + 0.01, 0.01)
+    envelope = np.abs(np.sinc(1.5 * half * t) * np.cos(0.5 * math.pi * half * t)
+                      / (1.0 - (half * t) ** 2))
+    return CarrierBand(center, half, math.ceil(t[np.argmax(envelope < 1e-4)]))
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_spectrum(taps: bytes, nfft: int) -> np.ndarray:
-    """rfft of the float64 taps zero-padded to nfft, read-only and cached."""
-    spectrum = rfft(np.frombuffer(taps), nfft)
-    spectrum.flags.writeable = False  # shared by every run with these taps and length
-    return spectrum
+def _kernel_spectrum(band: CarrierBand, nfft: int) -> tuple[int, np.ndarray]:
+    """(first bin, the band weight from there) on an nfft-point real FFT; cached."""
+    lo, weight = tukey_band(band.center * nfft, band.half * nfft, nfft // 2 + 1)
+    weight.flags.writeable = False  # shared by every run with this band and length
+    return lo, weight
 
 
-def _filtered_spectrum(taps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(rfft(values, nfft) * kernel spectrum, nfft): the full convolution's spectrum."""
-    if len(taps) % 2 == 0:
-        raise ConfigError("zero-phase application requires an odd tap count")
-    nfft = next_fast_len(len(values) + len(taps) - 1, real=True)
-    spectrum = rfft(values, nfft)
-    spectrum *= _kernel_spectrum(np.asarray(taps, dtype=float).tobytes(), nfft)
-    return spectrum, nfft
+def _filtered_spectrum(band: CarrierBand, values: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """(first bin, the band's bins of rfft(values, nfft) weighted, nfft). nfft, a
+    multiple of MAX_DECIMATION, pads 4 edges or more of zeros: the FFT's wrap puts
+    either end 5 edges from the other's knots, where the kernel's step response is
+    settled to 1.5e-3 (at 3 edges, 1e-2 or 0.3 nm at the first knots)."""
+    nfft = MAX_DECIMATION * next_fast_len(
+        -(-(len(values) + 4 * band.edge) // MAX_DECIMATION), real=True)
+    lo, weight = _kernel_spectrum(band, nfft)
+    return lo, rfft(values, nfft)[lo:lo + len(weight)] * weight, nfft
 
 
-def zero_phase_apply(taps: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Symmetric FIR with its group delay removed: the zero-phase response away from the edges."""
-    start = (len(taps) - 1) // 2
-    return irfft(*_filtered_spectrum(taps, values))[start:start + len(values)]
+def zero_phase_apply(band: CarrierBand, values: np.ndarray) -> np.ndarray:
+    """The band weight applied to values, by one inverse real FFT."""
+    lo, weighted, nfft = _filtered_spectrum(band, values)
+    spectrum = np.zeros(nfft // 2 + 1, dtype=complex)
+    spectrum[lo:lo + len(weighted)] = weighted
+    return irfft(spectrum, nfft)[:len(values)]
 
 
 @dataclass
 class FilteredCarrier:
-    """Band-passed coincidence trace as its analytic signal values + i quadrature."""
+    """The band-passed coincidence trace read at every `step`-th sample: its
+    analytic signal there is baseband[m] * exp(i ramp m)."""
 
-    values: np.ndarray           # irfft(S, nfft)[delay:delay + n], S the convolution's rfft
-    quadrature: np.ndarray       # the Hilbert transform of irfft(S, nfft), sliced alike
-    delay: int                   # the filter's group delay: this many edge samples per end
+    baseband: np.ndarray         # psi at samples 0, step, 2 step, ... below n_samples
+    ramp: float                  # 2 pi c0 step / nfft: the carrier's phase per knot
+    step: int                    # D, the samples between knots
+    edge: int                    # the band's edge exclusion per end, in samples
+    n_samples: int
 
 
 def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     """Isolate the pair-interference carrier from the coincidence channel.
 
-    The channel mean is removed before filtering to keep the edge ramp of
-    the convolution small; the pedestal carries no carrier information.
+    The channel mean is removed first; the pedestal carries no carrier
+    information. psi(m), 2 / D times the inverse FFT of the folded bins, is the
+    band-passed trace's analytic signal at sample m D times exp(-i ramp m).
     """
     n = trace.n_samples
-    half = (spec.num_taps - 1) // 2
-    if n <= 2 * half:
+    band = design_bandpass(spec, trace.spacing)
+    if n < 2 * band.edge + MAX_DECIMATION:  # so a knot lies between the edge exclusions
         raise CalibrationQualityError(
-            f"trace of {n} samples shorter than the filter edge exclusion of 2 x {half}")
+            f"trace of {n} samples too short for the band's edge exclusion of 2 x {band.edge}")
     if not np.isfinite(trace.coincidence).all():
         raise CalibrationQualityError("coincidence channel holds non-finite samples")
     if not np.isfinite(trace.reported_d).all():
         raise CalibrationQualityError("trace holds non-finite reported positions")
-    x = trace.coincidence - trace.coincidence.mean()
-    spectrum, nfft = _filtered_spectrum(design_bandpass(spec, trace.spacing), x)
-    return FilteredCarrier(values=irfft(spectrum, nfft)[half:half + n],
-                           quadrature=_quadrature(spectrum, nfft, half, n), delay=half)
-
-
-def _quadrature(spectrum: np.ndarray, nfft: int, delay: int, n: int) -> np.ndarray:
-    """Hilbert transform of irfft(spectrum, nfft), sliced to [delay, delay + n): the
-    imaginary part of the analytic signal (Marple, IEEE TSP 47(9), 1999) by one
-    inverse real FFT of -i times the spectrum, with DC and (for even nfft) Nyquist zeroed."""
-    rotated = spectrum * -1j
-    rotated[0] = 0.0
-    if nfft % 2 == 0:
-        rotated[-1] = 0.0
-    return irfft(rotated, nfft, overwrite_x=True)[delay:delay + n]
+    lo, weighted, nfft = _filtered_spectrum(band, trace.coincidence - trace.coincidence.mean())
+    step = decimation(nfft, len(weighted))
+    size, c0 = nfft // step, round(band.center * nfft)
+    folded = np.zeros(size, dtype=complex)
+    folded[(np.arange(lo, lo + len(weighted)) - c0) % size] = weighted  # one bin per residue
+    baseband = ifft(folded, overwrite_x=True)[:-(-n // step)]
+    baseband *= 2.0 / step
+    return FilteredCarrier(baseband=baseband, ramp=2.0 * math.pi * c0 / size, step=step,
+                           edge=band.edge, n_samples=n)
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:
@@ -170,44 +183,48 @@ def _unwrap(phase: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PhaseTrace:
-    """Unwrapped carrier phase with its quality mask."""
+    """Unwrapped carrier phase per trace sample, read at every `step`-th one
+    (NaN between), with its quality mask."""
 
     unwrapped_phase: np.ndarray
-    quality_mask: np.ndarray     # True where the phase is trustworthy; False in the filter edges
+    quality_mask: np.ndarray     # True where the phase is trustworthy: only at read knots
+    step: int = 1
 
 
 def extract_phase(carrier: FilteredCarrier) -> PhaseTrace:
-    """Per-sample carrier phase, unwrapped so adjacent steps stay in (-pi, pi].
+    """Carrier phase at every knot, unwrapped in baseband, where it turns slowly.
 
-    Phase and amplitude come from the analytic signal values + i quadrature. The
-    `delay` edge samples at each end are masked, and so are filter-valid samples
-    below AMPLITUDE_FLOOR_RATIO times their median amplitude; more than
-    MAX_BAD_FRACTION of the valid samples masked is an error.
+    Knots within the band's edge exclusion of either end are masked, and so
+    are the other knots below AMPLITUDE_FLOOR_RATIO times their median
+    amplitude; more than MAX_BAD_FRACTION of those masked is an error.
     """
-    amplitude = np.hypot(carrier.values, carrier.quadrature)
-    phase = _unwrap(np.arctan2(carrier.quadrature, carrier.values))
-
-    valid = slice(carrier.delay, len(amplitude) - carrier.delay)
+    amplitude = np.abs(carrier.baseband)
+    m = np.arange(len(amplitude))
+    knots = m * carrier.step
+    valid = (knots >= carrier.edge) & (knots < carrier.n_samples - carrier.edge)
     floor = AMPLITUDE_FLOOR_RATIO * float(np.median(amplitude[valid]))
-    mask = np.zeros(len(amplitude), dtype=bool)
-    mask[valid] = amplitude[valid] >= floor
-    bad = 1.0 - mask[valid].mean()
+    good = valid & (amplitude >= floor)
+    bad = 1.0 - good[valid].mean()
     if bad > MAX_BAD_FRACTION:
         raise CalibrationQualityError(
             f"carrier amplitude below floor over {bad:.1%} of the scan "
             f"(allowed {MAX_BAD_FRACTION:.0%}); weak pair-interference signal"
         )
-    return PhaseTrace(unwrapped_phase=phase, quality_mask=mask)
+    phase = np.full(carrier.n_samples, np.nan)
+    phase[knots] = _unwrap(np.angle(carrier.baseband)) + carrier.ramp * m
+    mask = np.zeros(carrier.n_samples, dtype=bool)
+    mask[knots] = good
+    return PhaseTrace(unwrapped_phase=phase, quality_mask=mask, step=carrier.step)
 
 
 @dataclass
 class CalibrationMap:
     """Monotone map from reported to calibrated positions.
 
-    Knots cover the filter-valid part of the scan; evaluation interpolates
-    linearly between knots and extrapolates linearly outside them with end
-    slopes fitted over EDGE_FIT_KNOTS knots (single-pair slopes would
-    inherit too much phase noise).
+    Knots cover the scan outside the band's edge exclusions; evaluation
+    interpolates linearly between knots and extrapolates linearly outside them
+    with end slopes fitted over the knots within EDGE_FIT_NM of reported travel
+    of each end, 2 to a quarter of them (one pair would inherit too much noise).
     """
 
     reported: np.ndarray
@@ -226,16 +243,13 @@ class CalibrationMap:
                 "calibrated positions not strictly increasing; "
                 "phase extraction failed or the stage reversed"
             )
-        self._lo_slope = self._end_slope(0)
-        self._hi_slope = self._end_slope(-1)
+        self._lo_slope = self._end_slope(self.reported, self.calibrated)
+        self._hi_slope = self._end_slope(self.reported[::-1], self.calibrated[::-1])
 
-    def _end_slope(self, which: int) -> float:
-        n = min(EDGE_FIT_KNOTS, len(self.reported) // 4)
-        n = max(n, 2)
-        sel = slice(0, n) if which == 0 else slice(-n, None)
-        x = self.reported[sel]
-        y = self.calibrated[sel]
-        slope = float(np.polyfit(x, y, 1)[0])
+    @staticmethod
+    def _end_slope(x: np.ndarray, y: np.ndarray) -> float:
+        n = max(min(np.count_nonzero(np.abs(x - x[0]) < EDGE_FIT_NM * 1e-9), len(x) // 4), 2)
+        slope = float(np.polyfit(x[:n], y[:n], 1)[0])
         if slope <= 0:
             raise CalibrationQualityError("calibration end slope not positive")
         return slope
@@ -265,13 +279,14 @@ def build_calibration(phase: PhaseTrace, reported_d: np.ndarray,
 
     One full carrier period corresponds to lambda_p / 2 of travel, so
     d = phi * lambda_p / (4 pi) + anchor with the anchor chosen to make the
-    calibrated and reported scales agree at the midpoint sample; reported_d
-    is the trace's axis, one position per phase sample.
+    calibrated and reported scales agree at the midpoint knot; reported_d is
+    the trace's axis, one position per phase sample. The quality block counts
+    knots: n_knots valid ones, valid_fraction of those read.
     """
-    mask = phase.quality_mask
-    if len(reported_d) != len(mask):
+    if len(reported_d) != len(phase.quality_mask):
         raise ConfigError("phase and reported axis must match in length")
-    idx = np.nonzero(mask)[0]
+    read = phase.quality_mask[::phase.step]
+    idx = np.flatnonzero(read) * phase.step
     if len(idx) < 16:
         raise CalibrationQualityError("too few valid phase samples to calibrate")
     scale = pump.wavelength / (4.0 * math.pi)
@@ -282,7 +297,7 @@ def build_calibration(phase: PhaseTrace, reported_d: np.ndarray,
     calibrated = phi * scale + anchor
     quality = {
         "n_knots": int(len(idx)),
-        "valid_fraction": float(len(idx) / len(mask)),
+        "valid_fraction": float(len(idx) / len(read)),
         "anchor_reported_d": float(reported_d[mid]),
         "rms_correction": float(np.sqrt(np.mean((calibrated - dprime) ** 2))),
         "max_abs_correction": float(np.abs(calibrated - dprime).max()),
@@ -356,7 +371,7 @@ def resample_intensity(trace: ScanTrace, calibration: CalibrationMap,
     """Cubic resampling of the intensity onto a uniform calibrated grid.
 
     Every intensity sample is placed at its calibrated position (linear
-    extrapolation of the map covers the filter-excluded edges) and the cubic
+    extrapolation of the map covers the band's edge exclusions) and the cubic
     Hermite interpolant with Bessel slopes through those points is evaluated
     on a uniform grid. Returns the record with no metadata and quality
     {extrapolated_fraction}, the share of samples outside the map's domain.

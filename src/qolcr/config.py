@@ -49,7 +49,6 @@ DEFAULT_CONFIG = {
     "scan": {"start_um": 0.0, "stop_um": 300.0},
     "pipeline": {
         "filter_relative_bandwidth": 0.2,
-        "filter_num_taps": 2001,
         "grid_step_nm": None,
         "expected_peaks": 1,
     },
@@ -57,14 +56,14 @@ DEFAULT_CONFIG = {
 }
 
 # fields of earlier versions, read and dropped so their configs and table headers still load
-_RETIRED_FIELDS = {"spectrum": {"total_power"}, "pipeline": {"phase_method"}}
+_RETIRED_FIELDS = {"spectrum": {"total_power"}, "pipeline": {"phase_method", "filter_num_taps"}}
 
 
 @dataclass(frozen=True)
 class PipelineParams:
     """Processing knobs carried alongside the physical configuration."""
 
-    bandpass: BandpassSpec       # the carrier filter, built from the filter_* keys
+    bandpass: BandpassSpec       # the carrier band, built from filter_relative_bandwidth
     grid_step: float | None
     expected_peaks: int
 
@@ -237,9 +236,8 @@ def parse_config(raw: dict) -> RunConfig:
     grid_step_nm = _number(pipe_raw, "pipeline", "grid_step_nm",
                            positive=True, allow_none=True)
     bandwidth = _number(pipe_raw, "pipeline", "filter_relative_bandwidth")
-    num_taps = _integer(pipe_raw, "pipeline", "filter_num_taps")
     try:
-        bandpass = BandpassSpec.for_pump(pump, bandwidth, num_taps)
+        bandpass = BandpassSpec(2.0 / pump.wavelength, bandwidth)
     except ConfigError as exc:
         raise ConfigError(f"pipeline.filter_{exc}") from exc
     # along the reported axis the pump carrier runs (1 + scale_error) times faster

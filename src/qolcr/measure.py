@@ -37,7 +37,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len, rfft
 from scipy.signal import find_peaks
 
-from qolcr.calibration import CalibratedRecord, _unwrap
+from qolcr.calibration import CalibratedRecord, _unwrap, decimation, tukey_band
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError, PipelineQualityError
 
 # smallest sample overlap allowed between the shifted record copies; lags
@@ -64,11 +64,6 @@ ZERO_GUARD, MIN_SEPARATION, CLUSTER_WINDOW, FIT_WINDOW = 4, 3, 1.5, 0.3
 # source's 30 nm FWHM at 810 nm spans 3.7% of the carrier, and at 5 nm steps
 # the band keeps about 0.5% of the white counting noise
 BAND_HALFWIDTH = 0.11
-
-# the band-limited autocorrelation is searched at every D-th lag, D the
-# largest divisor of the FFT length up to this; its zero-lag half-width is
-# about 1340 lags at the default 5 nm grid
-MAX_DECIMATION = 16
 
 # fixed-point steps allowed for the band centre, W's centroid under its own weight
 CENTROID_STEPS = 50
@@ -138,12 +133,11 @@ class Autocorrelogram:
     def band(self) -> tuple[int, np.ndarray]:
         """(first bin, band-weighted W over the band's bins, normalized to unit sum).
 
-        The weight is a Tukey window of half-width BAND_HALFWIDTH times its
-        centre: flat over its inner half, so each cluster's in-band spectrum
-        keeps its shape, and cos^2 tapered to zero at its edges. The centre
-        is W's power centroid under that same weight, a fixed point reached
-        from W's largest bin: it moves continuously with W, where the largest
-        bin could flip under rounding.
+        The weight is the calibration's Tukey band of half-width BAND_HALFWIDTH
+        times its centre, whose flat inner half keeps each cluster's in-band
+        spectrum shape. The centre is W's power centroid under that weight, a
+        fixed point reached from W's largest bin: it moves continuously with W,
+        where the largest bin could flip under rounding.
         """
         power = self.power
         center = float(np.argmax(power))
@@ -152,11 +146,9 @@ class Autocorrelogram:
             if half < 1.0:
                 raise PeakFitError(f"the record's power spectrum has no fringe band: it "
                                    f"centres on FFT bin {center:.3g} of {self.nfft}")
-            lo = max(math.ceil(center - half), 0)
-            hi = min(math.floor(center + half) + 1, len(power))
-            bins = np.arange(lo, hi)
-            taper = np.maximum(np.abs(bins - center) / half - 0.5, 0.0)
-            weighted = np.cos(math.pi * taper) ** 2 * power[lo:hi]
+            lo, weighted = tukey_band(center, half, len(power))
+            bins = np.arange(lo, lo + len(weighted))
+            weighted *= power[lo:lo + len(weighted)]
             weighted /= weighted.sum()
             moved, center = center, float(bins @ weighted)
             if abs(center - moved) <= 1e-12 * moved:
@@ -164,8 +156,8 @@ class Autocorrelogram:
         return lo, weighted
 
     @cached_property
-    def decimation(self) -> int:
-        return max(d for d in range(1, MAX_DECIMATION + 1) if self.nfft % d == 0)
+    def decimation(self) -> int:  # 15 at the default, against a 1340-lag zero-lag half-width
+        return decimation(self.nfft, len(self.band[1]))
 
     @cached_property
     def band_decimated(self) -> np.ndarray:

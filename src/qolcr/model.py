@@ -180,7 +180,6 @@ class BandpassSpec:
 
     center_frequency: float        # cycles per meter, 2 / lambda_p for the carrier
     relative_bandwidth: float
-    num_taps: int                  # odd, symmetric FIR
 
     def __post_init__(self):
         # each message starts with the field name, which parse_config prefixes
@@ -188,12 +187,6 @@ class BandpassSpec:
             raise ConfigError("center_frequency must be positive")
         if not 0 < self.relative_bandwidth < 1:
             raise ConfigError("relative_bandwidth must lie in (0, 1)")
-        if self.num_taps < 31 or self.num_taps % 2 == 0:
-            raise ConfigError("num_taps must be odd and at least 31")
-
-    @classmethod
-    def for_pump(cls, pump: PumpReference, relative_bandwidth, num_taps) -> "BandpassSpec":
-        return cls(2.0 / pump.wavelength, relative_bandwidth, num_taps)
 
     @property
     def band_edges(self) -> tuple[float, float]:

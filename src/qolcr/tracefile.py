@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from .calibration import EDGE_FIT_KNOTS, CalibratedRecord, CalibrationMap
+from .calibration import EDGE_FIT_NM, CalibratedRecord, CalibrationMap
 from .config import parse_config
 from .errors import CalibrationQualityError, ConfigError, TraceParseError
 from .scan import ScanTrace
@@ -42,7 +42,7 @@ _PAYLOAD_DTYPE = np.dtype("<f8")
 _POSITIVE_HEADERS = {"spacing": "number", "grid_step": "number", "edge_fit": "integer"}
 
 # how a calibration table is read back; a reader refuses any other value
-_CALIBRATION_READBACK = {"interpolation": "linear", "edge_fit": str(EDGE_FIT_KNOTS)}
+_CALIBRATION_READBACK = {"interpolation": "linear", "edge_fit": str(EDGE_FIT_NM)}
 
 # a trace's band-pass is designed for its spacing, a record's lags count grid
 # steps: format -> (axis column, header key of its step, axis name in messages)

@@ -1,19 +1,19 @@
-"""Carrier filtering, phase extraction, axis calibration, resampling."""
+"""Carrier band weight, baseband phase extraction, axis calibration, resampling."""
 
 from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import irfft, next_fast_len
+from scipy.fft import ifft, irfft, next_fast_len
 from scipy.interpolate import CubicHermiteSpline  # the oracle of the resampling interpolant
-from scipy.signal import fftconvolve, hilbert
+from scipy.signal import hilbert
 
 from qolcr.calibration import (
     CalibrationMap,
@@ -21,13 +21,13 @@ from qolcr.calibration import (
     _bessel_hermite,
     _filtered_spectrum,
     _kernel_spectrum,
-    _quadrature,
     _unwrap,
     build_calibration,
     design_bandpass,
     extract_phase,
     extract_tpi,
     resample_intensity,
+    tukey_band,
     zero_phase_apply,
 )
 from qolcr.config import default_config, load_config
@@ -90,55 +90,58 @@ def distorted_trace():
 
 
 # ---------------------------------------------------------------------------
-# band-pass design and application
+# band design and application
+
+
+def _taps(band, half_length=2000):
+    """The band's taps: its response to a unit impulse, at lags -half_length .. half_length."""
+    impulse = np.zeros(2 * half_length + 1)
+    impulse[half_length] = 1.0
+    return zero_phase_apply(band, impulse)
 
 
 def test_taps_are_symmetric_linear_phase():
-    spec = BANDPASS
-    taps = design_bandpass(spec, SPACING)
-    assert len(taps) == 2001
-    assert np.array_equal(taps, taps[::-1])
+    # a real weight is zero-phase: the taps are even about the impulse
+    taps = _taps(design_bandpass(BANDPASS, SPACING))
+    assert int(np.argmax(taps)) == 2000
+    assert np.max(np.abs(taps - taps[::-1])) < 1e-12 * taps.max()
 
 
 def test_filter_passes_carrier_tone_with_zero_phase():
     spec = BANDPASS
-    taps = design_bandpass(spec, SPACING)
+    band = design_bandpass(spec, SPACING)
     d = np.arange(40000) * SPACING
     tone = np.cos(2.0 * math.pi * CARRIER_FREQ * d + 0.7)
-    out = zero_phase_apply(taps, tone)
+    out = zero_phase_apply(band, tone)
     interior = slice(2000, 38000)
     assert np.max(np.abs(out[interior] - tone[interior])) < 0.02
 
 
 def test_filter_blocks_dc_and_fringe_band():
     spec = BANDPASS
-    taps = design_bandpass(spec, SPACING)
+    band = design_bandpass(spec, SPACING)
     d = np.arange(40000) * SPACING
     interior = slice(2000, 38000)
 
-    dc = zero_phase_apply(taps, np.full(40000, 250.0))
+    dc = zero_phase_apply(band, np.full(40000, 250.0))
     assert np.max(np.abs(dc[interior])) < 250.0 * 1e-3
 
     # classical fringes sit one octave below the carrier
     fringe = np.cos(2.0 * math.pi * (CARRIER_FREQ / 2.0) * d)
-    out = zero_phase_apply(taps, fringe)
+    out = zero_phase_apply(band, fringe)
     assert np.max(np.abs(out[interior])) < 10 ** (-40.0 / 20.0)
 
 
 def test_design_rejects_impossible_specs():
     with pytest.raises(ConfigError):
-        design_bandpass(replace(BANDPASS, num_taps=31), SPACING)
-    with pytest.raises(ConfigError):
         # band edge beyond Nyquist for a coarse grid
         design_bandpass(BANDPASS, 150e-9)
-    with pytest.raises(ConfigError):
-        replace(BANDPASS, num_taps=100)  # even tap count
     with pytest.raises(ConfigError):
         replace(BANDPASS, relative_bandwidth=1.5)
     with pytest.raises(ConfigError):
         replace(BANDPASS, center_frequency=-1.0)
     for spacing in (math.nan, math.inf):
-        # nan taps would pass every response check, since nan > limit is False
+        # a nan spacing would pass the Nyquist check, since nan >= limit is False
         with pytest.raises(ConfigError, match=f"^sample spacing must be a finite positive "
                                               f"number, got {spacing}$"):
             design_bandpass(BANDPASS, spacing)
@@ -146,23 +149,22 @@ def test_design_rejects_impossible_specs():
 
 def test_design_is_cached_per_spec_and_spacing():
     # every run of a study shares one design: a repeat call returns the same
-    # read-only array, and any other key gets a fresh, uncached design
-    taps = design_bandpass(BANDPASS, SPACING)
-    assert design_bandpass(replace(BANDPASS), SPACING) is taps
-    with pytest.raises(ValueError):
-        taps[0] = 1.0
-    for spec, spacing in ((replace(BANDPASS, num_taps=1001), SPACING),
+    # frozen band, and any other key gets a fresh, uncached design
+    band = design_bandpass(BANDPASS, SPACING)
+    assert design_bandpass(replace(BANDPASS), SPACING) is band
+    with pytest.raises(FrozenInstanceError):
+        band.edge = 1
+    for spec, spacing in ((replace(BANDPASS, relative_bandwidth=0.1), SPACING),
                           (BANDPASS, 4e-9)):
         other = design_bandpass(spec, spacing)
-        assert other is not taps
-        assert np.array_equal(other, design_bandpass.__wrapped__(spec, spacing))
+        assert other is not band and other != band
+        assert other == design_bandpass.__wrapped__(spec, spacing)
 
 
 def test_design_failure_is_not_cached():
-    bad = replace(BANDPASS, num_taps=31)
     for _ in range(2):
         with pytest.raises(ConfigError):
-            design_bandpass(bad, 150e-9)
+            design_bandpass(BANDPASS, 150e-9)
     cached = design_bandpass.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ConfigError):
@@ -171,24 +173,24 @@ def test_design_failure_is_not_cached():
 
 
 def test_white_noise_gain_matches_tap_energy():
-    spec = BANDPASS
-    taps = design_bandpass(spec, SPACING)
+    band = design_bandpass(BANDPASS, SPACING)
+    taps = _taps(band)
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.0, 300000)
-    out = zero_phase_apply(taps, x)[5000:-5000]
+    out = zero_phase_apply(band, x)[5000:-5000]
     expected = math.sqrt(float(np.dot(taps, taps)))
     assert abs(float(out.std()) / expected - 1.0) < 0.03
 
 
 def test_filter_is_linear_to_float_precision():
     spec = BANDPASS
-    taps = design_bandpass(spec, SPACING)
+    band = design_bandpass(spec, SPACING)
     rng = np.random.default_rng(4)
     x = rng.normal(0.0, 1.0, 20000)
     y = rng.normal(0.0, 1.0, 20000)
     a, b = 2.375, -0.6875
-    lhs = zero_phase_apply(taps, a * x + b * y)
-    rhs = a * zero_phase_apply(taps, x) + b * zero_phase_apply(taps, y)
+    lhs = zero_phase_apply(band, a * x + b * y)
+    rhs = a * zero_phase_apply(band, x) + b * zero_phase_apply(band, y)
     scale = np.max(np.abs(rhs)) + 1.0
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
@@ -197,96 +199,117 @@ def test_filter_is_linear_to_float_precision():
 @given(rel=st.floats(-0.03, 0.03), phi=st.floats(0.0, 2.0 * math.pi))
 def test_filter_flat_over_carrier_neighborhood(rel, phi):
     spec = BANDPASS
-    taps = design_bandpass(spec, SPACING)
+    band = design_bandpass(spec, SPACING)
     d = np.arange(20000) * SPACING
     f = CARRIER_FREQ * (1.0 + rel)
     tone = np.cos(2.0 * math.pi * f * d + phi)
-    out = zero_phase_apply(taps, tone)[3000:-3000]
+    out = zero_phase_apply(band, tone)[3000:-3000]
     ref = tone[3000:-3000]
     amp = float(np.dot(out, ref) / np.dot(ref, ref))
     assert abs(amp - 1.0) < 0.015
 
 
-@pytest.mark.parametrize("num_taps", [31, 2001])
-@pytest.mark.parametrize("n", [7, 1000, 12345, 60000, 60208, 60720])
-def test_zero_phase_apply_bit_identical_to_fftconvolve(num_taps, n):
-    # 60208 + 2001 - 1 and 60720 + 31 - 1 are fast lengths already; the
-    # other lengths get padded by different amounts
-    taps = (design_bandpass(BANDPASS, SPACING) if num_taps == 2001
-            else np.kaiser(num_taps, 8.96) / num_taps)
-    values = np.random.default_rng(n).normal(0.0, 1.0, n)
-    assert np.array_equal(zero_phase_apply(taps, values),
-                          fftconvolve(values, taps, mode="same"))
+def test_band_weight_is_exactly_zero_outside_its_band():
+    # the fold needs it: the weight is the Tukey window, and no bin outside
+    # +- relative_bandwidth / 2 of the carrier carries any weight
+    band = design_bandpass(BANDPASS, SPACING)
+    nfft = 61440
+    lo, weight = _kernel_spectrum(band, nfft)
+    bins = np.arange(lo, lo + len(weight))
+    center, half = band.center * nfft, band.half * nfft
+    assert half == pytest.approx(0.1 * center)
+    assert bins[0] > center - half and bins[-1] < center + half
+    assert bins[0] - 1 <= center - half and bins[-1] + 1 >= center + half
+    want_lo, want = tukey_band(center, half, nfft // 2 + 1)
+    assert lo == want_lo and np.array_equal(weight, want)
+    assert np.all(weight[np.abs(bins - center) <= half / 2] == 1.0)
+    assert weight.min() >= 0.0
 
 
 def test_zero_phase_apply_reuses_one_kernel_spectrum_per_length():
-    taps = design_bandpass(BANDPASS, SPACING)
+    band = design_bandpass(BANDPASS, SPACING)
     x = np.random.default_rng(5).normal(0.0, 1.0, 30000)
-    first = zero_phase_apply(taps, x)
+    first = zero_phase_apply(band, x)
     before = _kernel_spectrum.cache_info()
-    assert np.array_equal(zero_phase_apply(taps, x), first)
+    assert np.array_equal(zero_phase_apply(band, x), first)
     after = _kernel_spectrum.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
-    key = taps.tobytes()
-    nfft = next_fast_len(30000 + len(taps) - 1, real=True)
-    spectrum = _kernel_spectrum(key, nfft)
-    assert _kernel_spectrum(key, nfft) is spectrum
+    nfft = _fft_length(30000, band)
+    spectrum = _kernel_spectrum(band, nfft)
+    assert _kernel_spectrum(band, nfft) is spectrum
     with pytest.raises(ValueError):
-        spectrum[0] = 0.0
+        spectrum[1][0] = 0.0
 
-    zero_phase_apply(taps, x[:20000])       # a new length, a new FFT size
+    zero_phase_apply(band, x[:17001])       # a new length, a new FFT size
     assert _kernel_spectrum.cache_info().misses == after.misses + 1
-    other = _kernel_spectrum(key, next_fast_len(20000 + len(taps) - 1, real=True))
-    assert other is not spectrum and len(other) != len(spectrum)
+    other = _kernel_spectrum(band, _fft_length(17001, band))
+    assert other is not spectrum and len(other[1]) != len(spectrum[1])
+
+
+def _fft_length(n, band):
+    # D times a fast length, padding at least four edge exclusions
+    return 16 * next_fast_len(-(-(n + 4 * band.edge) // 16), real=True)
 
 
 # ---------------------------------------------------------------------------
 # carrier extraction
 
 
-def _filter_valid(carrier):
-    """The samples at least the filter's group delay from either end."""
-    return slice(carrier.delay, len(carrier.values) - carrier.delay)
+def _carrier_at_knots(carrier):
+    """(knot samples outside the band's edge exclusions, the analytic carrier there)."""
+    m = np.arange(len(carrier.baseband))
+    knots = m * carrier.step
+    sel = (knots >= carrier.edge) & (knots < carrier.n_samples - carrier.edge)
+    return knots[sel], (carrier.baseband * np.exp(1j * carrier.ramp * m))[sel]
 
 
 def test_extract_tpi_passes_pure_carrier():
     trace = carrier_trace()
-    carrier = extract_tpi(trace, BANDPASS)
-    d = trace.reported_d
-    truth = 500.0 * np.cos(2.0 * math.pi * CARRIER_FREQ * d + 0.3)
-    sel = _filter_valid(carrier)
-    resid = carrier.values[sel] - truth[sel]
-    rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth[sel] ** 2)))
+    knots, analytic = _carrier_at_knots(extract_tpi(trace, BANDPASS))
+    truth = 500.0 * np.cos(2.0 * math.pi * CARRIER_FREQ * trace.reported_d[knots] + 0.3)
+    resid = analytic.real - truth
+    rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth ** 2)))
     assert rel < 0.01
 
 
 def test_extract_tpi_from_full_coincidence_model(identity_trace):
-    carrier = extract_tpi(identity_trace, BANDPASS)
-    truth = identity_trace.truth.pair_carrier
-    sel = _filter_valid(carrier)
-    resid = carrier.values[sel] - truth[sel]
-    rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth[sel] ** 2)))
+    knots, analytic = _carrier_at_knots(extract_tpi(identity_trace, BANDPASS))
+    truth = identity_trace.truth.pair_carrier[knots]
+    resid = analytic.real - truth
+    rel = math.sqrt(float(np.mean(resid ** 2))) / math.sqrt(float(np.mean(truth ** 2)))
     assert rel < 0.02
 
 
 def test_extract_tpi_edge_exclusion_width():
     trace = carrier_trace(n=20000)
     carrier = extract_tpi(trace, BANDPASS)
-    half = (BANDPASS.num_taps - 1) // 2
-    assert carrier.delay == half
-    # a steady carrier is masked on exactly the filter's edge samples
-    mask = extract_phase(carrier).quality_mask
-    assert not mask[:half].any()
-    assert not mask[-half:].any()
-    assert mask[half:-half].all()
+    band = design_bandpass(BANDPASS, SPACING)
+    assert (carrier.edge, carrier.step) == (band.edge, 16) == (270, 16)
+    # the edge is where the analytic kernel's envelope first falls below 1e-4 of
+    # its peak: the weight's bins at a long FFT length, inverted, give that kernel
+    nfft = 2 ** 20
+    lo, weight = _kernel_spectrum(band, nfft)
+    kernel = np.zeros(nfft, dtype=complex)
+    kernel[lo:lo + len(weight)] = weight
+    envelope = np.abs(ifft(kernel)[:400])
+    assert int(np.argmax(envelope < 1e-4 * envelope[0])) == band.edge
+    # a steady carrier is masked on exactly the knots within the edges, and the
+    # samples between knots hold no phase
+    phase = extract_phase(carrier)
+    knots = np.arange(0, 20000, 16)
+    inside = knots[(knots >= 270) & (knots < 20000 - 270)]
+    assert np.array_equal(np.flatnonzero(phase.quality_mask), inside)
+    assert np.array_equal(np.flatnonzero(~np.isnan(phase.unwrapped_phase)), knots)
 
 
 def test_extract_tpi_rejects_too_short_trace():
-    # shorter than twice the half-filter edge exclusion of 1000 samples
-    trace = carrier_trace(n=1500)
-    with pytest.raises(CalibrationQualityError):
+    # shorter than the two edge exclusions of 270 samples and one knot step
+    trace = carrier_trace(n=555)
+    with pytest.raises(CalibrationQualityError, match="^trace of 555 samples too short for "
+                                                      "the band's edge exclusion of 2 x 270$"):
         extract_tpi(trace, BANDPASS)
+    extract_phase(extract_tpi(carrier_trace(n=556), BANDPASS))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -314,68 +337,75 @@ def test_extract_tpi_rejects_non_finite_reported_position(bad):
 # phase extraction
 
 
-def _hilbert_of_full_convolution(spectrum, nfft, delay, n):
-    """The oracle: H of irfft(spectrum, nfft) by scipy.signal.hilbert, sliced at the delay."""
-    return hilbert(irfft(spectrum, nfft))[delay:delay + n].imag
+def _band_passed(cfg, trace):
+    """(band, first bin, weighted bins, nfft) of the trace's coincidence channel."""
+    band = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
+    return (band, *_filtered_spectrum(band, trace.coincidence - trace.coincidence.mean()))
 
 
-# n + taps - 1 gives an odd nfft (1125) and even ones (1350, 6144, 10000)
-QUADRATURE_CASES = [(1000, 125), (1001, 301), (4096, 2001), (7919, 2001)]
+PIPELINE_RUNS = [("default", 0), ("default", 1), ("default", 2),
+                 ("multilayer", 0), ("multilayer", 1), ("multilayer", 2)]
 
 
-def test_quadrature_cases_cover_even_and_odd_nfft():
-    # the quadrature zeroes the Nyquist bin for even nfft only
-    parities = {next_fast_len(n + taps - 1, real=True) % 2 for n, taps in QUADRATURE_CASES}
-    assert parities == {0, 1}
-
-
-@pytest.mark.parametrize("n, num_taps", QUADRATURE_CASES)
-def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps):
-    rng = np.random.default_rng(n)
-    x, taps = rng.normal(size=n), rng.normal(size=num_taps)
-    spectrum, nfft = _filtered_spectrum(taps, x)
-    delay = (num_taps - 1) // 2
-    oracle = _hilbert_of_full_convolution(spectrum, nfft, delay, n)
-    got = _quadrature(spectrum, nfft, delay, n)
-    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+@pytest.mark.parametrize("config, run", PIPELINE_RUNS)
+def test_baseband_equals_the_full_length_inverse_at_every_knot(config, run):
+    # psi from the folded bins is the full-length inverse FFT of the same weighted
+    # bins, moved down by the carrier bin, at every D-th sample
+    cfg = default_config() if config == "default" else load_config(MULTILAYER)
+    trace = synthesize(cfg, run)
+    carrier = extract_tpi(trace, cfg.pipeline.bandpass)
+    band, lo, weighted, nfft = _band_passed(cfg, trace)
+    shifted = np.zeros(nfft, dtype=complex)
+    shifted[(np.arange(lo, lo + len(weighted)) - round(band.center * nfft)) % nfft] = weighted
+    full = 2.0 * ifft(shifted)[::carrier.step][:len(carrier.baseband)]
+    assert len(carrier.baseband) == -(-trace.n_samples // carrier.step)
+    assert np.max(np.abs(carrier.baseband - full)) <= 1e-12 * np.abs(full).max()
 
 
 def test_quadrature_matches_hilbert_on_default_carrier():
+    # the carrier at the knots is values + i quadrature: the analytic signal of
+    # the full-length band-passed trace, moved down by the carrier's own phase
     config = default_config()
     trace = synthesize(config)
     carrier = extract_tpi(trace, config.pipeline.bandpass)
-    taps = design_bandpass(config.pipeline.bandpass, trace.spacing)
-    spectrum, nfft = _filtered_spectrum(taps, trace.coincidence - trace.coincidence.mean())
-    assert nfft % 2 == 0
-    delay, n = carrier.delay, trace.n_samples
-    assert np.array_equal(carrier.values, irfft(spectrum, nfft)[delay:delay + n])
-    _assert_same_bytes(carrier.quadrature, _quadrature(spectrum, nfft, delay, n))
-    oracle = _hilbert_of_full_convolution(spectrum, nfft, delay, n)
-    assert np.max(np.abs(carrier.quadrature - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    band, lo, weighted, nfft = _band_passed(config, trace)
+    spectrum = np.zeros(nfft // 2 + 1, dtype=complex)
+    spectrum[lo:lo + len(weighted)] = weighted
+    knots = np.arange(len(carrier.baseband)) * carrier.step
+    c0 = round(band.center * nfft)
+    oracle = hilbert(irfft(spectrum, nfft))[knots]
+    oracle *= np.exp(-2j * math.pi * (c0 * knots % nfft) / nfft)
+    assert np.max(np.abs(carrier.baseband - oracle)) <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("config, run", [("default", 0), ("default", 1), ("default", 2),
                                          ("multilayer", 0)])
 def test_phase_from_filtered_spectrum_within_5_mrad_of_hilbert_of_values(config, run):
-    # the quadrature is the Hilbert transform of the full convolution; the phase
-    # it replaced took the analytic signal of the sliced carrier, a length-n
-    # circular transform
+    # the knots' phase is the band-passed trace's full-length analytic phase; the
+    # per-sample phase it replaced took the analytic signal of the values over
+    # the trace alone, a length-n circular transform
     cfg = default_config() if config == "default" else load_config(MULTILAYER)
     trace = synthesize(cfg, run)
     carrier = extract_tpi(trace, cfg.pipeline.bandpass)
-    taps = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
-    x = trace.coincidence - trace.coincidence.mean()
-    assert np.array_equal(carrier.values, zero_phase_apply(taps, x))
+    band = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
+    values = zero_phase_apply(band, trace.coincidence - trace.coincidence.mean())
+    knots, analytic = _carrier_at_knots(carrier)
+    assert np.max(np.abs(analytic.real - values[knots])) <= 1e-9 * np.abs(values).max()
     phase = extract_phase(carrier)
-    before = _unwrap(np.angle(hilbert(carrier.values)))
-    sel = phase.quality_mask
-    assert sel.mean() > 0.9
+    before = _unwrap(np.angle(hilbert(values)))
+    sel = phase.quality_mask.copy()
+    assert sel[::carrier.step].mean() > 0.9
+    # compared where the filter it replaced left phase: 1000 samples from either
+    # end, beyond the edge artifacts of the length-n transform
+    sel[:1000] = sel[-1000:] = False
     assert np.max(np.abs(phase.unwrapped_phase[sel] - before[sel])) <= 5e-3
 
 
 def test_unwrap_bit_identical_to_numpy_on_default_carrier():
     config = default_config()
-    x = extract_tpi(synthesize(config), config.pipeline.bandpass).values
+    trace = synthesize(config)
+    x = zero_phase_apply(design_bandpass(config.pipeline.bandpass, trace.spacing),
+                         trace.coincidence - trace.coincidence.mean())
     phase = np.angle(hilbert(x))
     # the carrier wraps at a few percent of its steps
     wraps = np.count_nonzero(np.abs(np.diff(phase)) >= math.pi)
@@ -437,9 +467,9 @@ def test_phase_masks_low_amplitude_stretch():
     phase = extract_phase(carrier)
     center = int(round(150e-6 / SPACING))
     assert not phase.quality_mask[center]
-    # the filter edges are masked too, so the mask alone selects usable phase
-    assert not phase.quality_mask[:carrier.delay].any()
-    assert not phase.quality_mask[-carrier.delay:].any()
+    # the band's edge exclusions are masked too, so the mask alone selects usable phase
+    assert not phase.quality_mask[:carrier.edge].any()
+    assert not phase.quality_mask[-carrier.edge:].any()
     assert phase.quality_mask[center - 4000]
     assert phase.quality_mask[center + 4000]
 
@@ -519,6 +549,23 @@ def test_map_linear_extrapolation():
     for scalar in (lo - 1e-6, hi + 1e-6):  # a scalar extrapolates as a one-element array does
         assert np.ndim(cal(scalar)) == 0
         assert cal(scalar) == cal(np.array([scalar]))[0]
+
+
+def test_end_slope_fit_spans_the_same_travel_at_both_knot_densities():
+    # one curved map with knots every 5 nm (one per sample) and every 80 nm (every
+    # 16th sample): both fit their end slopes over 10 um of travel, where the
+    # quarter-length cap that 2000 knots would hit at 80 nm spans 75 um
+    x = 1e-6 + np.arange(60000) * SPACING
+    curvature = 100.0                        # slope 1 + 2 curvature x, per meter
+    for knots in (x, x[::16]):
+        cal = CalibrationMap(reported=knots, calibrated=knots + curvature * knots ** 2)
+        lo, hi = cal.domain
+        for end, inward in ((lo, 1.0), (hi, -1.0)):
+            slope = float(cal(end) - cal(end - 1e-6 * inward)) / 1e-6 * inward
+            # the least-squares slope of a parabola is its derivative at the mean
+            # knot, 5 um in from the end to within one knot step
+            want = 1.0 + 2.0 * curvature * (end + inward * 5e-6)
+            assert abs(slope - want) <= 2.0 * curvature * 80e-9
 
 
 def test_build_calibration_rejects_phase_reversal():

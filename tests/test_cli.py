@@ -176,7 +176,7 @@ def test_simulate_rejects_non_finite_config_numbers(tmp_path, capsys, section, f
 
 
 @pytest.mark.parametrize("field, value", [
-    ("filter_num_taps", 2000),
+    ("filter_relative_bandwidth", 0.0),
     ("filter_relative_bandwidth", 1.5),
 ])
 def test_simulate_rejects_bad_filter_settings(tmp_path, capsys, field, value):
@@ -298,7 +298,6 @@ def test_short_inputs_fail_with_their_length(tmp_path, capsys, monkeypatch, rows
     def refuse(*args, **kwargs):
         raise AssertionError("a too short input reached its FFT")
 
-    monkeypatch.setattr(calibration, "design_bandpass", refuse)
     monkeypatch.setattr(calibration, "_filtered_spectrum", refuse)
     monkeypatch.setattr(measure, "rfft", refuse)
     config = load_config(config_file(tmp_path))
@@ -312,8 +311,8 @@ def test_short_inputs_fail_with_their_length(tmp_path, capsys, monkeypatch, rows
     capsys.readouterr()
     assert main(["calibrate", str(trace_path), "--output", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == (
-        f"qolcr: quality failure: trace of {rows} samples shorter than the filter "
-        f"edge exclusion of 2 x 1000\n")
+        f"qolcr: quality failure: trace of {rows} samples too short for the band's "
+        f"edge exclusion of 2 x 270\n")
     assert main(["measure", str(record_path), "--output", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == (
         f"qolcr: quality failure: record of {rows} samples too short "

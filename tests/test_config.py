@@ -36,7 +36,7 @@ def test_default_config_parses_to_si():
     assert cfg.scan_range == (0.0, 300e-6)
     assert cfg.pipeline.expected_peaks == 1
     assert cfg.pipeline.grid_step is None
-    assert cfg.pipeline.bandpass == BandpassSpec(2.0 / cfg.pump.wavelength, 0.2, 2001)
+    assert cfg.pipeline.bandpass == BandpassSpec(2.0 / cfg.pump.wavelength, 0.2)
     assert cfg.master_seed == DEFAULT_CONFIG["seeds"]["master"]
 
 
@@ -57,16 +57,29 @@ def test_load_config_round_trips_effective_dict(tmp_path):
 
 
 def test_retired_fields_are_read_and_dropped():
-    # spectrum.total_power and pipeline.phase_method select nothing any more;
-    # configs and table headers written before their removal still load
-    old = tweaked(spectrum={"total_power": 1.0e6}, pipeline={"phase_method": "crossings"})
+    # spectrum.total_power, pipeline.phase_method and pipeline.filter_num_taps
+    # select nothing any more; configs and table headers written before their
+    # removal still load
+    old = tweaked(spectrum={"total_power": 1.0e6},
+                  pipeline={"phase_method": "crossings", "filter_num_taps": 2001})
     assert parse_config(old).to_json() == default_config().to_json()
-    # the benchmark's three-surface config names both, with crossings
+    # the benchmark's three-surface config names all three, with crossings
     multilayer_path = Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.json"
     multilayer = json.loads(multilayer_path.read_text())
+    assert multilayer["pipeline"]["filter_num_taps"] == 2001
     multilayer["spectrum"].pop("total_power", None)
     multilayer["pipeline"].pop("phase_method", None)
+    multilayer["pipeline"].pop("filter_num_taps")
     assert load_config(multilayer_path).to_json() == parse_config(multilayer).to_json()
+
+
+@pytest.mark.parametrize("taps", [2001, 1001, 2000, 10, 2001.0, "many"])
+def test_filter_num_taps_is_read_and_dropped_whatever_it_holds(taps):
+    # the carrier band is a weight on the FFT with no taps to count: an old
+    # config loads as the default, even with a count the FIR design refused
+    cfg = parse_config(tweaked(pipeline={"filter_num_taps": taps}))
+    assert cfg.to_json() == default_config().to_json()
+    assert "filter_num_taps" not in cfg.effective["pipeline"]
 
 
 def test_invalid_json_raises_config_error(tmp_path):
@@ -83,10 +96,10 @@ def test_invalid_json_raises_config_error(tmp_path):
     (tweaked(scan={"stop_um": 0.0}), "scan.stop_um"),
     # a retired field is dropped only from its own section
     (tweaked(stage={"phase_method": "analytic"}), "phase_method"),
-    (tweaked(pipeline={"filter_num_taps": 10}), "filter_num_taps"),
+    (tweaked(stage={"filter_num_taps": 2001}), "filter_num_taps"),
     (tweaked(seeds={"master": -3}), "seeds.master"),
     (tweaked(noise={"singles_scale": True}), "noise.singles_scale"),
-    (tweaked(pipeline={"filter_num_taps": 2000}), "pipeline.filter_num_taps"),
+    (tweaked(pipeline={"filter_relative_bandwidth": 0.0}), "pipeline.filter_relative_bandwidth"),
     (tweaked(pipeline={"filter_relative_bandwidth": 1.5}),
      "pipeline.filter_relative_bandwidth"),
     (tweaked(stage={"velocity_nm_per_s": float("nan")}),
@@ -103,7 +116,7 @@ def test_invalid_json_raises_config_error(tmp_path):
     (dict(tweaked(), noise=[]), "section 'noise' must be an object"),
     (tweaked(stage={"velocity_nm_per_s": None}), "stage.velocity_nm_per_s is required"),
     (tweaked(noise={"background": -1.0}), "noise.background must not be negative"),
-    (tweaked(pipeline={"filter_num_taps": 2001.0}), "pipeline.filter_num_taps must be an integer"),
+    (tweaked(pipeline={"expected_peaks": 1.0}), "pipeline.expected_peaks must be an integer"),
     (tweaked(sample={"surfaces": [{"reflectivity": 0.6}]}),
      "sample.surfaces[0] must have exactly the fields"),
     (tweaked(sample={"surfaces": [{"reflectivity": 0.6, "position_um": 290.114},

@@ -59,6 +59,14 @@ def test_single_run_recovers_separation(clean_config):
     assert abs(report.separations[0] - TRUE_SEPARATION) < 0.1e-9
 
 
+def test_default_stage_without_noise_reads_within_a_tenth_of_a_nm():
+    # the distorted default stage with counting noise off: the calibration's edge
+    # exclusion no longer reaches into the first surface's packet, so no bias is
+    # left (the 2001-tap filter it replaced read 0.65 nm short)
+    report = run_pipeline(make_config(identity_stage=False))
+    assert abs(report.separations[0] - TRUE_SEPARATION) <= 0.1e-9
+
+
 def test_per_run_state_is_attached_once_by_the_pipeline_layer():
     # the instrument models hold no seed, and each stage returns only its own
     # figures: synthesize passes the run's seeds, calibrate_trace and

@@ -78,6 +78,31 @@ def test_scan_reexports_the_model_dataclasses(name):
     assert getattr(qolcr.scan, name) is getattr(qolcr.model, name)
 
 
+CALIBRATE_ONLY = """
+import json, sys
+from qolcr.calibration import build_calibration, extract_phase, extract_tpi, resample_intensity
+from qolcr.config import default_config
+from qolcr.scan import simulate_scan
+c = default_config()
+trace = simulate_scan(c.sample, c.spectrum, c.pump, c.stage, c.noise, c.scan_range,
+                      *c.seeds_for_run(0))
+calibration = build_calibration(extract_phase(extract_tpi(trace, c.pipeline.bandpass)),
+                                trace.reported_d, c.pump)
+assert resample_intensity(trace, calibration).n_samples > 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.signal"))))
+"""
+
+
+def test_calibration_loads_no_scipy_signal():
+    # the carrier is band-passed by a weight on its FFT, with no filter design;
+    # experiments.calibrate_trace runs these same calls, but its module imports
+    # the measure stage, whose peak search still loads scipy.signal
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", CALIBRATE_ONLY], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(proc.stdout) == []
+
+
 def test_cli_import_profile_lists_scipy_signal_and_ndimage():
     """The benchmark's import layer indexes both as entries of their own in this
     profile. ROADMAP item 8 makes it tolerate an absent module; this test goes then."""

@@ -636,12 +636,13 @@ def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_confi
     path.write_bytes(data.replace(b"# interpolation linear\n", b""))
     with pytest.raises(TraceParseError):
         read_calibration_table(path)
-    # the end-slope fit length is fixed; another value is not this format
-    assert b"# edge_fit 2000\n" in data
-    for edited in (data.replace(b"# edge_fit 2000", b"# edge_fit 1000"),
-                   data.replace(b"# edge_fit 2000\n", b"")):
+    # the end-slope fit travel in nm is fixed; another value, such as the 2000
+    # knots that tables held before, is not this format
+    assert b"# edge_fit 10000\n" in data
+    for edited in (data.replace(b"# edge_fit 10000", b"# edge_fit 2000"),
+                   data.replace(b"# edge_fit 10000\n", b"")):
         path.write_bytes(edited)
-        with pytest.raises(TraceParseError, match="edge_fit 2000"):
+        with pytest.raises(TraceParseError, match="edge_fit 10000"):
             read_calibration_table(path)
 
 
