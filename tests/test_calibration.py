@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import ifft, irfft, next_fast_len
+from scipy.fft import ifft, irfft, next_fast_len, rfft
 from scipy.interpolate import CubicHermiteSpline  # the oracle of the resampling interpolant
 from scipy.signal import hilbert
 
+from qolcr import calibration
 from qolcr.calibration import (
     CalibrationMap,
     PhaseTrace,
@@ -23,6 +24,7 @@ from qolcr.calibration import (
     _kernel_spectrum,
     _unwrap,
     build_calibration,
+    decimation,
     design_bandpass,
     extract_phase,
     extract_tpi,
@@ -360,6 +362,50 @@ def test_baseband_equals_the_full_length_inverse_at_every_knot(config, run):
     full = 2.0 * ifft(shifted)[::carrier.step][:len(carrier.baseband)]
     assert len(carrier.baseband) == -(-trace.n_samples // carrier.step)
     assert np.max(np.abs(carrier.baseband - full)) <= 1e-12 * np.abs(full).max()
+
+
+# the baseband is read by an inverse FFT of nfft / D points, not nfft: the two
+# short traces run it at 135 points, the long ones at 324 and 576
+QUADRATURE_CASES = [(1000, 125), (1001, 301), (4096, 2001), (7919, 2001)]
+
+
+def _fold_length(n):
+    lo, weighted, nfft = _filtered_spectrum(design_bandpass(BANDPASS, SPACING), np.zeros(n))
+    return nfft // decimation(nfft, len(weighted))
+
+
+def test_quadrature_cases_cover_even_and_odd_nfft():
+    assert {_fold_length(n) % 2 for n, _ in QUADRATURE_CASES} == {0, 1}
+
+
+@pytest.mark.parametrize("n, num_taps", QUADRATURE_CASES)
+def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps, monkeypatch):
+    # a random trace through random FIR taps and the band: the quadrature at the
+    # knots is the Hilbert transform of the whole nfft-point band-passed
+    # convolution, not of its n-sample slice, whatever the phases of the bins
+    rng = np.random.default_rng(n)
+    x, taps = rng.normal(size=n), rng.normal(size=num_taps)
+    seen = []
+
+    def through_taps(band, values):
+        lo, weighted, nfft = _filtered_spectrum(band, values)
+        weighted = weighted * rfft(taps, nfft)[lo:lo + len(weighted)]
+        seen.append((band, lo, weighted, nfft))
+        return lo, weighted, nfft
+
+    monkeypatch.setattr(calibration, "_filtered_spectrum", through_taps)
+    trace = ScanTrace(reported_d=np.arange(n) * SPACING, intensity=np.full(n, 1000.0),
+                      coincidence=x, spacing=SPACING)
+    carrier = extract_tpi(trace, BANDPASS)
+    [(band, lo, weighted, nfft)] = seen
+    spectrum = np.zeros(nfft // 2 + 1, dtype=complex)
+    spectrum[lo:lo + len(weighted)] = weighted
+    knots = np.arange(len(carrier.baseband)) * carrier.step
+    oracle = hilbert(irfft(spectrum, nfft))[knots].imag
+    turn = 2.0 * math.pi * (round(band.center * nfft) * knots % nfft) / nfft
+    got = (carrier.baseband * np.exp(1j * turn)).imag
+    assert carrier.step == 16 and nfft // 16 == _fold_length(n)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_quadrature_matches_hilbert_on_default_carrier():
