@@ -25,7 +25,9 @@
 #   rep.separations.txt, lin.measured.txt, lin.deviations.txt their
 #   plot data.
 # The table sums are of table format version 2: a text header, then
-# binary float64 columns.
+# binary float64 columns. The four traces' payloads, the bytes after their
+# '# payload' line, are pinned on their own as well: a trace sum moves with
+# the config embedded in its header, a payload sum only with the synthesis.
 #
 # Run it from any directory: bash .github/readme_chain.sh
 # It finds the repository from its own path, runs the chain in a temporary
@@ -62,23 +64,33 @@ python -m qolcr.cli measure fs.record.txt --output fs.report.json
 sha256sum -c - <<'EOF'
 56762b549bd4dd37f9563f280982d206de461185d269c191c28c0a12829fcbc0  scan.txt
 dd071345d710d05136551d1b816853dd45d440a93fe675eb86091ffcc0803a72  ml.txt
-d27d73309ec1eb203e19da4626ab6f90f588cc9280bb6e244a4edb2c388f0c1a  ml.calibration.txt
-bff87c275de75ece2e7cd5dffbd1163636dc9146df3f92b05a93005d9b0828a2  ml.record.txt
-73210fb4d9bca167a4d8d8ddb919cc769dc148b1b983aaf71f879cf7ba388628  run1.calibration.txt
-e22bec92bc5b8a856dd290fe9fda4a8285d0d58a8133fd3eb5420c9599e9435b  run1.record.txt
-d011c2f8c365a4cdc7f2adc3149e8600b6e06c3dc231cb6c119f89ce09a4606a  report.json
-8882dcad2fcb1c8d2c67af3b01fea789b2f7a035032c834debffc49d04cf1edf  ml.report.json
-263bc550fa83e0bce02c9dc7e7f55615f53639778d0a716e10e574eb054c0f2c  rep.results.json
-e0833e6e611b26b2a8cd778c10230dd6a78867552e88e2f3e8bccb512d1d602e  rep.separations.txt
-5c4ca65fb6aa810745b13345b91974076cf81010f55f365b4f6bfbef0f9e1827  lin.results.json
-78b9c81f897b57aca3f85983e88bb75d861fc9bb239ee9cb80bfafadd9152ee7  lin.measured.txt
-c641e81d7510cfabf57d86c88999a1db15efbd34681b088e10c3c6fe16a13be3  lin.deviations.txt
+64ab1130f49d3379131f5220579597ff61cc9fdbd567ad0ec8f4f9bc515af723  ml.calibration.txt
+9299e96dfd76fb5f8eda95e481a2311ddbd69faf97b8d0e8b81016d9cdefedfb  ml.record.txt
+29dd0b4f443ddadfbe406661fed61f8eca2e994d2acbcd62f7e0f5482a5afbcd  run1.calibration.txt
+e97f8d52fc46d589757c3ff6f3ac3ec4d50fa06fede9bb3a006d113abcc9e7da  run1.record.txt
+537295d2d2c68d0240b7b7fc9e5e944bfe1ff02e589f40a8fcc4faf3089dba6a  report.json
+45bc13c190a919f9310e938e7e1ae419e77fbfabd18537b99bc2f5d4707d6f2e  ml.report.json
+8ffc80e9d176b19b60dbc09cb7711add4ee237c0645d8c4439cd3e29b19bd1ba  rep.results.json
+86e5b9b41942cb9861b9cc301becbddd46c4da3cab5161660e6cd9c50e2cf6c3  rep.separations.txt
+755b80c33568af7547b1104ae7a7470f70764f9fda6e8410d67fb39b30d29dbc  lin.results.json
+3908136f87cd0ad2fd3b6b18b24af9f7962fb194a2557d6cf833f57cfb8be7ee  lin.measured.txt
+c97d19ca5d9717efd274c434fd385a2f04f5178eeaff1163fe992f17d007977b  lin.deviations.txt
 e25bee6149dfafe606823ca03efcb038b5441f1d721786fbe8656cd6bdfaa822  nf.txt
-b9c6cd6b1af1bc4b2d91bdb1665ccd09ad6d9c1c96270e1265c1797231ad3938  nf.calibration.txt
-fca5817cd78822311e20c6b4e7a3b16657f1eea328443645a88d565f6fb2eb5a  nf.record.txt
-607fa071f7d09da95642dd3f2859ca45a20a98396703df4c4339dcb38e7dcf7b  nf.report.json
+df7ac5388466b43549f4119daad70dc7c3b525f82b8f414a0c42e08a3020e49a  nf.calibration.txt
+564b1b96d68104ca1b5d32cd2d9786f6faaadd812982f1a8a0b4b58a308a75d3  nf.record.txt
+6386f308c45b203a90e42596aeb70329d6d30b7659bb0d70d841b0439fcba6d8  nf.report.json
 fe2b1163f37169671abf860407fbb26df8ad9ab01bb2cab63c55d6e1b129799c  cs.txt
-d0f744f89e94b1f2dd32654cda6ae17f857ad2eb138f17b3633be02236c93aeb  fs.record.txt
-6bdc5b7a7b43af0b20fc2d5c159321ecf52ce56de03f596a3a173b50acc70517  fs.report.json
-8b5a444c4a91b63e8f1a432682b6e299abf31c9cddcb7965b4e4ec1a4d6bed19  repf.results.json
+51933e8414611e71d4da9127701ce5e48ef0bb6b5be216d5e3ee465e7994fff5  fs.record.txt
+02281c5f94a724769e8eca75b18d710b477601abfe1acf13ae57c9df2c49d938  fs.report.json
+a1fd53e20a9047b2c16a3a01207a0e636de751ca01de401663f5b739a11c14dd  repf.results.json
+EOF
+for t in scan ml nf cs; do
+  python -c 'import sys; d = open(sys.argv[1], "rb").read()
+sys.stdout.buffer.write(d[d.index(b"\n# payload float64-le\n") + 22:])' "$t.txt" > "$t.payload"
+done
+sha256sum -c - <<'EOF'
+65269c4daf49db9369027e13fab0e8048e849ca957d9c77eb6d5a4b68c032dd7  scan.payload
+33e98e1a9e2f9660d736a099aa9f70d1fb5d32dc222b4fd1c7ccce5199a18c3a  ml.payload
+02726109feee8b15010aae9e1f6d8d3d02ecbd3b5d2dd46151639afc1ecb1a05  nf.payload
+7f57ec73d76076709e8e4d145c51bc78f7ef5e99528530724c5b32028db5bf45  cs.payload
 EOF

@@ -8,20 +8,22 @@ unwrapped phase by lambda_p / (4 pi) therefore reproduces the true position
 axis up to an additive constant, which is anchored at the scan midpoint.
 
 The band-pass is a real, so zero-phase, Tukey weight on the trace's
-zero-padded FFT about 2 / lambda_p of the reported axis, exactly zero outside
-+- relative_bandwidth / 2. So the carrier is read by complex demodulation with
-decimation (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983):
-the band's bins, moved down by the carrier bin c0 and folded modulo nfft / D,
-give the baseband analytic carrier psi at every D-th sample from one short
-inverse FFT, and the phase there is psi's plus 2 pi c0 m D / nfft. Those
-samples are the knots; the ones within the weight's kernel main lobe of
-either end are invalid.
+zero-padded FFT, exactly zero beyond +- relative_bandwidth / 2 of 2 / lambda_p
+from its centre, the carrier's power centroid (a scale error moves the carrier
+off 2 / lambda_p, where the kernel's response to the trace's ends would bend the
+phase). So the carrier is read by complex demodulation with decimation
+(Crochiere & Rabiner, Multirate Digital Signal Processing, 1983): the band's
+bins, moved down by the centre bin c0 and folded modulo nfft / D, give the
+baseband analytic carrier psi at every D-th sample from one short inverse FFT,
+and the phase there is psi's plus 2 pi c0 m D / nfft. Those samples are the
+knots; the ones within the weight's kernel main lobe of either end are invalid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,9 @@ from qolcr.scan import ScanTrace
 # a band is read at every D-th sample (or lag), D the largest divisor of the
 # FFT length up to this whose fold still holds the band twice over
 MAX_DECIMATION = 16
+
+# fixed-point steps allowed for a band's centre, its power centroid under its weight
+CENTROID_STEPS = 50
 
 # phase samples below this fraction of the median carrier amplitude are
 # masked; more than MAX_BAD_FRACTION of the knots outside the edges masked fails
@@ -60,6 +65,22 @@ def tukey_band(center: float, half: float, size: int) -> tuple[int, np.ndarray]:
     return lo, np.cos(math.pi * taper) ** 2
 
 
+def centroid_band(power: np.ndarray, center: float,
+                  half: Callable[[float], float]) -> tuple[int, np.ndarray, float]:
+    """(first bin, power under the Tukey band weight normalized to unit sum, centre)
+    at the fixed point where the centre is that weighted power's centroid, reached
+    from `center`; half(centre) is the half-width, all in bins."""
+    for _ in range(CENTROID_STEPS):
+        lo, weighted = tukey_band(center, half(center), len(power))
+        bins = np.arange(lo, lo + len(weighted))
+        weighted *= power[lo:lo + len(weighted)]
+        weighted /= weighted.sum()
+        moved, center = center, float(bins @ weighted)
+        if abs(center - moved) <= 1e-12 * moved:
+            break
+    return lo, weighted, center
+
+
 def decimation(nfft: int, width: int) -> int:
     """D, the largest divisor of nfft up to MAX_DECIMATION whose fold of nfft / D
     bins holds a band of `width` bins twice over: no two of its bins share a
@@ -79,12 +100,12 @@ class CarrierBand:
 
 @functools.lru_cache(maxsize=8)
 def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> CarrierBand:
-    """The Tukey band weight of `spec` on a grid of the given spacing of d'.
+    """The Tukey band weight of `spec` about 2 / lambda_p on a grid of spacing d'.
 
-    The edge is where the envelope of the weight's analytic kernel first falls
-    below 1e-4 of its peak: the continuous weight's kernel, a raised
-    cosine's sinc(1.5 half t) cos(pi half t / 2) / (1 - (half t)^2), crosses just
-    inside its first null at t = 1 / (1.5 half), 270 samples at the default.
+    The edge is the first sample where the weight's baseband kernel, a raised
+    cosine's sinc(1.5 half t) cos(pi half t / 2) / (1 - (half t)^2), is below 1e-4
+    of its peak: it falls to its first null at 1 / (1.5 half) with slope -1.35 half,
+    so 1e-4 / (1.35 half) before it, never below 1 (270 samples at the default).
     """
     if not 0 < sample_spacing < math.inf:
         raise ConfigError(f"sample spacing must be a finite positive number, got {sample_spacing}")
@@ -95,11 +116,9 @@ def design_bandpass(spec: BandpassSpec, sample_spacing: float) -> CarrierBand:
             f"band edge {f2:.4g} cyc/m reaches Nyquist {fs / 2:.4g}; "
             "spacing too coarse for the requested band"
         )
-    center, half = spec.center_frequency * sample_spacing, (f2 - f1) / 2 * sample_spacing
-    t = np.arange(0.0, 1.0 / (1.5 * half) + 0.01, 0.01)
-    envelope = np.abs(np.sinc(1.5 * half * t) * np.cos(0.5 * math.pi * half * t)
-                      / (1.0 - (half * t) ** 2))
-    return CarrierBand(center, half, math.ceil(t[np.argmax(envelope < 1e-4)]))
+    half = (f2 - f1) / 2 * sample_spacing
+    return CarrierBand(spec.center_frequency * sample_spacing, half,
+                       math.ceil(1.0 / (1.5 * half) - 1e-4 / (1.35 * half)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -110,13 +129,17 @@ def _kernel_spectrum(band: CarrierBand, nfft: int) -> tuple[int, np.ndarray]:
     return lo, weight
 
 
+def _fft_length(band: CarrierBand, n: int) -> int:
+    """nfft for n samples: a multiple of MAX_DECIMATION that pads 4 edges or more
+    of zeros. The FFT's wrap puts either end 5 edges from the other's knots, where
+    the kernel's step response is settled to 1.5e-3 (at 3 edges, 1e-2 or 0.3 nm
+    at the first knots)."""
+    return MAX_DECIMATION * next_fast_len(-(-(n + 4 * band.edge) // MAX_DECIMATION), real=True)
+
+
 def _filtered_spectrum(band: CarrierBand, values: np.ndarray) -> tuple[int, np.ndarray, int]:
-    """(first bin, the band's bins of rfft(values, nfft) weighted, nfft). nfft, a
-    multiple of MAX_DECIMATION, pads 4 edges or more of zeros: the FFT's wrap puts
-    either end 5 edges from the other's knots, where the kernel's step response is
-    settled to 1.5e-3 (at 3 edges, 1e-2 or 0.3 nm at the first knots)."""
-    nfft = MAX_DECIMATION * next_fast_len(
-        -(-(len(values) + 4 * band.edge) // MAX_DECIMATION), real=True)
+    """(first bin, the band's bins of rfft(values, nfft) weighted, nfft)."""
+    nfft = _fft_length(band, len(values))
     lo, weight = _kernel_spectrum(band, nfft)
     return lo, rfft(values, nfft)[lo:lo + len(weight)] * weight, nfft
 
@@ -137,7 +160,7 @@ class FilteredCarrier:
     baseband: np.ndarray         # psi at samples 0, step, 2 step, ... below n_samples
     ramp: float                  # 2 pi c0 step / nfft: the carrier's phase per knot
     step: int                    # D, the samples between knots
-    edge: int                    # the band's edge exclusion per end, in samples
+    band: CarrierBand            # centred on the carrier; its edge exclusion in samples
     n_samples: int
 
 
@@ -145,8 +168,10 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     """Isolate the pair-interference carrier from the coincidence channel.
 
     The channel mean is removed first; the pedestal carries no carrier
-    information. psi(m), 2 / D times the inverse FFT of the folded bins, is the
-    band-passed trace's analytic signal at sample m D times exp(-i ramp m).
+    information. The band is centred on the power centroid of its carrier; a
+    pure tone in the band is its own centroid. psi(m), 2 / D times the inverse
+    FFT of the folded bins, is the band-passed trace's analytic signal at sample
+    m D times exp(-i ramp m).
     """
     n = trace.n_samples
     band = design_bandpass(spec, trace.spacing)
@@ -157,7 +182,16 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
         raise CalibrationQualityError("coincidence channel holds non-finite samples")
     if not np.isfinite(trace.reported_d).all():
         raise CalibrationQualityError("trace holds non-finite reported positions")
-    lo, weighted, nfft = _filtered_spectrum(band, trace.coincidence - trace.coincidence.mean())
+    nfft = _fft_length(band, n)
+    spectrum = rfft(trace.coincidence - trace.coincidence.mean(), nfft)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    lo, weight = tukey_band(band.center * nfft, band.half * nfft, len(power))
+    if not power[lo:lo + len(weight)] @ weight > 0:
+        raise CalibrationQualityError("coincidence channel holds no carrier in its band")
+    *_, center = centroid_band(power, band.center * nfft, lambda _: band.half * nfft)
+    band = CarrierBand(center / nfft, band.half, band.edge)
+    lo, weight = _kernel_spectrum(band, nfft)
+    weighted = spectrum[lo:lo + len(weight)] * weight
     step = decimation(nfft, len(weighted))
     size, c0 = nfft // step, round(band.center * nfft)
     folded = np.zeros(size, dtype=complex)
@@ -165,7 +199,7 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     baseband = ifft(folded, overwrite_x=True)[:-(-n // step)]
     baseband *= 2.0 / step
     return FilteredCarrier(baseband=baseband, ramp=2.0 * math.pi * c0 / size, step=step,
-                           edge=band.edge, n_samples=n)
+                           band=band, n_samples=n)
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:
@@ -201,7 +235,7 @@ def extract_phase(carrier: FilteredCarrier) -> PhaseTrace:
     amplitude = np.abs(carrier.baseband)
     m = np.arange(len(amplitude))
     knots = m * carrier.step
-    valid = (knots >= carrier.edge) & (knots < carrier.n_samples - carrier.edge)
+    valid = (knots >= carrier.band.edge) & (knots < carrier.n_samples - carrier.band.edge)
     floor = AMPLITUDE_FLOOR_RATIO * float(np.median(amplitude[valid]))
     good = valid & (amplitude >= floor)
     bad = 1.0 - good[valid].mean()
@@ -215,6 +249,13 @@ def extract_phase(carrier: FilteredCarrier) -> PhaseTrace:
     mask = np.zeros(carrier.n_samples, dtype=bool)
     mask[knots] = good
     return PhaseTrace(unwrapped_phase=phase, quality_mask=mask, step=carrier.step)
+
+
+def end_fit_knots(x: np.ndarray) -> int:
+    """The knots from x[0] of monotone x an end-slope fit reads, 2 to a quarter of
+    them: those under EDGE_FIT_NM out, less 1 pm so that rounding adds none."""
+    within = np.count_nonzero(np.abs(x - x[0]) < (EDGE_FIT_NM - 1e-3) * 1e-9)
+    return max(min(within, len(x) // 4), 2)
 
 
 @dataclass
@@ -248,7 +289,7 @@ class CalibrationMap:
 
     @staticmethod
     def _end_slope(x: np.ndarray, y: np.ndarray) -> float:
-        n = max(min(np.count_nonzero(np.abs(x - x[0]) < EDGE_FIT_NM * 1e-9), len(x) // 4), 2)
+        n = end_fit_knots(x)
         slope = float(np.polyfit(x[:n], y[:n], 1)[0])
         if slope <= 0:
             raise CalibrationQualityError("calibration end slope not positive")

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len, rfft
 from scipy.signal import find_peaks
 
-from qolcr.calibration import CalibratedRecord, _unwrap, decimation, tukey_band
+from qolcr.calibration import CalibratedRecord, _unwrap, centroid_band, decimation
 from qolcr.errors import ConfigError, PeakCountError, PeakFitError, PipelineQualityError
 
 # smallest sample overlap allowed between the shifted record copies; lags
@@ -64,9 +64,6 @@ ZERO_GUARD, MIN_SEPARATION, CLUSTER_WINDOW, FIT_WINDOW = 4, 3, 1.5, 0.3
 # source's 30 nm FWHM at 810 nm spans 3.7% of the carrier, and at 5 nm steps
 # the band keeps about 0.5% of the white counting noise
 BAND_HALFWIDTH = 0.11
-
-# fixed-point steps allowed for the band centre, W's centroid under its own weight
-CENTROID_STEPS = 50
 
 
 @dataclass
@@ -139,20 +136,13 @@ class Autocorrelogram:
         fixed point reached from W's largest bin: it moves continuously with W,
         where the largest bin could flip under rounding.
         """
-        power = self.power
-        center = float(np.argmax(power))
-        for _ in range(CENTROID_STEPS):
-            half = BAND_HALFWIDTH * center
-            if half < 1.0:
+        def half(center: float) -> float:
+            if BAND_HALFWIDTH * center < 1.0:
                 raise PeakFitError(f"the record's power spectrum has no fringe band: it "
                                    f"centres on FFT bin {center:.3g} of {self.nfft}")
-            lo, weighted = tukey_band(center, half, len(power))
-            bins = np.arange(lo, lo + len(weighted))
-            weighted *= power[lo:lo + len(weighted)]
-            weighted /= weighted.sum()
-            moved, center = center, float(bins @ weighted)
-            if abs(center - moved) <= 1e-12 * moved:
-                break
+            return BAND_HALFWIDTH * center
+
+        lo, weighted, _ = centroid_band(self.power, float(np.argmax(self.power)), half)
         return lo, weighted
 
     @cached_property

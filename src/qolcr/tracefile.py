@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from .calibration import EDGE_FIT_NM, CalibratedRecord, CalibrationMap
+from .calibration import EDGE_FIT_NM, CalibratedRecord, CalibrationMap, end_fit_knots
 from .config import parse_config
 from .errors import CalibrationQualityError, ConfigError, TraceParseError
 from .scan import ScanTrace
@@ -41,7 +41,9 @@ _PAYLOAD_DTYPE = np.dtype("<f8")
 # plain header values that must be finite and positive, integers in decimal digits
 _POSITIVE_HEADERS = {"spacing": "number", "grid_step": "number", "edge_fit": "integer"}
 
-# how a calibration table is read back; a reader refuses any other value
+# how a calibration table is read back; a reader refuses any other value but
+# the end-slope fit's knots that tables held while the map counted them, read
+# where those are the knots within EDGE_FIT_NM
 _CALIBRATION_READBACK = {"interpolation": "linear", "edge_fit": str(EDGE_FIT_NM)}
 
 # a trace's band-pass is designed for its spacing, a record's lags count grid
@@ -330,17 +332,23 @@ def write_calibration_table(calibration: CalibrationMap, path, config=None) -> N
 
 def read_calibration_table(path) -> CalibrationMap:
     header, json_fields, data = _read_table(path, CALIBRATION_FORMAT, CALIBRATION_COLUMNS)
+    legacy = header.get("edge_fit") == "2000"
     for key, value in _CALIBRATION_READBACK.items():
-        if header.get(key) != value:
+        if header.get(key) != value and not (key == "edge_fit" and legacy):
             raise TraceParseError(f"expected '# {key} {value}' header", path=path)
     try:
-        return CalibrationMap(
+        calibration = CalibrationMap(
             reported=data["reported_d_m"],
             calibrated=data["calibrated_d_m"],
             quality=json_fields.get("quality", {}),
         )
     except (ConfigError, CalibrationQualityError) as exc:  # knots no map accepts
         raise TraceParseError(str(exc), path=path) from exc
+    x = calibration.reported
+    if legacy and {end_fit_knots(x), end_fit_knots(x[::-1])} != {max(min(2000, len(x) // 4), 2)}:
+        raise TraceParseError(f"expected '# edge_fit {EDGE_FIT_NM}' header; the 2000 knots "
+                              f"of '# edge_fit 2000' span other travel here", path=path)
+    return calibration
 
 
 # ---------------------------------------------------------------------------

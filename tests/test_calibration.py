@@ -35,7 +35,7 @@ from qolcr.calibration import (
 from qolcr.config import default_config, load_config
 from qolcr.errors import CalibrationQualityError, ConfigError
 from qolcr.experiments import synthesize
-from qolcr.model import PumpReference, Sample, Spectrum
+from qolcr.model import BandpassSpec, PumpReference, Sample, Spectrum
 from qolcr.scan import ScanTrace, StageModel, simulate_scan
 
 LAMBDA_0 = 810e-9
@@ -50,7 +50,7 @@ MULTILAYER = Path(__file__).resolve().parents[1] / "perfbench" / "multilayer.jso
 
 
 def carrier_trace(n=60000, amplitude=500.0, baseline=4000.0, phi0=0.3,
-                  am=None, spacing=SPACING):
+                  am=None, spacing=SPACING, freq=CARRIER_FREQ):
     """Synthetic trace whose coincidence channel is a bare carrier."""
     d = np.arange(n) * spacing
     envelope = np.ones(n)
@@ -58,7 +58,7 @@ def carrier_trace(n=60000, amplitude=500.0, baseline=4000.0, phi0=0.3,
         depth, period = am
         envelope = 1.0 + depth * np.sin(2.0 * math.pi * d / period)
     coincidence = baseline + amplitude * envelope * np.cos(
-        2.0 * math.pi * CARRIER_FREQ * d + phi0)
+        2.0 * math.pi * freq * d + phi0)
     return ScanTrace(
         reported_d=d,
         intensity=np.full(n, 1000.0),
@@ -262,7 +262,7 @@ def _carrier_at_knots(carrier):
     """(knot samples outside the band's edge exclusions, the analytic carrier there)."""
     m = np.arange(len(carrier.baseband))
     knots = m * carrier.step
-    sel = (knots >= carrier.edge) & (knots < carrier.n_samples - carrier.edge)
+    sel = (knots >= carrier.band.edge) & (knots < carrier.n_samples - carrier.band.edge)
     return knots[sel], (carrier.baseband * np.exp(1j * carrier.ramp * m))[sel]
 
 
@@ -287,7 +287,7 @@ def test_extract_tpi_edge_exclusion_width():
     trace = carrier_trace(n=20000)
     carrier = extract_tpi(trace, BANDPASS)
     band = design_bandpass(BANDPASS, SPACING)
-    assert (carrier.edge, carrier.step) == (band.edge, 16) == (270, 16)
+    assert (carrier.band.edge, carrier.step) == (band.edge, 16) == (270, 16)
     # the edge is where the analytic kernel's envelope first falls below 1e-4 of
     # its peak: the weight's bins at a long FFT length, inverted, give that kernel
     nfft = 2 ** 20
@@ -303,6 +303,56 @@ def test_extract_tpi_edge_exclusion_width():
     inside = knots[(knots >= 270) & (knots < 20000 - 270)]
     assert np.array_equal(np.flatnonzero(phase.quality_mask), inside)
     assert np.array_equal(np.flatnonzero(~np.isnan(phase.unwrapped_phase)), knots)
+
+
+# (spacing of d', relative bandwidth): the kernel's first null falls on a
+# sample at the first four and the last (270 samples out at the default), and
+# between two at the others (31.76 samples out at 10 nm and 0.85), where no
+# sample is within 1e-4 of the peak before the null
+EDGE_CASES = [(2.5e-9, 0.05), (5e-9, 0.2), (5e-9, 0.5), (10e-9, 0.2),
+              (10e-9, 0.85), (20e-9, 0.85), (5e-9, 0.35), (5e-9, 0.9)]
+
+
+@pytest.mark.parametrize("spacing, bandwidth", EDGE_CASES)
+def test_edge_is_the_first_sample_where_the_discrete_kernel_falls_below_1e4(spacing,
+                                                                             bandwidth):
+    band = design_bandpass(BandpassSpec(CARRIER_FREQ, bandwidth), spacing)
+    assert band.edge > 0
+    # the weight's bins at a long FFT length, inverted and moved down by the
+    # centre, give its baseband kernel, real where the weight is symmetric
+    nfft = 2 ** 20
+    lo, weight = _kernel_spectrum(band, nfft)
+    kernel = np.zeros(nfft, dtype=complex)
+    kernel[lo:lo + len(weight)] = weight
+    t = np.arange(band.edge + 1)
+    baseband = ifft(kernel)[t] * np.exp(-2j * math.pi * band.center * t)
+    assert np.abs(baseband.imag).max() <= 1e-6 * baseband[0].real
+    assert np.all(baseband.real[:-1] >= 1e-4 * baseband[0].real)
+    assert baseband.real[-1] < 1e-4 * baseband[0].real
+
+
+@pytest.mark.parametrize("offset", [-0.08, -0.02, 0.0, 0.02, 0.05, 0.08])
+def test_band_centres_on_a_carrier_off_its_nominal_frequency(offset):
+    # a stage scale error moves the carrier off 2 / lambda_p of the reported axis;
+    # the band moves onto it, so the knots next to the edge exclusions read its
+    # phase as well as the rest (centred on 2 / lambda_p, the first and last knots
+    # read 65 mrad off at an offset of 0.02)
+    freq = CARRIER_FREQ * (1.0 + offset)
+    trace = carrier_trace(freq=freq)
+    carrier = extract_tpi(trace, BANDPASS)
+    assert abs(carrier.band.center / (freq * SPACING) - 1.0) <= 1e-4
+    phase = extract_phase(carrier)
+    knots = np.flatnonzero(phase.quality_mask)
+    error = phase.unwrapped_phase[knots] - (2.0 * math.pi * freq * trace.reported_d[knots] + 0.3)
+    error -= 2.0 * math.pi * round(error[len(error) // 2] / (2.0 * math.pi))
+    assert np.abs(error).max() <= 3e-3
+
+
+def test_extract_tpi_rejects_a_channel_with_no_carrier():
+    trace = carrier_trace(amplitude=0.0)
+    with pytest.raises(CalibrationQualityError,
+                       match="^coincidence channel holds no carrier in its band$"):
+        extract_tpi(trace, BANDPASS)
 
 
 def test_extract_tpi_rejects_too_short_trace():
@@ -339,9 +389,10 @@ def test_extract_tpi_rejects_non_finite_reported_position(bad):
 # phase extraction
 
 
-def _band_passed(cfg, trace):
-    """(band, first bin, weighted bins, nfft) of the trace's coincidence channel."""
-    band = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
+def _band_passed(carrier, trace):
+    """(band, first bin, weighted bins, nfft) of the trace's coincidence channel
+    under the band extract_tpi centred on its carrier."""
+    band = carrier.band
     return (band, *_filtered_spectrum(band, trace.coincidence - trace.coincidence.mean()))
 
 
@@ -356,7 +407,7 @@ def test_baseband_equals_the_full_length_inverse_at_every_knot(config, run):
     cfg = default_config() if config == "default" else load_config(MULTILAYER)
     trace = synthesize(cfg, run)
     carrier = extract_tpi(trace, cfg.pipeline.bandpass)
-    band, lo, weighted, nfft = _band_passed(cfg, trace)
+    band, lo, weighted, nfft = _band_passed(carrier, trace)
     shifted = np.zeros(nfft, dtype=complex)
     shifted[(np.arange(lo, lo + len(weighted)) - round(band.center * nfft)) % nfft] = weighted
     full = 2.0 * ifft(shifted)[::carrier.step][:len(carrier.baseband)]
@@ -387,19 +438,19 @@ def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps, monkeyp
     x, taps = rng.normal(size=n), rng.normal(size=num_taps)
     seen = []
 
-    def through_taps(band, values):
-        lo, weighted, nfft = _filtered_spectrum(band, values)
-        weighted = weighted * rfft(taps, nfft)[lo:lo + len(weighted)]
-        seen.append((band, lo, weighted, nfft))
-        return lo, weighted, nfft
+    def through_taps(band, nfft):
+        lo, weight = _kernel_spectrum(band, nfft)
+        weight = weight * rfft(taps, nfft)[lo:lo + len(weight)]
+        seen.append((band, lo, weight, nfft))
+        return lo, weight
 
-    monkeypatch.setattr(calibration, "_filtered_spectrum", through_taps)
+    monkeypatch.setattr(calibration, "_kernel_spectrum", through_taps)
     trace = ScanTrace(reported_d=np.arange(n) * SPACING, intensity=np.full(n, 1000.0),
                       coincidence=x, spacing=SPACING)
     carrier = extract_tpi(trace, BANDPASS)
-    [(band, lo, weighted, nfft)] = seen
+    [(band, lo, weight, nfft)] = seen
     spectrum = np.zeros(nfft // 2 + 1, dtype=complex)
-    spectrum[lo:lo + len(weighted)] = weighted
+    spectrum[lo:lo + len(weight)] = rfft(x - x.mean(), nfft)[lo:lo + len(weight)] * weight
     knots = np.arange(len(carrier.baseband)) * carrier.step
     oracle = hilbert(irfft(spectrum, nfft))[knots].imag
     turn = 2.0 * math.pi * (round(band.center * nfft) * knots % nfft) / nfft
@@ -414,7 +465,7 @@ def test_quadrature_matches_hilbert_on_default_carrier():
     config = default_config()
     trace = synthesize(config)
     carrier = extract_tpi(trace, config.pipeline.bandpass)
-    band, lo, weighted, nfft = _band_passed(config, trace)
+    band, lo, weighted, nfft = _band_passed(carrier, trace)
     spectrum = np.zeros(nfft // 2 + 1, dtype=complex)
     spectrum[lo:lo + len(weighted)] = weighted
     knots = np.arange(len(carrier.baseband)) * carrier.step
@@ -433,8 +484,7 @@ def test_phase_from_filtered_spectrum_within_5_mrad_of_hilbert_of_values(config,
     cfg = default_config() if config == "default" else load_config(MULTILAYER)
     trace = synthesize(cfg, run)
     carrier = extract_tpi(trace, cfg.pipeline.bandpass)
-    band = design_bandpass(cfg.pipeline.bandpass, trace.spacing)
-    values = zero_phase_apply(band, trace.coincidence - trace.coincidence.mean())
+    values = zero_phase_apply(carrier.band, trace.coincidence - trace.coincidence.mean())
     knots, analytic = _carrier_at_knots(carrier)
     assert np.max(np.abs(analytic.real - values[knots])) <= 1e-9 * np.abs(values).max()
     phase = extract_phase(carrier)
@@ -514,8 +564,8 @@ def test_phase_masks_low_amplitude_stretch():
     center = int(round(150e-6 / SPACING))
     assert not phase.quality_mask[center]
     # the band's edge exclusions are masked too, so the mask alone selects usable phase
-    assert not phase.quality_mask[:carrier.edge].any()
-    assert not phase.quality_mask[-carrier.edge:].any()
+    assert not phase.quality_mask[:carrier.band.edge].any()
+    assert not phase.quality_mask[-carrier.band.edge:].any()
     assert phase.quality_mask[center - 4000]
     assert phase.quality_mask[center + 4000]
 

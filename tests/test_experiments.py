@@ -67,6 +67,37 @@ def test_default_stage_without_noise_reads_within_a_tenth_of_a_nm():
     assert abs(report.separations[0] - TRUE_SEPARATION) <= 0.1e-9
 
 
+@pytest.mark.parametrize("scale_error", [0.02, 0.05, 0.08])
+def test_scale_error_without_noise_reads_within_a_tenth_of_a_nm(scale_error):
+    # the band centres on the carrier wherever a scale error puts it; centred on
+    # 2 / lambda_p it read +0.003, +0.890 and -4.003 nm off (the 2001-tap filter
+    # before it read -0.344, -0.265 and -0.369 nm)
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    raw["noise"]["enabled"] = False
+    raw["stage"]["scale_error"] = scale_error
+    report = run_pipeline(parse_config(raw))
+    assert abs(report.separations[0] - TRUE_SEPARATION) <= 0.1e-9
+
+
+@pytest.mark.parametrize("scale_error", [0.001, 0.02, 0.05])
+def test_calibration_map_holds_at_the_end_knots_under_a_scale_error(scale_error):
+    # a stage with only a scale error and no noise: map minus truth, anchored at
+    # the midpoint, stays within 0.1 nm at every knot, the first and last ones
+    # too (with the band centred on 2 / lambda_p they read -2.15 and +2.14 nm at
+    # 0.02; the largest, 0.066 nm, is a few knots in from the first at each
+    # scale error)
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    raw["noise"]["enabled"] = False
+    raw["stage"].update(scale_error=scale_error, periodic_amplitude_nm=0.0, drift_step_nm=0.0)
+    cfg = parse_config(raw)
+    trace = synthesize(cfg)
+    calibration, _ = calibrate_trace(cfg, trace)
+    knots = np.searchsorted(trace.reported_d, calibration.reported)
+    error = calibration.calibrated - trace.truth.true_d[knots]
+    error -= error[len(error) // 2]
+    assert np.abs(error).max() <= 0.1e-9
+
+
 def test_per_run_state_is_attached_once_by_the_pipeline_layer():
     # the instrument models hold no seed, and each stage returns only its own
     # figures: synthesize passes the run's seeds, calibrate_trace and

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qolcr.calibration import CalibratedRecord
-from qolcr.config import DEFAULT_CONFIG, parse_config
+from qolcr.calibration import CalibratedRecord, CalibrationMap
+from qolcr.config import DEFAULT_CONFIG, default_config, parse_config
 from qolcr.errors import ConfigError, TraceParseError
 from qolcr.experiments import calibrate_trace, synthesize
 from qolcr.scan import ScanTrace
@@ -636,14 +636,35 @@ def test_calibration_table_rejects_other_interpolation(tmp_path, trace_and_confi
     path.write_bytes(data.replace(b"# interpolation linear\n", b""))
     with pytest.raises(TraceParseError):
         read_calibration_table(path)
-    # the end-slope fit travel in nm is fixed; another value, such as the 2000
-    # knots that tables held before, is not this format
+    # the end-slope fit travel in nm is fixed; another value is not this format,
+    # nor are the 2000 knots that tables held before where, as on these knots
+    # every 80 nm, they span other than that travel
     assert b"# edge_fit 10000\n" in data
     for edited in (data.replace(b"# edge_fit 10000", b"# edge_fit 2000"),
+                   data.replace(b"# edge_fit 10000", b"# edge_fit 5000"),
                    data.replace(b"# edge_fit 10000\n", b"")):
         path.write_bytes(edited)
         with pytest.raises(TraceParseError, match="edge_fit 10000"):
             read_calibration_table(path)
+
+
+def test_calibration_table_of_2000_knots_every_5_nm_reads_as_written(tmp_path):
+    # tables written while the end-slope fit counted knots held '# edge_fit 2000';
+    # on knots every 5 nm, as the default trace's samples outside the 2001-tap
+    # filter's edges were, those 2000 knots are the 10000 nm the map fits over
+    # (at the far end the knot 10000 nm out rounds to just inside that travel)
+    reported = synthesize(default_config()).reported_d[1000:-1000]
+    calibrated = reported * (1.0 + 1e-3) + 1e-9 * np.sin(reported / 7e-6)
+    path = tmp_path / "calibration.txt"
+    write_calibration_table(CalibrationMap(reported=reported, calibrated=calibrated), path)
+    path.write_bytes(path.read_bytes().replace(b"# edge_fit 10000", b"# edge_fit 2000"))
+    table = read_calibration_table(path)
+    outside = np.array([reported[0] - 1e-6, reported[-1] + 1e-6])
+    lo = np.polyfit(reported[:2000], calibrated[:2000], 1)[0]
+    hi = np.polyfit(reported[::-1][:2000], calibrated[::-1][:2000], 1)[0]
+    expected = [calibrated[0] + (outside[0] - reported[0]) * lo,
+                calibrated[-1] + (outside[1] - reported[-1]) * hi]
+    assert np.array_equal(table(outside), expected)
 
 
 def test_calibration_table_with_knots_out_of_order_names_its_file(tmp_path,
