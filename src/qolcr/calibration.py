@@ -185,21 +185,21 @@ def extract_tpi(trace: ScanTrace, spec: BandpassSpec) -> FilteredCarrier:
     nfft = _fft_length(band, n)
     spectrum = rfft(trace.coincidence - trace.coincidence.mean(), nfft)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    lo, weight = tukey_band(band.center * nfft, band.half * nfft, len(power))
+    center, half = band.center * nfft, band.half * nfft
+    lo, weight = tukey_band(center, half, len(power))
     if not power[lo:lo + len(weight)] @ weight > 0:
         raise CalibrationQualityError("coincidence channel holds no carrier in its band")
-    *_, center = centroid_band(power, band.center * nfft, lambda _: band.half * nfft)
-    band = CarrierBand(center / nfft, band.half, band.edge)
-    lo, weight = _kernel_spectrum(band, nfft)
+    *_, center = centroid_band(power, center, lambda _: half)
+    lo, weight = tukey_band(center, half, len(power))
     weighted = spectrum[lo:lo + len(weight)] * weight
     step = decimation(nfft, len(weighted))
-    size, c0 = nfft // step, round(band.center * nfft)
+    size, c0 = nfft // step, round(center)
     folded = np.zeros(size, dtype=complex)
     folded[(np.arange(lo, lo + len(weighted)) - c0) % size] = weighted  # one bin per residue
     baseband = ifft(folded, overwrite_x=True)[:-(-n // step)]
     baseband *= 2.0 / step
     return FilteredCarrier(baseband=baseband, ramp=2.0 * math.pi * c0 / size, step=step,
-                           band=band, n_samples=n)
+                           band=CarrierBand(center / nfft, band.half, band.edge), n_samples=n)
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:

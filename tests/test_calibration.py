@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import ifft, irfft, next_fast_len, rfft
+from scipy.fft import ifft, irfft, next_fast_len
 from scipy.interpolate import CubicHermiteSpline  # the oracle of the resampling interpolant
 from scipy.signal import hilbert
 
-from qolcr import calibration
 from qolcr.calibration import (
     CalibrationMap,
     PhaseTrace,
@@ -430,27 +429,18 @@ def test_quadrature_cases_cover_even_and_odd_nfft():
 
 
 @pytest.mark.parametrize("n, num_taps", QUADRATURE_CASES)
-def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps, monkeypatch):
+def test_quadrature_matches_hilbert_of_the_full_convolution(n, num_taps):
     # a random trace through random FIR taps and the band: the quadrature at the
     # knots is the Hilbert transform of the whole nfft-point band-passed
     # convolution, not of its n-sample slice, whatever the phases of the bins
     rng = np.random.default_rng(n)
-    x, taps = rng.normal(size=n), rng.normal(size=num_taps)
-    seen = []
-
-    def through_taps(band, nfft):
-        lo, weight = _kernel_spectrum(band, nfft)
-        weight = weight * rfft(taps, nfft)[lo:lo + len(weight)]
-        seen.append((band, lo, weight, nfft))
-        return lo, weight
-
-    monkeypatch.setattr(calibration, "_kernel_spectrum", through_taps)
+    x = np.convolve(rng.normal(size=n), rng.normal(size=num_taps))[:n]
     trace = ScanTrace(reported_d=np.arange(n) * SPACING, intensity=np.full(n, 1000.0),
                       coincidence=x, spacing=SPACING)
     carrier = extract_tpi(trace, BANDPASS)
-    [(band, lo, weight, nfft)] = seen
+    band, lo, weighted, nfft = _band_passed(carrier, trace)
     spectrum = np.zeros(nfft // 2 + 1, dtype=complex)
-    spectrum[lo:lo + len(weight)] = rfft(x - x.mean(), nfft)[lo:lo + len(weight)] * weight
+    spectrum[lo:lo + len(weighted)] = weighted
     knots = np.arange(len(carrier.baseband)) * carrier.step
     oracle = hilbert(irfft(spectrum, nfft))[knots].imag
     turn = 2.0 * math.pi * (round(band.center * nfft) * knots % nfft) / nfft
