@@ -124,7 +124,7 @@ def test_ss250_cell_has_no_failed_run():
     "cs30",
     _xfail("cs10", "item 12: run 9's 5.8 nm error is left out of the stated uncertainty"),
     _xfail("cs5", "items 10 and 12: run 2 misorders two peaks by a fringe at the envelope "
-                  "vertex, and runs 0, 1, 6 and 8 have 5.0-8.9 nm errors left out of the "
+                  "vertex, and runs 0, 1, 6 and 8 have 5.0-8.8 nm errors left out of the "
                   "stated uncertainty"),
 ])
 def test_stacked_sample_has_no_silent_peak(cell):
